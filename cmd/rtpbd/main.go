@@ -170,6 +170,10 @@ func run(args []string) error {
 		return err
 	}
 	defer transport.Close()
+	if rcv, snd := transport.SocketBuffers(); rcv < netsim.MinSocketBuffer || snd < netsim.MinSocketBuffer {
+		log.Printf("socket buffers: kernel granted %d B receive, %d B send; under %d B a burst of fragmented updates can be dropped — raise net.core.rmem_max and wmem_max",
+			rcv, snd, netsim.MinSocketBuffer)
+	}
 	var port *rtpb.PortProtocol
 	if *mtu > 0 {
 		port, err = rtpb.NewStackMTU(transport, clk, *mtu)

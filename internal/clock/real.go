@@ -13,6 +13,15 @@ import (
 // Schedule/ScheduleAt/Cancel must be called from the loop goroutine (from
 // inside a callback); external goroutines (e.g. a UDP reader) hand work to
 // the loop with Post.
+//
+// The loop works in turns: the posts that have arrived, then the events
+// that were scheduled before the turn began and are due. A callback that
+// keeps rescheduling itself with Schedule(0) therefore runs once per turn,
+// with every Post and the stop check in between.
+//
+// RealClock is also how a component learns that time is real: the
+// processor resource (internal/cpu) runs work at hardware speed on a
+// *RealClock and models it on any other Clock.
 type RealClock struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -49,11 +58,21 @@ func (r *RealClock) Monotonic() time.Duration { return time.Since(r.start) }
 
 // Schedule arranges for fn to run d from now on the loop goroutine.
 func (r *RealClock) Schedule(d time.Duration, fn func()) *Event {
-	return r.ScheduleAt(time.Now().Add(d), fn)
+	return r.schedule(time.Now().Add(max(d, 0)), fn)
 }
 
-// ScheduleAt arranges for fn to run at wall-clock time t.
+// ScheduleAt arranges for fn to run at wall-clock time t. A t in the past
+// means now: the event queues behind what is already due instead of ahead
+// of it, where a chain of past-dated events would hold the head of the
+// queue turn after turn and starve the due events behind it.
 func (r *RealClock) ScheduleAt(t time.Time, fn func()) *Event {
+	if now := time.Now(); t.Before(now) {
+		t = now
+	}
+	return r.schedule(t, fn)
+}
+
+func (r *RealClock) schedule(t time.Time, fn func()) *Event {
 	r.mu.Lock()
 	r.seq++
 	e := &Event{when: t, seq: r.seq, fn: fn}
@@ -95,26 +114,36 @@ func (r *RealClock) loop() {
 	defer close(r.done)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
+	var posted []func() // last turn's buffer, swapped with r.posted
 	for {
-		// Drain posted work first so Post has priority over timers.
-		r.mu.Lock()
-		posted := r.posted
-		r.posted = nil
-		r.mu.Unlock()
-		for _, fn := range posted {
-			fn()
+		select {
+		case <-r.stop:
+			return
+		default:
 		}
 
-		// Fire every due event.
+		// One turn: the posts that arrived since the last turn, then the
+		// events that were already scheduled (seq <= horizon) and due when
+		// the turn began. Whatever they schedule or post waits for the
+		// next turn, so a chain of Schedule(0) callbacks can neither
+		// starve Post nor keep the loop from seeing stop.
+		r.mu.Lock()
+		posted, r.posted = r.posted, posted[:0]
+		horizon := r.seq
+		r.mu.Unlock()
+		for i, fn := range posted {
+			posted[i] = nil
+			fn()
+		}
+		now := time.Now()
 		for {
 			r.mu.Lock()
 			var next *Event
 			if len(r.pending) > 0 {
-				next = r.pending[0]
-				if next.cancel || !next.when.After(time.Now()) {
+				e := r.pending[0]
+				if e.cancel || (e.seq <= horizon && !e.when.After(now)) {
 					heap.Pop(&r.pending)
-				} else {
-					next = nil
+					next = e
 				}
 			}
 			r.mu.Unlock()
@@ -126,18 +155,19 @@ func (r *RealClock) loop() {
 			}
 		}
 
-		// Sleep until the next event, a post, or shutdown.
+		// Sleep until the next event, a post, or shutdown; with work
+		// already waiting, take the next turn without arming the timer.
 		r.mu.Lock()
 		wait := time.Hour
 		if len(r.posted) > 0 {
 			wait = 0
 		} else if len(r.pending) > 0 {
 			wait = time.Until(r.pending[0].when)
-			if wait < 0 {
-				wait = 0
-			}
 		}
 		r.mu.Unlock()
+		if wait <= 0 {
+			continue
+		}
 		if !timer.Stop() {
 			select {
 			case <-timer.C:

@@ -589,7 +589,9 @@ func (p *Primary) maybeStartPump() {
 
 // pumpStep transmits the next object in round-robin order and chains the
 // following transmission — the "schedule as many updates as the resources
-// allow" discipline of compressed scheduling.
+// allow" discipline of compressed scheduling. It runs in the processor's
+// idle class: queued with the writes on the modelled processor, and on a
+// live one paced by the send cost admission charged it, yielding to them.
 func (p *Primary) pumpStep() {
 	if !p.running || p.role != RolePrimary || !p.anyPeerAlive() || p.cfg.Scheduling != ScheduleCompressed {
 		p.pumpActive = false
@@ -600,7 +602,7 @@ func (p *Primary) pumpStep() {
 		p.pumpActive = false
 		return
 	}
-	p.proc.Submit(cpu.Low, p.cfg.Costs.sendCost(len(o.value)), func() {
+	p.proc.Submit(cpu.Idle, p.cfg.Costs.sendCost(len(o.value)), func() {
 		p.sendUpdateNow(o)
 		p.pumpStep()
 	})

@@ -1,12 +1,26 @@
-// Package cpu models the replica server's processor as a single serially
-// scheduled resource with two priority classes. The paper's evaluation
-// depends on processor contention at the primary: client requests and
-// backup-update transmissions share one CPU, so admitting too many objects
-// (Figure 7) saturates it and client response time explodes, while
-// admission control (Figure 6) keeps utilization bounded. Compressed
-// scheduling (Figure 12) is "schedule as many updates to backup as the
-// resources allow": an update pump that chains one transmission after
-// another through the low-priority class of this resource.
+// Package cpu is the replica server's processor: a single serially
+// scheduled resource with priority classes. What it does with a submitted
+// cost depends on the clock that drives it.
+//
+// Under a simulated clock it is the model of the paper's evaluation.
+// Client requests and backup-update transmissions share one CPU, so
+// admitting too many objects (Figure 7) saturates it and client response
+// time explodes, while admission control (Figure 6) keeps utilization
+// bounded. Each item occupies the processor for its declared cost of
+// virtual time. Compressed scheduling (Figure 12) is "schedule as many
+// updates to backup as the resources allow": an update pump that chains
+// one transmission after another through the Idle class.
+//
+// Under clock.RealClock the processor is the machine's own. Work runs at
+// hardware speed on the clock's loop and the resource accounts: the busy
+// time it measured and the queue it holds. The declared costs are kept as
+// a budget, the time a modelled processor would have needed for the same
+// work. The live processor may run up to maxLead ahead of that one and no
+// further, and the Idle class runs only while that one would be idle.
+// Admitted load stays far inside the budget and is never held back; load
+// beyond what the model can carry is served at the model's rate, the same
+// on every host and from one minute to the next, and not at whatever rate
+// the host's scheduler happens to allow.
 package cpu
 
 import (
@@ -23,76 +37,195 @@ const (
 	High Priority = iota + 1
 	// Low is used for background work (update transmissions).
 	Low
+	// Idle is for work that resubmits itself for as long as the processor
+	// lets it (the compressed-scheduling pump). A modelled processor
+	// queues it with Low. A live one runs it only when no High or Low
+	// work is queued and the modelled processor would be idle, so
+	// successive Idle items start no closer together than their declared
+	// cost: the pump takes no more of the processor than the admission
+	// test charged it for, and the resource is free between two of its
+	// items.
+	Idle
 )
 
-// Resource is a non-preemptive two-level priority FIFO processor.
+// Resource is a non-preemptive priority FIFO processor.
 type Resource struct {
-	clk  clock.Clock
-	high []work
-	low  []work
+	clk clock.Clock
+	// live is set when clk is a RealClock: submitted work runs on the
+	// clock loop and takes what it takes. Any other clock gets the
+	// modelled processor.
+	live bool
 
-	running  bool
-	busy     time.Duration
-	started  time.Time
-	lastIdle time.Time
+	high queue
+	low  queue
+	idle queue // live only
+
+	running bool // modelled: an item occupies the processor
+	busy    time.Duration
+
+	// live only
+	modelFree time.Time    // when a modelled processor would be done with the work run so far
+	wake      *clock.Event // the scheduled turn, if any, and its instant
+	wakeAt    time.Time
 }
+
+// maxLead is how much declared cost the live processor may run ahead of
+// real time. A burst up to that size (every update task of a period
+// released in one turn) runs at hardware speed; sustained load above the
+// modelled processor's capacity is held to that capacity.
+const maxLead = 100 * time.Millisecond
 
 type work struct {
 	cost time.Duration
 	fn   func()
 }
 
-// New returns an idle resource driven by clk.
-func New(clk clock.Clock) *Resource {
-	return &Resource{clk: clk, lastIdle: clk.Now()}
+// queue is a FIFO that reuses its backing array once drained.
+type queue struct {
+	items []work
+	head  int
 }
 
-// Submit enqueues work that occupies the processor for cost and then runs
-// fn. fn runs on the clock executor at the work's completion instant.
-// Zero-cost work still round-trips through the queue, preserving ordering.
+func (q *queue) len() int { return len(q.items) - q.head }
+
+func (q *queue) push(w work) { q.items = append(q.items, w) }
+
+func (q *queue) pop() work {
+	w := q.items[q.head]
+	q.items[q.head] = work{}
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return w
+}
+
+func (w work) run() {
+	if w.fn != nil {
+		w.fn()
+	}
+}
+
+// New returns an idle resource driven by clk.
+func New(clk clock.Clock) *Resource {
+	_, live := clk.(*clock.RealClock)
+	return &Resource{clk: clk, live: live}
+}
+
+// Submit enqueues work of the given declared cost and then runs fn on the
+// clock executor, never from inside Submit. The modelled processor runs
+// fn at the work's completion instant, cost after it reached the head of
+// the queue; zero-cost work still round-trips through the queue,
+// preserving ordering. The live processor runs fn on the loop's next turn,
+// or as soon after as the budget lets the work start.
 func (r *Resource) Submit(p Priority, cost time.Duration, fn func()) {
 	if cost < 0 {
 		cost = 0
 	}
 	w := work{cost: cost, fn: fn}
-	if p == High {
-		r.high = append(r.high, w)
-	} else {
-		r.low = append(r.low, w)
+	switch {
+	case p == High:
+		r.high.push(w)
+	case p == Idle && r.live:
+		r.idle.push(w)
+	default:
+		r.low.push(w)
 	}
-	if !r.running {
+	if r.live {
+		r.arm()
+	} else if !r.running {
 		r.dispatch()
 	}
 }
 
+// dispatch starts the modelled processor's next item.
 func (r *Resource) dispatch() {
-	var w work
-	switch {
-	case len(r.high) > 0:
-		w, r.high = r.high[0], r.high[1:]
-	case len(r.low) > 0:
-		w, r.low = r.low[0], r.low[1:]
-	default:
+	w, ok := r.next()
+	if !ok {
 		r.running = false
-		r.lastIdle = r.clk.Now()
 		return
 	}
 	r.running = true
 	r.busy += w.cost
 	r.clk.Schedule(w.cost, func() {
-		if w.fn != nil {
-			w.fn()
-		}
+		w.run()
 		r.dispatch()
 	})
 }
 
-// QueueLen reports the number of queued (not yet started) work items.
-func (r *Resource) QueueLen() int { return len(r.high) + len(r.low) }
+// next pops the head of the High queue, else of the Low queue.
+func (r *Resource) next() (w work, ok bool) {
+	switch {
+	case r.high.len() > 0:
+		return r.high.pop(), true
+	case r.low.len() > 0:
+		return r.low.pop(), true
+	}
+	return work{}, false
+}
 
-// Busy reports whether the processor is executing work right now.
-func (r *Resource) Busy() bool { return r.running }
+// arm makes sure a turn of the live processor is coming when its next
+// item may start: High or Low work once the modelled processor is within
+// maxLead of real time (on the loop's next turn, as a rule), Idle work
+// once the modelled processor is idle.
+func (r *Resource) arm() {
+	var at time.Time
+	switch {
+	case r.high.len()+r.low.len() > 0:
+		at = r.modelFree.Add(-maxLead)
+	case r.idle.len() > 0:
+		at = r.modelFree
+	default:
+		return
+	}
+	if r.wake != nil {
+		if !r.wakeAt.After(at) {
+			return
+		}
+		r.wake.Cancel()
+	}
+	r.wake, r.wakeAt = r.clk.ScheduleAt(at, r.turn), at
+}
+
+// turn runs the High and Low items that were queued when it began, High
+// first and for as long as the budget lets them start, and then one Idle
+// item if nothing else is queued. What they submit waits for the next
+// turn, after whatever else the clock loop has due by then.
+func (r *Resource) turn() {
+	r.wake = nil
+	start := r.clk.Now()
+	for n := r.high.len() + r.low.len(); n > 0 && !start.Before(r.modelFree.Add(-maxLead)); n-- {
+		w, _ := r.next()
+		r.charge(start, w.cost)
+		w.run()
+	}
+	end := r.clk.Now()
+	if r.high.len()+r.low.len() == 0 && r.idle.len() > 0 && !end.Before(r.modelFree) {
+		w := r.idle.pop()
+		r.charge(end, w.cost)
+		w.run()
+		end = r.clk.Now()
+	}
+	r.busy += end.Sub(start)
+	r.arm()
+}
+
+// charge books cost on the modelled processor, which takes the work up
+// now or when it is done with what it already has.
+func (r *Resource) charge(now time.Time, cost time.Duration) {
+	if r.modelFree.Before(now) {
+		r.modelFree = now
+	}
+	r.modelFree = r.modelFree.Add(cost)
+}
+
+// QueueLen reports the number of queued (not yet started) work items.
+func (r *Resource) QueueLen() int { return r.high.len() + r.low.len() + r.idle.len() }
+
+// Busy reports whether the processor is executing work right now (on the
+// live processor: whether a turn is scheduled).
+func (r *Resource) Busy() bool { return r.running || r.wake != nil }
 
 // BusyTime reports the cumulative processor time consumed by completed
-// and in-progress work.
+// and in-progress work: the sum of declared costs on the modelled
+// processor, the time the work was measured to take on the live one.
 func (r *Resource) BusyTime() time.Duration { return r.busy }

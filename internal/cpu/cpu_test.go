@@ -135,3 +135,52 @@ func TestQueueLen(t *testing.T) {
 		t.Fatalf("QueueLen after drain = %d", r.QueueLen())
 	}
 }
+
+// On the modelled processor the Idle class is the Low class: the same
+// submissions complete at the same virtual instants in the same order
+// whichever of the two the pump uses.
+func TestIdleIsLowUnderSimClock(t *testing.T) {
+	type completion struct {
+		label string
+		at    time.Duration
+	}
+	run := func(pumpClass Priority) []completion {
+		clk := clock.NewSim()
+		r := New(clk)
+		var log []completion
+		note := func(label string) func() {
+			return func() { log = append(log, completion{label, clk.Now().Sub(clock.SimEpoch)}) }
+		}
+		sends := 0
+		var pump func()
+		pump = func() {
+			note("pump")()
+			if sends++; sends < 6 {
+				r.Submit(pumpClass, ms(4), pump)
+			}
+		}
+		r.Submit(Low, ms(2), note("write1"))
+		r.Submit(pumpClass, ms(4), pump)
+		r.Submit(Low, ms(2), note("write2"))
+		clk.RunFor(ms(5))
+		r.Submit(High, ms(1), note("retransmit"))
+		r.Submit(Low, ms(2), note("write3"))
+		clk.RunFor(ms(100))
+		if r.QueueLen() != 0 || r.Busy() {
+			t.Fatalf("class %d: resource not drained", pumpClass)
+		}
+		if r.BusyTime() != ms(2+2+2+1+6*4) {
+			t.Fatalf("class %d: BusyTime = %v", pumpClass, r.BusyTime())
+		}
+		return log
+	}
+	low, idle := run(Low), run(Idle)
+	if len(low) != 10 || len(idle) != len(low) {
+		t.Fatalf("completions: %d with Low, %d with Idle, want 10", len(low), len(idle))
+	}
+	for i := range low {
+		if low[i] != idle[i] {
+			t.Fatalf("completion %d: %v with Low, %v with Idle", i, low[i], idle[i])
+		}
+	}
+}

@@ -1,0 +1,219 @@
+package cpu
+
+import (
+	"testing"
+	"time"
+
+	"rtpb/internal/clock"
+)
+
+// The resource under RealClock: work runs at hardware speed on the clock
+// loop, accounted, and held to the modelled processor's budget. Every wait
+// below is for an event, and every timing assertion is a lower bound or an
+// order.
+
+const liveTimeout = 5 * time.Second
+
+// onLoop runs fn on the clock's executor and waits for it.
+func onLoop(t *testing.T, clk *clock.RealClock, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	clk.Post(func() { fn(); close(done) })
+	await(t, done, "loop callback")
+}
+
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(liveTimeout):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+func TestLiveHighBeforeLowBeforeIdle(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	var order []string
+	done := make(chan struct{})
+	onLoop(t, clk, func() {
+		r.Submit(Idle, ms(1), func() { order = append(order, "idle"); close(done) })
+		r.Submit(Low, ms(1), func() { order = append(order, "low1") })
+		r.Submit(Low, ms(1), func() { order = append(order, "low2") })
+		r.Submit(High, ms(1), func() { order = append(order, "high") })
+		if len(order) != 0 {
+			t.Errorf("Submit ran %v inline", order)
+		}
+		if r.QueueLen() != 4 {
+			t.Errorf("QueueLen = %d, want 4", r.QueueLen())
+		}
+	})
+	await(t, done, "the idle item")
+	want := []string{"high", "low1", "low2", "idle"}
+	for i := range want {
+		if len(order) != len(want) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// A completion that submits again is the drain and pump pattern. The next
+// item must wait for the loop's next turn: no recursion however long the
+// chain, and a Post that lands during one step runs before the step after
+// next.
+func TestLiveChainNeitherRecursesNorStarvesPost(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const steps, postAt = 10000, 5000
+	var step, depth, maxDepth int
+	reached := make(chan struct{})
+	posted := make(chan struct{})
+	done := make(chan struct{})
+	var next func()
+	next = func() {
+		if depth++; depth > maxDepth {
+			maxDepth = depth
+		}
+		defer func() { depth-- }()
+		if step++; step == steps {
+			close(done)
+			return
+		}
+		r.Submit(Low, time.Microsecond, next)
+		if step == postAt {
+			close(reached)
+			<-posted // hold this step until the post is queued
+		}
+	}
+	clk.Post(func() { r.Submit(Low, time.Microsecond, next) })
+
+	postRanAt := -1
+	await(t, reached, "the chain to get going")
+	clk.Post(func() { postRanAt = step })
+	close(posted)
+	await(t, done, "the chain to finish")
+	onLoop(t, clk, func() {}) // orders the reads below after the loop's writes
+	if maxDepth != 1 {
+		t.Fatalf("completions nested %d deep, want 1", maxDepth)
+	}
+	if postRanAt < 0 || postRanAt > postAt+1 {
+		t.Fatalf("post queued during step %d ran at step %d", postAt, postRanAt)
+	}
+}
+
+func TestLiveBusyTimeIsMeasuredNotDeclared(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const took = 5 * time.Millisecond
+	done := make(chan struct{})
+	t0 := time.Now()
+	onLoop(t, clk, func() {
+		// Declared nothing, declared a tenth of what it takes: both take
+		// what they take.
+		r.Submit(Low, 0, func() { time.Sleep(took) })
+		r.Submit(High, took/10, func() { time.Sleep(took) })
+		r.Submit(Low, 0, func() { close(done) })
+	})
+	await(t, done, "the work")
+	var busy time.Duration
+	onLoop(t, clk, func() { busy = r.BusyTime() })
+	wall := time.Since(t0)
+	if busy < 2*took || busy > wall {
+		t.Fatalf("BusyTime = %v, want between the %v slept and the %v elapsed", busy, 2*took, wall)
+	}
+}
+
+// Idle items start no closer together than their declared cost, and the
+// resource is free in between: a Low item submitted during the gap runs
+// before the next Idle item without pushing it back.
+func TestLiveIdleIsPacedAndYields(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const gap = 150 * time.Millisecond
+	const n = 3
+	var order []string
+	var starts []time.Time
+	first := make(chan struct{})
+	done := make(chan struct{})
+	var pump func()
+	pump = func() {
+		order = append(order, "idle")
+		starts = append(starts, time.Now())
+		switch len(starts) {
+		case 1:
+			close(first)
+		case n:
+			close(done)
+			return
+		}
+		r.Submit(Idle, gap, pump)
+	}
+	clk.Post(func() { r.Submit(Idle, gap, pump) })
+	await(t, first, "the first idle item")
+	lowRan := make(chan struct{})
+	clk.Post(func() {
+		r.Submit(Low, ms(1), func() { order = append(order, "low"); close(lowRan) })
+	})
+	await(t, lowRan, "the low item")
+	await(t, done, "the idle chain")
+	onLoop(t, clk, func() {})
+	want := []string{"idle", "low", "idle", "idle"}
+	for i := range want {
+		if len(order) != len(want) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	for i := 1; i < n; i++ {
+		// The resource stamps an item's start just before calling it and
+		// the item stamps itself just after; a millisecond covers that.
+		if d := starts[i].Sub(starts[i-1]); d < gap-ms(1) {
+			t.Fatalf("idle items %d and %d started %v apart, want >= %v", i-1, i, d, gap)
+		}
+	}
+}
+
+// Declared cost is a budget: work runs at hardware speed until it is
+// maxLead ahead of a modelled processor and at that processor's rate from
+// there on, in order.
+func TestLiveBudgetHoldsOverload(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const cost = 10 * time.Millisecond
+	const inLead, beyond = int(maxLead / cost), 5
+	var starts []time.Time
+	done := make(chan struct{})
+	onLoop(t, clk, func() {
+		for i := 0; i < inLead+beyond; i++ {
+			r.Submit(Low, cost, func() {
+				if starts = append(starts, time.Now()); len(starts) == inLead+beyond {
+					close(done)
+				}
+			})
+		}
+	})
+	await(t, done, "the burst")
+	onLoop(t, clk, func() {})
+	// Item i may start once the i items before it are within maxLead of
+	// done on the modelled processor; the first inLead+1 at once.
+	for i := inLead + 1; i < len(starts); i++ {
+		if d, want := starts[i].Sub(starts[0]), time.Duration(i-inLead)*cost; d < want-ms(1) {
+			t.Fatalf("item %d started %v after the first, want >= %v", i, d, want)
+		}
+	}
+	// Idle work waits until the modelled processor is done with all of it.
+	idle := make(chan time.Time, 1)
+	onLoop(t, clk, func() { r.Submit(Idle, 0, func() { idle <- time.Now() }) })
+	select {
+	case at := <-idle:
+		if d, want := at.Sub(starts[0]), time.Duration(inLead+beyond)*cost; d < want-ms(1) {
+			t.Fatalf("idle item ran %v after the first item, want >= %v", d, want)
+		}
+	case <-time.After(liveTimeout):
+		t.Fatal("timed out waiting for the idle item")
+	}
+}

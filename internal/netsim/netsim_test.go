@@ -1,6 +1,10 @@
 package netsim
 
 import (
+	"net"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,5 +305,84 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("datagram not delivered")
+	}
+}
+
+// udpPair opens two loopback transports on one RealClock.
+func udpPair(t *testing.T) (clk *clock.RealClock, a, b *UDPTransport) {
+	t.Helper()
+	clk = clock.NewReal()
+	t.Cleanup(clk.Stop)
+	a, err := NewUDP(clk, "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	t.Cleanup(func() { a.Close() })
+	b, err = NewUDP(clk, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return clk, a, b
+}
+
+// The receiver is told the sender's own name for itself, every time, so a
+// reply to it arrives; and a host name is a valid destination.
+func TestUDPTransportNamesPeersAsTheyNameThemselves(t *testing.T) {
+	_, a, b := udpPair(t)
+	froms := make(chan string, 3)
+	b.SetReceiver(func(from string, payload []byte) { froms <- from })
+	echoed := make(chan string, 1)
+	a.SetReceiver(func(from string, payload []byte) { echoed <- string(payload) })
+	for i := 0; i < 3; i++ {
+		if err := a.Send(b.LocalAddr(), []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case from := <-froms:
+			if from != a.LocalAddr() {
+				t.Fatalf("datagram %d from %q, want %q", i, from, a.LocalAddr())
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("datagram not delivered")
+		}
+	}
+	_, port, err := net.SplitHostPort(a.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Send(net.JoinHostPort("localhost", port), []byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-echoed:
+		if p != "pong" {
+			t.Fatalf("payload = %q", p)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("datagram to a host name not delivered")
+	}
+	if err := b.Send("no-port", nil); err == nil {
+		t.Fatal("Send to an unparsable address succeeded")
+	}
+}
+
+// NewUDP sizes both socket buffers and reports what the kernel granted.
+func TestUDPTransportSocketBuffers(t *testing.T) {
+	_, a, _ := udpPair(t)
+	rcv, snd := a.SocketBuffers()
+	if rcv <= 0 || snd <= 0 {
+		t.Fatalf("granted buffers not read back: %d B receive, %d B send", rcv, snd)
+	}
+	for _, f := range []string{"rmem_max", "wmem_max"} {
+		raw, err := os.ReadFile("/proc/sys/net/core/" + f)
+		if limit, perr := strconv.Atoi(strings.TrimSpace(string(raw))); err != nil || perr != nil || limit < MinSocketBuffer {
+			t.Skipf("net.core.%s = %q: the kernel cannot grant %d B here", f, raw, MinSocketBuffer)
+		}
+	}
+	if rcv < MinSocketBuffer || snd < MinSocketBuffer {
+		t.Fatalf("kernel granted %d B receive, %d B send, want >= %d B each", rcv, snd, MinSocketBuffer)
 	}
 }

@@ -3,6 +3,10 @@ package netsim
 import (
 	"fmt"
 	"net"
+	"net/netip"
+	"sync"
+	"sync/atomic"
+	"syscall"
 
 	"rtpb/internal/clock"
 )
@@ -14,15 +18,36 @@ import (
 type UDPTransport struct {
 	clk  clock.Clock
 	conn *net.UDPConn
-	recv func(from string, payload []byte)
+	recv atomic.Pointer[func(from string, payload []byte)]
 	done chan struct{}
+
+	rcvBuf, sndBuf int // socket buffer sizes the kernel granted
+
+	mu    sync.Mutex                // guards dests: Send has no goroutine of its own
+	dests map[string]netip.AddrPort // parsed destination per "ip:port" string
 }
 
-// maxDatagram bounds receive buffers.
-const maxDatagram = 64 * 1024
+const (
+	// maxDatagram bounds receive buffers.
+	maxDatagram = 64 * 1024
+	// socketBuffer is the kernel buffer size asked for in each direction.
+	// Update tasks registered in one loop turn share a phase, so a primary
+	// releases all its objects' fragments at one instant (16 x 16 KiB over
+	// a 1400-byte MTU is 192 datagrams, 268 KB) and the receiver's reader
+	// may not be scheduled when they land; Linux's default of 208 KiB
+	// cannot hold such a burst.
+	socketBuffer = 4 << 20
+	// MinSocketBuffer is the granted size below which bursts of that
+	// shape are at risk; see SocketBuffers.
+	MinSocketBuffer = 1 << 20
+	// maxPeers bounds the two per-peer address caches; past it a cache
+	// starts over, so a flood of spoofed sources cannot grow it.
+	maxPeers = 1024
+)
 
 // NewUDP opens a UDP socket bound to listenAddr ("ip:port"; an empty or
-// ":0" address picks an ephemeral port) and starts its reader goroutine.
+// ":0" address picks an ephemeral port), sizes its kernel buffers and
+// starts its reader goroutine.
 func NewUDP(clk clock.Clock, listenAddr string) (*UDPTransport, error) {
 	laddr, err := net.ResolveUDPAddr("udp", listenAddr)
 	if err != nil {
@@ -32,44 +57,119 @@ func NewUDP(clk clock.Clock, listenAddr string) (*UDPTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: listen %q: %w", listenAddr, err)
 	}
-	t := &UDPTransport{clk: clk, conn: conn, done: make(chan struct{})}
+	t := &UDPTransport{
+		clk:   clk,
+		conn:  conn,
+		done:  make(chan struct{}),
+		dests: make(map[string]netip.AddrPort),
+	}
+	// The kernel clamps a request to its configured maximum without an
+	// error, so the outcome is read back and left to the caller to judge.
+	_ = conn.SetReadBuffer(socketBuffer)
+	_ = conn.SetWriteBuffer(socketBuffer)
+	t.rcvBuf, t.sndBuf = grantedBuffers(conn)
 	go t.readLoop()
 	return t, nil
 }
 
+// grantedBuffers reads back SO_RCVBUF and SO_SNDBUF; a size that cannot
+// be read is reported as 0.
+func grantedBuffers(conn *net.UDPConn) (rcv, snd int) {
+	raw, err := conn.SyscallConn()
+	if err != nil {
+		return 0, 0
+	}
+	_ = raw.Control(func(fd uintptr) {
+		rcv, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+		snd, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF)
+	})
+	return rcv, snd
+}
+
+// SocketBuffers reports the receive and send buffer sizes the kernel
+// granted the socket, in bytes as getsockopt reports them (Linux counts
+// its own bookkeeping in, so a fully granted request reads back doubled).
+// Under MinSocketBuffer, raise net.core.rmem_max / wmem_max.
+func (t *UDPTransport) SocketBuffers() (rcv, snd int) { return t.rcvBuf, t.sndBuf }
+
 func (t *UDPTransport) readLoop() {
 	defer close(t.done)
 	buf := make([]byte, maxDatagram)
+	names := make(map[netip.AddrPort]string) // this goroutine's only
 	for {
-		n, addr, err := t.conn.ReadFromUDP(buf)
+		n, addr, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
+		// The one copy: the fragment reassembler keeps slices of payload
+		// across datagrams, and buf is overwritten by the next read.
 		payload := make([]byte, n)
 		copy(payload, buf[:n])
-		from := addr.String()
+		from, ok := names[addr]
+		if !ok {
+			if len(names) >= maxPeers {
+				clear(names)
+			}
+			from = unmap(addr).String()
+			names[addr] = from
+		}
 		t.clk.Post(func() {
-			if t.recv != nil {
-				t.recv(from, payload)
+			if recv := t.recv.Load(); recv != nil {
+				(*recv)(from, payload)
 			}
 		})
 	}
 }
 
-// Send implements xkernel.Transport; to is "ip:port".
+// Send implements xkernel.Transport; to is "host:port".
 func (t *UDPTransport) Send(to string, payload []byte) error {
-	raddr, err := net.ResolveUDPAddr("udp", to)
+	dest, err := t.dest(to)
 	if err != nil {
-		return fmt.Errorf("netsim: resolve %q: %w", to, err)
+		return err
 	}
-	_, err = t.conn.WriteToUDP(payload, raddr)
+	if _, err = t.conn.WriteToUDPAddrPort(payload, dest); err != nil {
+		// Resolve a host name afresh next time: its address may have moved.
+		t.mu.Lock()
+		delete(t.dests, to)
+		t.mu.Unlock()
+	}
 	return err
 }
 
-// SetReceiver implements xkernel.Transport. Call before datagrams arrive;
-// the receiver runs on the clock executor.
+// dest resolves a destination once and remembers it.
+func (t *UDPTransport) dest(to string) (netip.AddrPort, error) {
+	t.mu.Lock()
+	dest, ok := t.dests[to]
+	t.mu.Unlock()
+	if ok {
+		return dest, nil
+	}
+	raddr, err := net.ResolveUDPAddr("udp", to) // may ask DNS: not under mu
+	if err != nil {
+		return netip.AddrPort{}, fmt.Errorf("netsim: resolve %q: %w", to, err)
+	}
+	dest = unmap(raddr.AddrPort())
+	t.mu.Lock()
+	if len(t.dests) >= maxPeers {
+		clear(t.dests)
+	}
+	t.dests[to] = dest
+	t.mu.Unlock()
+	return dest, nil
+}
+
+// unmap turns ::ffff:a.b.c.d into a.b.c.d: an IPv4 socket refuses the
+// mapped form, and a dual-stack socket reports IPv4 peers in it while they
+// name themselves without.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// SetReceiver implements xkernel.Transport. It may be called from any
+// goroutine; datagrams that arrived earlier are dropped. The receiver
+// runs on the clock executor.
 func (t *UDPTransport) SetReceiver(fn func(from string, payload []byte)) {
-	t.recv = fn
+	t.recv.Store(&fn)
 }
 
 // LocalAddr implements xkernel.Transport.
