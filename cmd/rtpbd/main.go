@@ -78,6 +78,7 @@ import (
 	"rtpb/internal/failover"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
+	"rtpb/internal/xkernel"
 )
 
 func main() {
@@ -174,12 +175,7 @@ func run(args []string) error {
 		log.Printf("socket buffers: kernel granted %d B receive, %d B send; under %d B a burst of fragmented updates can be dropped — raise net.core.rmem_max and wmem_max",
 			rcv, snd, netsim.MinSocketBuffer)
 	}
-	var port *rtpb.PortProtocol
-	if *mtu > 0 {
-		port, err = rtpb.NewStackMTU(transport, clk, *mtu)
-	} else {
-		port, err = rtpb.NewStack(transport)
-	}
+	port, err := xkernel.NewStack(transport, clk, *mtu)
 	if err != nil {
 		return err
 	}
@@ -298,18 +294,9 @@ func runReplica(clk *clock.RealClock, cfg core.Config, role core.Role, ctlAddr, 
 			}
 		}
 		if role == core.RoleObserver {
-			// An observer drives its own attach: re-send the join request
-			// until the anti-entropy exchange completes, and heartbeat the
-			// upstream to solicit its chain-position advertisement (depth,
-			// accumulated θ) so READ certificates compound honestly. No
-			// failure detector: an observer never takes over, and a dead
-			// upstream simply lets its certificates age out of bound.
-			clock.NewPeriodic(clk, 0, 500*time.Millisecond, func() {
-				if !r.Joined() {
-					r.Join()
-				}
-			})
-			clock.NewPeriodic(clk, 250*time.Millisecond, 500*time.Millisecond, func() { r.SendPing() })
+			// No failure detector: an observer never takes over, and a
+			// dead upstream simply lets its certificates age out of bound.
+			r.Subscribe(500 * time.Millisecond)
 		} else if heartbeat {
 			if role == core.RolePrimary {
 				err = wirePrimaryDetector(clk, r)

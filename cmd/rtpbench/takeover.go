@@ -7,12 +7,11 @@ import (
 	"os"
 	"time"
 
-	"rtpb/internal/clock"
 	"rtpb/internal/core"
 	"rtpb/internal/failover"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
-	"rtpb/internal/xkernel"
+	"rtpb/internal/topo"
 )
 
 // takeoverPoint is one object count in the takeover-latency sweep. Unlike
@@ -31,50 +30,25 @@ type takeoverPoint struct {
 	Epoch uint32 `json:"epoch"`
 }
 
-// benchStack assembles the two-layer protocol graph on one simulated host.
-func benchStack(net *netsim.Network, host string) (*xkernel.PortProtocol, *netsim.Endpoint, error) {
-	ep, err := net.Endpoint(host)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	p, _ := g.Protocol("uport")
-	return p.(*xkernel.PortProtocol), ep, nil
-}
-
 // takeoverOnce replicates n objects to a backup, crashes the primary, and
 // times the in-place promotion.
 func takeoverOnce(seed int64, n int) (time.Duration, uint32, error) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, seed)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: time.Millisecond}); err != nil {
-		return 0, 0, err
-	}
-	pPort, pEP, err := benchStack(net, "p")
+	f, hs, err := topo.Build(seed, netsim.LinkParams{Delay: time.Millisecond}, "p", "b")
 	if err != nil {
 		return 0, 0, err
 	}
-	bPort, _, err := benchStack(net, "b")
-	if err != nil {
-		return 0, 0, err
-	}
+	clk := f.Clock
 	// Admission control off: the sweep measures takeover against table
 	// size, not how many objects one CPU budget schedules.
 	p, err := core.NewPrimary(core.Config{
-		Clock: clk, Port: pPort, Peer: "b:7000",
+		Clock: clk, Port: hs[0].Port, Peer: hs[1].Addr,
 		Ell: 2 * time.Millisecond, DisableAdmissionControl: true,
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	b, err := core.NewBackup(core.Config{
-		Clock: clk, Port: bPort, Peer: "p:7000",
+		Clock: clk, Port: hs[1].Port, Peer: hs[0].Addr,
 		Ell: 2 * time.Millisecond, DisableAdmissionControl: true,
 	})
 	if err != nil {
@@ -97,15 +71,15 @@ func takeoverOnce(seed int64, n int) (time.Duration, uint32, error) {
 	}
 	clk.RunFor(500 * time.Millisecond)
 
-	pEP.SetDown(true)
+	hs[0].EP.SetDown(true)
 	p.Stop()
 	ns := failover.NewNameService()
-	if err := ns.Set("bench", "p:7000", 1); err != nil {
+	if err := ns.Set("bench", hs[0].Addr, 1); err != nil {
 		return 0, 0, err
 	}
 	start := time.Now()
 	np, err := failover.Promote(b, failover.PromoteOptions{
-		Service: "bench", SelfAddr: "b:7000", Names: ns,
+		Service: "bench", SelfAddr: hs[1].Addr, Names: ns,
 	})
 	elapsed := time.Since(start)
 	if err != nil {

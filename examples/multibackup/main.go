@@ -12,8 +12,7 @@ import (
 	"time"
 
 	"rtpb"
-	"rtpb/internal/clock"
-	"rtpb/internal/netsim"
+	"rtpb/internal/topo"
 )
 
 func main() {
@@ -23,47 +22,27 @@ func main() {
 }
 
 func run() error {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 33)
-	if err := net.SetDefaultLink(rtpb.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}); err != nil {
-		return err
-	}
-	stack := func(host string) (*rtpb.PortProtocol, *netsim.Endpoint, error) {
-		ep, err := net.Endpoint(host)
-		if err != nil {
-			return nil, nil, err
-		}
-		port, err := rtpb.NewStack(ep)
-		return port, ep, err
-	}
-
-	pPort, _, err := stack("primary")
+	f, hs, err := topo.Build(33, rtpb.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond},
+		"primary", "backupA", "backupB")
 	if err != nil {
 		return err
 	}
-	aPort, aEP, err := stack("backupA")
-	if err != nil {
-		return err
-	}
-	bPort, _, err := stack("backupB")
-	if err != nil {
-		return err
-	}
+	clk, p, a, b := f.Clock, hs[0], hs[1], hs[2]
 
 	primary, err := rtpb.NewPrimary(rtpb.Config{
 		Clock: clk,
-		Port:  pPort,
-		Peers: []rtpb.Addr{"backupA:7000", "backupB:7000"},
+		Port:  p.Port,
+		Peers: []rtpb.Addr{a.Addr, b.Addr},
 		Ell:   5 * time.Millisecond,
 	})
 	if err != nil {
 		return err
 	}
-	backupA, err := rtpb.NewBackup(rtpb.Config{Clock: clk, Port: aPort, Peer: "primary:7000", Ell: 5 * time.Millisecond})
+	backupA, err := rtpb.NewBackup(rtpb.Config{Clock: clk, Port: a.Port, Peer: p.Addr, Ell: 5 * time.Millisecond})
 	if err != nil {
 		return err
 	}
-	backupB, err := rtpb.NewBackup(rtpb.Config{Clock: clk, Port: bPort, Peer: "primary:7000", Ell: 5 * time.Millisecond})
+	backupB, err := rtpb.NewBackup(rtpb.Config{Clock: clk, Port: b.Port, Peer: p.Addr, Ell: 5 * time.Millisecond})
 	if err != nil {
 		return err
 	}
@@ -105,9 +84,9 @@ func run() error {
 	// Backup A's host dies. The detector path is exercised in
 	// examples/failover; here the operator removes it and recruits a
 	// replacement online.
-	aEP.SetDown(true)
-	primary.SetPeerAlive("backupA:7000", false)
-	primary.RemovePeer("backupA:7000")
+	a.EP.SetDown(true)
+	primary.SetPeerAlive(a.Addr, false)
+	primary.RemovePeer(a.Addr)
 	fmt.Printf("backupA failed and was removed; peers now %v\n", primary.Peers())
 
 	primary.ClientWrite("setpoint", []byte("97C"), func(l time.Duration, err error) {
@@ -118,15 +97,15 @@ func run() error {
 	})
 	clk.RunFor(100 * time.Millisecond)
 
-	cPort, _, err := stack("backupC")
+	c, err := f.Host("backupC")
 	if err != nil {
 		return err
 	}
-	backupC, err := rtpb.NewBackup(rtpb.Config{Clock: clk, Port: cPort, Peer: "primary:7000", Ell: 5 * time.Millisecond})
+	backupC, err := rtpb.NewBackup(rtpb.Config{Clock: clk, Port: c.Port, Peer: p.Addr, Ell: 5 * time.Millisecond})
 	if err != nil {
 		return err
 	}
-	if err := primary.AddPeer("backupC:7000"); err != nil {
+	if err := primary.AddPeer(c.Addr); err != nil {
 		return err
 	}
 	clk.RunFor(100 * time.Millisecond)

@@ -7,6 +7,7 @@ import (
 
 	"rtpb/internal/clock"
 	"rtpb/internal/netsim"
+	"rtpb/internal/topo"
 	"rtpb/internal/xkernel"
 )
 
@@ -21,41 +22,24 @@ type activeCluster struct {
 
 func newActiveCluster(t *testing.T, nMembers int, link netsim.LinkParams, seed int64) *activeCluster {
 	t.Helper()
-	clk := clock.NewSim()
-	net := netsim.New(clk, seed)
-	if err := net.SetDefaultLink(link); err != nil {
-		t.Fatal(err)
-	}
-	stack := func(host string) *xkernel.PortProtocol {
-		ep, err := net.Endpoint(host)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := xkernel.BuildGraph([]xkernel.Spec{
-			{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-			{Name: "driver", Build: xkernel.DriverFactory(ep)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, _ := g.Protocol("uport")
-		return p.(*xkernel.PortProtocol)
-	}
-	seqPort := stack("seq")
+	names := []string{"seq"}
 	var memberAddrs []xkernel.Addr
-	var memberPorts []*xkernel.PortProtocol
 	for i := 0; i < nMembers; i++ {
-		host := fmt.Sprintf("m%d", i)
-		memberPorts = append(memberPorts, stack(host))
-		memberAddrs = append(memberAddrs, xkernel.Addr(host+":7100"))
+		names = append(names, fmt.Sprintf("m%d", i))
+		memberAddrs = append(memberAddrs, xkernel.Addr(names[i+1]+":7100"))
 	}
-	seq, err := NewSequencer(Config{Clock: clk, Port: seqPort, Members: memberAddrs})
+	f, hs, err := topo.Build(seed, link, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac := &activeCluster{clk: clk, net: net, sequencer: seq}
-	for i := 0; i < nMembers; i++ {
-		m, err := NewMember(Config{Clock: clk, Port: memberPorts[i], Sequencer: "seq:7100"})
+	clk := f.Clock
+	seq, err := NewSequencer(Config{Clock: clk, Port: hs[0].Port, Members: memberAddrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac := &activeCluster{clk: clk, net: f.Net, sequencer: seq}
+	for _, h := range hs[1:] {
+		m, err := NewMember(Config{Clock: clk, Port: h.Port, Sequencer: "seq:7100"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,19 +207,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSequencer(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	clk := clock.NewSim()
-	net := netsim.New(clk, 9)
-	ep, _ := net.Endpoint("solo")
-	g, _ := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
-	pp, _ := g.Protocol("uport")
-	port := pp.(*xkernel.PortProtocol)
-	if _, err := NewSequencer(Config{Clock: clk, Port: port}); err == nil {
+	f, hs, err := topo.Build(9, netsim.LinkParams{}, "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSequencer(Config{Clock: f.Clock, Port: hs[0].Port}); err == nil {
 		t.Fatal("sequencer without members accepted")
 	}
-	if _, err := NewMember(Config{Clock: clk, Port: port}); err == nil {
+	if _, err := NewMember(Config{Clock: f.Clock, Port: hs[0].Port}); err == nil {
 		t.Fatal("member without sequencer address accepted")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"rtpb/internal/netsim"
 	"rtpb/internal/repair"
 	"rtpb/internal/temporal"
+	"rtpb/internal/topo"
 	"rtpb/internal/xkernel"
 )
 
@@ -33,12 +34,12 @@ const (
 	ServiceName = "chaos"
 )
 
-// Node is one machine in the harnessed cluster. A node hosts at most one
-// replica role at a time; promotion and restart swap the role in place,
-// exactly like the paper's deployment.
+// Node is one machine in the harnessed cluster: a fabric host (name,
+// endpoint, port protocol, RTPB address) plus what runs on it. A node
+// hosts at most one replica role at a time; promotion and restart swap
+// the role in place, exactly like the paper's deployment.
 type Node struct {
-	// Name is the node's host name on the fabric.
-	Name string
+	*topo.Host
 	// Clk is the node's own timebase: a clock.SkewedClock over the
 	// harness clock, transparent until a clock fault (ClockSkew,
 	// ClockDrift, ClockStep) perturbs it. Every component the node runs —
@@ -47,10 +48,6 @@ type Node struct {
 	// would reach on a real machine. It survives crashes and restarts:
 	// the machine's clock fault outlives the process.
 	Clk *clock.SkewedClock
-	// EP is the node's network attachment (SetDown models crashes).
-	EP *netsim.Endpoint
-	// Port is the node's x-kernel port protocol.
-	Port *xkernel.PortProtocol
 	// Primary is the node's primary replica, if it currently runs one.
 	Primary *core.Primary
 	// Backup is the node's backup replica, if it currently runs one.
@@ -71,9 +68,6 @@ type Node struct {
 	applies int
 }
 
-// Addr is the node's RTPB address on the fabric.
-func (n *Node) Addr() xkernel.Addr { return xkernel.Addr(n.Name + ":" + fmt.Sprint(core.RTPBPort)) }
-
 // shadow returns the node's stream-applying replica view — its backup or
 // its observer — or nil when the node currently runs neither. The apply
 // instrumentation is role-agnostic: both roles run the same upstream
@@ -88,20 +82,19 @@ func (n *Node) shadow() *core.Replica {
 // Harness is a running chaos cluster: the simulated fabric, the nodes,
 // the monitor, and the accumulated event log and violations.
 type Harness struct {
-	sc    Scenario
-	clk   *clock.SimClock
-	net   *netsim.Network
-	ns    *failover.NameService
-	mon   *temporal.Monitor
-	nodes map[string]*Node
-	order []string
+	sc     Scenario
+	fabric *topo.Fabric
+	clk    *clock.SimClock
+	ns     *failover.NameService
+	mon    *temporal.Monitor
+	nodes  map[string]*Node
+	order  []string
 	// obsOrder names the observer nodes in attach order. They live
 	// outside order on purpose: the primary's peer bootstrap, the
 	// failover machinery, CrashCluster, and the cluster-wide end-state
 	// aggregations all iterate order — exactly the circles the observer
 	// role is excluded from.
 	obsOrder []string
-	obsTasks []*clock.Periodic
 
 	active     *core.Primary
 	activeNode string
@@ -162,7 +155,7 @@ func (h *Harness) ActivePrimary() (*core.Primary, string) { return h.active, h.a
 func (h *Harness) Monitor() *temporal.Monitor { return h.mon }
 
 // Network exposes the simulated fabric.
-func (h *Harness) Network() *netsim.Network { return h.net }
+func (h *Harness) Network() *netsim.Network { return h.fabric.Net }
 
 func (h *Harness) logf(format string, args ...any) {
 	offset := h.clk.Now().Sub(h.start).Round(100 * time.Microsecond)
@@ -183,11 +176,17 @@ func (h *Harness) violationf(format string, args ...any) {
 	h.logf("VIOLATION: %s", msg)
 }
 
-// newHarness builds and wires the cluster for a normalized scenario.
+// newHarness builds and wires the cluster for a normalized scenario. On
+// error nothing is left behind: the durable root, if any, is removed.
 func newHarness(sc Scenario) (*Harness, error) {
+	f, err := topo.New(sc.Seed, sc.Link)
+	if err != nil {
+		return nil, err
+	}
 	h := &Harness{
 		sc:          sc,
-		clk:         clock.NewSim(),
+		fabric:      f,
+		clk:         f.Clock,
 		ns:          failover.NewNameService(),
 		mon:         temporal.NewMonitor(),
 		nodes:       make(map[string]*Node),
@@ -209,18 +208,24 @@ func newHarness(sc Scenario) (*Harness, error) {
 		obsChecks:    make(map[string]*observerCertEvidence),
 	}
 	h.start = h.clk.Now()
-	h.net = netsim.New(h.clk, sc.Seed)
-	if err := h.net.SetDefaultLink(sc.Link); err != nil {
+	if err := h.build(); err != nil {
+		h.cleanupDurable()
 		return nil, err
 	}
+	return h, nil
+}
 
+// build attaches the nodes, opens their durable stores, and starts the
+// replicas, observers, and client writers.
+func (h *Harness) build() error {
+	sc := h.sc
 	names := []string{PrimaryNode, BackupNode}
 	if sc.Standby {
 		names = append(names, StandbyNode)
 	}
 	for _, name := range names {
 		if _, err := h.buildNode(name); err != nil {
-			return nil, err
+			return err
 		}
 		h.order = append(h.order, name)
 	}
@@ -233,13 +238,12 @@ func newHarness(sc Scenario) (*Harness, error) {
 		// real-disk durability (meaningless for a temp dir) for speed.
 		root, err := os.MkdirTemp("", "rtpb-chaos-durable-")
 		if err != nil {
-			return nil, fmt.Errorf("chaos: durable root: %w", err)
+			return fmt.Errorf("chaos: durable root: %w", err)
 		}
 		h.durRoot = root
 		for _, name := range h.order {
 			if err := h.openDurable(h.nodes[name]); err != nil {
-				h.cleanupDurable()
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -247,7 +251,7 @@ func newHarness(sc Scenario) (*Harness, error) {
 	// The primary replicates to every other node.
 	var peers []xkernel.Addr
 	for _, name := range h.order[1:] {
-		peers = append(peers, h.nodes[name].Addr())
+		peers = append(peers, h.nodes[name].Addr)
 	}
 	primary, err := core.NewPrimary(core.Config{
 		Clock:      h.nodes[PrimaryNode].Clk,
@@ -261,26 +265,26 @@ func newHarness(sc Scenario) (*Harness, error) {
 		Durable:    h.nodes[PrimaryNode].Dur,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	h.wireGovernor(primary)
 	h.nodes[PrimaryNode].Primary = primary
 	h.active = primary
 	h.activeNode = PrimaryNode
-	if err := h.ns.Set(ServiceName, h.nodes[PrimaryNode].Addr(), 1); err != nil {
-		return nil, err
+	if err := h.ns.Set(ServiceName, h.nodes[PrimaryNode].Addr, 1); err != nil {
+		return err
 	}
 
 	for _, name := range h.order[1:] {
 		n := h.nodes[name]
-		b, err := core.NewBackup(h.backupConfig(n, h.nodes[PrimaryNode].Addr()))
+		b, err := core.NewBackup(h.backupConfig(n, h.nodes[PrimaryNode].Addr))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		n.Backup = b
-		n.peer = h.nodes[PrimaryNode].Addr()
+		n.peer = h.nodes[PrimaryNode].Addr
 		if err := h.wireBackup(n); err != nil {
-			return nil, err
+			return err
 		}
 		for _, spec := range sc.Objects {
 			h.mon.TrackExternal(name, spec.Name, spec.Constraint.DeltaB)
@@ -292,58 +296,42 @@ func newHarness(sc Scenario) (*Harness, error) {
 
 	for _, spec := range sc.Objects {
 		if d := primary.Register(spec); !d.Accepted {
-			return nil, fmt.Errorf("chaos: object %q rejected: %s", spec.Name, d.Reason)
+			return fmt.Errorf("chaos: object %q rejected: %s", spec.Name, d.Reason)
 		}
 	}
 	for _, c := range sc.InterObjects {
 		if _, err := primary.RegisterInterObject(c); err != nil {
-			return nil, fmt.Errorf("chaos: inter-object %s/%s rejected: %w", c.I, c.J, err)
+			return fmt.Errorf("chaos: inter-object %s/%s rejected: %w", c.I, c.J, err)
 		}
 	}
 
 	for _, ospec := range sc.Observers {
 		if err := h.attachObserver(ospec); err != nil {
-			h.cleanupDurable()
-			return nil, err
+			return err
 		}
 	}
 
 	h.startWriters()
-	return h, nil
+	return nil
 }
 
-// buildNode attaches one named machine to the fabric: an endpoint, its
-// x-kernel protocol graph, and its own skewed clock.
+// buildNode attaches one named machine to the fabric with its own
+// skewed clock.
 func (h *Harness) buildNode(name string) (*Node, error) {
-	ep, err := h.net.Endpoint(name)
+	host, err := h.fabric.Host(name)
 	if err != nil {
 		return nil, err
 	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
-	if err != nil {
-		return nil, err
-	}
-	proto, _ := g.Protocol("uport")
-	n := &Node{
-		Name: name,
-		Clk:  clock.NewSkewed(h.clk),
-		EP:   ep,
-		Port: proto.(*xkernel.PortProtocol),
-	}
+	n := &Node{Host: host, Clk: clock.NewSkewed(h.clk)}
 	h.nodes[name] = n
 	return n, nil
 }
 
 // attachObserver builds one observer node and subscribes it to its
-// upstream. The observer drives its own attach exactly like a real
-// deployment (rtpbd -observe): periodic JoinRequests until the chunked
-// exchange completes, then heartbeats that carry the clock-sync probes
-// and solicit the upstream's ChainStatus. No detector, no peer-table
-// surgery on the primary — the JoinRequest's Observer flag is the whole
-// contract.
+// upstream. The observer drives its own attach (core.Replica.Subscribe)
+// exactly like a real deployment (rtpbd -observe). No detector, no
+// peer-table surgery on the primary — the JoinRequest's Observer flag is
+// the whole contract.
 func (h *Harness) attachObserver(spec ObserverSpec) error {
 	up := h.nodes[spec.Upstream]
 	if up == nil {
@@ -357,27 +345,17 @@ func (h *Harness) attachObserver(spec ObserverSpec) error {
 		return err
 	}
 	h.obsOrder = append(h.obsOrder, spec.Name)
-	obs, err := core.NewObserver(h.backupConfig(n, up.Addr()))
+	obs, err := core.NewObserver(h.backupConfig(n, up.Addr))
 	if err != nil {
 		return err
 	}
 	n.Observer = obs
-	n.peer = up.Addr()
+	n.peer = up.Addr
 	h.wireObserver(n)
 	for _, os := range h.sc.Objects {
 		h.mon.TrackExternal(spec.Name, os.Name, os.Constraint.DeltaB)
 	}
-	join := clock.NewPeriodic(h.clk, 0, 100*time.Millisecond, func() {
-		if n.Observer == obs && obs.Running() && !obs.Joined() {
-			obs.Join()
-		}
-	})
-	ping := clock.NewPeriodic(h.clk, 50*time.Millisecond, 100*time.Millisecond, func() {
-		if n.Observer == obs && obs.Running() {
-			obs.SendPing()
-		}
-	})
-	h.obsTasks = append(h.obsTasks, join, ping)
+	obs.Subscribe(100 * time.Millisecond)
 	h.logf("%s observes %s", spec.Name, spec.Upstream)
 	return nil
 }
@@ -620,12 +598,12 @@ func (h *Harness) onPrimaryDead(n *Node) {
 	for _, name := range h.order {
 		o := h.nodes[name]
 		if o != n && o.Backup != nil && o.Backup.Running() {
-			peers = append(peers, o.Addr())
+			peers = append(peers, o.Addr)
 		}
 	}
 	p, err := failover.Promote(n.Backup, failover.PromoteOptions{
 		Service:  ServiceName,
-		SelfAddr: n.Addr(),
+		SelfAddr: n.Addr,
 		Names:    h.ns,
 		OnPlaceholderDrop: func(ids []uint32) {
 			h.logf("%s: promotion dropped %d spec-less placeholder object(s) %v",
@@ -679,7 +657,7 @@ func (h *Harness) crash(name string) {
 		// The live primary's failure detector notices a dead backup; the
 		// harness delivers the verdict instantly for determinism.
 		if h.active != nil && h.active.Running() && h.activeNode != name {
-			h.active.SetPeerAlive(n.Addr(), false)
+			h.active.SetPeerAlive(n.Addr, false)
 		}
 	}
 	if n.Observer != nil {
@@ -740,7 +718,7 @@ func (h *Harness) attachBackup(n *Node) error {
 	if h.active == nil || !h.active.Running() {
 		return nil
 	}
-	addr := n.Addr()
+	addr := n.Addr
 	h.active.RemovePeer(addr)
 	if err := h.active.AddPeer(addr); err != nil {
 		return fmt.Errorf("attach to primary: %w", err)
@@ -788,7 +766,7 @@ func (h *Harness) startRejoiner(n *Node, st *durable.State) {
 		Clock:     n.Clk,
 		Service:   ServiceName,
 		Directory: h.ns,
-		Self:      n.Addr(),
+		Self:      n.Addr,
 		Announce:  true,
 		Start: func(primary xkernel.Addr, epoch uint32) (*core.Backup, error) {
 			b, err := core.NewBackup(h.backupConfig(n, primary))
@@ -866,7 +844,7 @@ func (h *Harness) restartFromDisk(name string) {
 		return
 	}
 	n.EP.SetDown(false)
-	if addr, _, ok := h.ns.Lookup(ServiceName); !ok || addr == n.Addr() {
+	if addr, _, ok := h.ns.Lookup(ServiceName); !ok || addr == n.Addr {
 		rec.source = "disk"
 		h.recovered[name] = rec
 		h.resumePrimaryFromDisk(n, st)
@@ -930,7 +908,7 @@ func (h *Harness) resumePrimaryFromDisk(n *Node, st *durable.State) {
 	n.Primary = p
 	h.active = p
 	h.activeNode = n.Name
-	if err := h.ns.Set(ServiceName, n.Addr(), epoch); err != nil {
+	if err := h.ns.Set(ServiceName, n.Addr, epoch); err != nil {
 		h.violationf("restart-from-disk %s: directory update: %v", n.Name, err)
 	}
 	h.logf("%s resumes as primary from disk: epoch %d, %d object(s), %d value(s) seeded",

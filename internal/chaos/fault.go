@@ -26,7 +26,7 @@ func (f Degrade) String() string {
 }
 
 func (f Degrade) apply(h *Harness) {
-	if err := h.net.SetLinkBoth(f.A, f.B, f.Link); err != nil {
+	if err := h.fabric.Net.SetLinkBoth(f.A, f.B, f.Link); err != nil {
 		h.violationf("degrade %s<->%s: %v", f.A, f.B, err)
 	}
 }
@@ -40,7 +40,7 @@ type Partition struct {
 // String implements Fault.
 func (f Partition) String() string { return fmt.Sprintf("partition %s<->%s", f.A, f.B) }
 
-func (f Partition) apply(h *Harness) { h.net.Partition(f.A, f.B) }
+func (f Partition) apply(h *Harness) { h.fabric.Net.Partition(f.A, f.B) }
 
 // PartitionOneWay cuts only the From→To direction, the asymmetric
 // failure mode (data flows, acknowledgements vanish).
@@ -52,7 +52,7 @@ type PartitionOneWay struct {
 // String implements Fault.
 func (f PartitionOneWay) String() string { return fmt.Sprintf("partition %s->%s", f.From, f.To) }
 
-func (f PartitionOneWay) apply(h *Harness) { h.net.PartitionOneWay(f.From, f.To) }
+func (f PartitionOneWay) apply(h *Harness) { h.fabric.Net.PartitionOneWay(f.From, f.To) }
 
 // Heal removes cuts and explicit link degradation between two nodes,
 // restoring the scenario's default link.
@@ -64,7 +64,7 @@ type Heal struct {
 // String implements Fault.
 func (f Heal) String() string { return fmt.Sprintf("heal %s<->%s", f.A, f.B) }
 
-func (f Heal) apply(h *Harness) { h.net.Heal(f.A, f.B) }
+func (f Heal) apply(h *Harness) { h.fabric.Net.Heal(f.A, f.B) }
 
 // Crash kills a node: its endpoint goes down, its replica stops, its
 // detector stops. A live primary elsewhere is informed (the harness

@@ -42,8 +42,6 @@ func (b *Backup) demuxBackup(msg wire.Message) {
 		} else {
 			b.observeTimeSync(t)
 		}
-	case *wire.StateTransfer:
-		b.handleStateTransfer(t)
 	case *wire.ModeChange:
 		b.handleModeChange(t)
 	case *wire.JoinAccept:
@@ -165,7 +163,7 @@ func (b *Backup) maybeRequestRetransmit(o *object) {
 	if b.cfg.DisableRetransmitThrottle {
 		return
 	}
-	base := max(4*b.cfg.Ell, 20*time.Millisecond)
+	base := b.cfg.retryBase()
 	o.retransNext = now.Add(b.gapBackoff.DelayFrom(base, o.retransAttempt))
 	o.retransAttempt++
 }
@@ -230,24 +228,6 @@ func (b *Backup) apply(o *object, epoch uint32, seq uint64, version time.Time, p
 		b.OnApply(o.id, o.spec.Name, epoch, seq, version, now)
 	}
 	b.logApply(o, epoch, seq, version, payload)
-}
-
-// handleStateTransfer applies the legacy monolithic transfer. Entries
-// carry their specs, so an object whose registration never reached this
-// replica is admitted here rather than left as a spec-less placeholder
-// that a later promotion would drop.
-func (b *Backup) handleStateTransfer(t *wire.StateTransfer) {
-	if !b.observeEpoch(t.Epoch) {
-		return
-	}
-	applied := 0
-	for _, e := range t.Entries {
-		applied += b.applyStateEntry(t.Epoch, e)
-	}
-	b.send(&wire.StateTransferAck{Epoch: t.Epoch, Objects: uint32(applied)})
-	if b.OnStateTransfer != nil {
-		b.OnStateTransfer(t.Epoch, applied)
-	}
 }
 
 func (b *Backup) send(msg wire.Message) {

@@ -6,7 +6,7 @@ import (
 
 	"rtpb/internal/clock"
 	"rtpb/internal/netsim"
-	"rtpb/internal/xkernel"
+	"rtpb/internal/topo"
 )
 
 // testCluster is a two-replica RTPB deployment on a simulated network,
@@ -28,32 +28,20 @@ type clusterOpts struct {
 	mutateB func(*Config)
 }
 
-func stackOn(t *testing.T, net *netsim.Network, host string) (*xkernel.PortProtocol, *netsim.Endpoint) {
+// fabric builds a simulated fabric with one host per name.
+func fabric(t *testing.T, seed int64, link netsim.LinkParams, names ...string) (*topo.Fabric, []*topo.Host) {
 	t.Helper()
-	ep, err := net.Endpoint(host)
+	f, hs, err := topo.Build(seed, link, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := g.Protocol("uport")
-	return p.(*xkernel.PortProtocol), ep
+	return f, hs
 }
 
 func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 	t.Helper()
-	clk := clock.NewSim()
-	net := netsim.New(clk, opts.seed)
-	if err := net.SetDefaultLink(opts.link); err != nil {
-		t.Fatal(err)
-	}
-	pPort, pEP := stackOn(t, net, "primary")
-	bPort, bEP := stackOn(t, net, "backup")
+	f, hs := fabric(t, opts.seed, opts.link, "primary", "backup")
+	clk, p, b := f.Clock, hs[0], hs[1]
 
 	ell := opts.ell
 	if ell == 0 {
@@ -62,18 +50,8 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 			ell = time.Millisecond
 		}
 	}
-	pCfg := Config{
-		Clock: clk,
-		Port:  pPort,
-		Peer:  "backup:7000",
-		Ell:   ell,
-	}
-	bCfg := Config{
-		Clock: clk,
-		Port:  bPort,
-		Peer:  "primary:7000",
-		Ell:   ell,
-	}
+	pCfg := Config{Clock: clk, Port: p.Port, Peer: b.Addr, Ell: ell}
+	bCfg := Config{Clock: clk, Port: b.Port, Peer: p.Addr, Ell: ell}
 	if opts.mutateP != nil {
 		opts.mutateP(&pCfg)
 	}
@@ -88,7 +66,7 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testCluster{clk: clk, net: net, primary: primary, backup: backup, pEP: pEP, bEP: bEP}
+	return &testCluster{clk: clk, net: f.Net, primary: primary, backup: backup, pEP: p.EP, bEP: b.EP}
 }
 
 // registerOK registers a spec on the primary and fails the test on

@@ -19,6 +19,7 @@ import (
 	"rtpb/internal/durable"
 	"rtpb/internal/sched"
 	"rtpb/internal/temporal"
+	"rtpb/internal/wire"
 	"rtpb/internal/xkernel"
 )
 
@@ -58,7 +59,7 @@ func (m SchedulingMode) String() string {
 
 // RTPBPort is the well-known port the RTPB protocol is enabled on, the
 // analogue of the paper's anchor-protocol demux key.
-const RTPBPort uint16 = 7000
+const RTPBPort = wire.Port
 
 // CostModel maps protocol operations to processor time on the replica's
 // CPU. The defaults approximate the paper's prototype scale: sub-
@@ -111,8 +112,6 @@ type Config struct {
 	// Port is the port protocol the RTPB anchor protocol is enabled on;
 	// required.
 	Port *xkernel.PortProtocol
-	// LocalPort is the port RTPB listens on; defaults to RTPBPort.
-	LocalPort uint16
 	// Peer is the other replica's address ("host:port"). For a primary
 	// with multiple backups (the paper's future-work extension), list
 	// them all in Peers instead (Peer, when set, is merged in).
@@ -142,12 +141,6 @@ type Config struct {
 	// defaults to rate-monotonic response-time analysis, matching the
 	// paper's use of the rate-monotonic algorithm.
 	SchedTest SchedTest
-	// RegisterRetries is how many times a registration forwarded to the
-	// backup is retried without a reply before giving up; defaults to 5.
-	RegisterRetries int
-	// RegisterTimeout is the per-try reply timeout; defaults to 4·Ell or
-	// 20ms, whichever is larger.
-	RegisterTimeout time.Duration
 	// DisableGapRecovery stops the backup from requesting retransmission
 	// when it detects a sequence gap. It exists as an ablation baseline
 	// for the paper's backup-initiated retransmission design (§4.3).
@@ -158,15 +151,6 @@ type Config struct {
 	// baseline so the chaos harness can demonstrate the split-brain
 	// hazard the fencing prevents; never enable it in a deployment.
 	DisableEpochFencing bool
-	// CriticalAckTimeout is how long a critical write waits for backup
-	// acknowledgements before retransmitting; defaults to 4·Ell or 20ms.
-	// Once the per-peer link estimator has RTT samples, the adaptive
-	// timeout (RTO with backoff) takes over, floored at the estimator's
-	// minimum and capped at RetryCeiling.
-	CriticalAckTimeout time.Duration
-	// CriticalMaxRetries bounds retransmissions of a critical write
-	// before it fails with ErrAckTimeout; defaults to 5.
-	CriticalMaxRetries int
 	// SendQueueLimit bounds each peer's pending-update queue under normal
 	// scheduling. The queue holds object identifiers, one slot per object
 	// (a newer write for a queued object coalesces into its slot: newest
@@ -186,31 +170,6 @@ type Config struct {
 	// wire behaviour). Ignored under UnboundedSendQueue, which keeps the
 	// legacy per-update CPU queueing for Figure 7/10 fidelity.
 	FrameBatch int
-	// FrameBytes soft-bounds the payload bytes one framed datagram
-	// carries: a slot stops collecting once the next object would push the
-	// frame past the budget (a single oversized object still goes alone).
-	// Defaults to 48 KiB, comfortably under the 64 KiB UDP datagram limit
-	// after frame and header overhead.
-	FrameBytes int
-	// RetryCeiling caps every adaptive retransmission backoff delay
-	// (registration, state transfer, critical acks, gap recovery);
-	// defaults to 1s.
-	RetryCeiling time.Duration
-	// StateTransferRetries bounds how often a state transfer to a peer is
-	// retried without a StateTransferAck; defaults to 5. The same bound
-	// applies per chunk of the chunked anti-entropy exchange: when one
-	// chunk exhausts its retries the generation is abandoned and the
-	// joiner's next digest resumes the transfer from whatever landed.
-	StateTransferRetries int
-	// ChunkEntries bounds how many objects one anti-entropy StateChunk
-	// carries; defaults to 8. Together with ChunkBytes it keeps each
-	// chunk's CPU cost and datagram size comparable to regular update
-	// traffic, so a joining backup's catch-up cannot starve live
-	// replication.
-	ChunkEntries int
-	// ChunkBytes bounds one StateChunk's total payload bytes (at least
-	// one entry is always sent); defaults to 32 KiB.
-	ChunkBytes int
 	// SelfAddr is this replica's own replication address as peers should
 	// dial it. It is advisory: a backup stamps it into JoinRequests so
 	// logs and tooling can name the joiner, but the primary always trusts
@@ -226,17 +185,12 @@ type Config struct {
 	Governor GovernorConfig
 	// Durable, when set, receives an asynchronous write-ahead record of
 	// every spec install, applied value, unregister, and epoch advance,
-	// plus a snapshot on every epoch advance and every SnapshotEvery
+	// plus a snapshot on every epoch advance and every snapshotEvery
 	// applies. The replica never waits on it: appends are enqueue-only
 	// (internal/durable's bounded channel), so the paper-critical update
 	// path stays free of disk I/O. The replica does not own the Log;
 	// whoever opened it closes it after Stop.
 	Durable *durable.Log
-	// SnapshotEvery is how many logged applies trigger a periodic
-	// durable snapshot (defaults to 256). Snapshots bound both recovery
-	// replay length and log growth: each one advances the stable mark
-	// and prunes whole epoch segments below it.
-	SnapshotEvery int
 	// ClockSync enables the Cristian-style clock-offset estimator
 	// (internal/clocksync): each heartbeat this replica sends as backup
 	// carries a wire.TimeSync probe, the peer echoes it with its own
@@ -261,8 +215,38 @@ type Config struct {
 // UnboundedSendQueue disables the per-peer send-queue bound.
 const UnboundedSendQueue = -1
 
+// Protocol constants: one value each in every deployment.
+const (
+	// maxRetries bounds every retried exchange toward one peer: a
+	// registration forwarded to a backup, a critical write's
+	// retransmissions, the JoinAccept of a join exchange, and each chunk
+	// of its anti-entropy stream (an exhausted chunk abandons the
+	// generation; the joiner's next digest resumes from what landed).
+	maxRetries = 5
+	// retryCeiling caps every adaptive retransmission backoff delay.
+	retryCeiling = time.Second
+	// frameBytes soft-bounds the payload one framed datagram carries: a
+	// slot stops collecting once the next object would push the frame
+	// past it (a single oversized object still goes alone), comfortably
+	// under the 64 KiB UDP datagram limit.
+	frameBytes = 48 << 10
+	// chunkEntries and chunkBytes bound one anti-entropy StateChunk (at
+	// least one entry is always sent), keeping its CPU cost and datagram
+	// size comparable to regular update traffic so a joiner's catch-up
+	// cannot starve live replication.
+	chunkEntries = 8
+	chunkBytes   = 32 << 10
+	// snapshotEvery is how many logged applies trigger a periodic durable
+	// snapshot, bounding recovery replay length and log growth.
+	snapshotEvery = 256
+)
+
+// retryBase is the static reply timeout every retry path starts from
+// before the link estimator has RTT samples: 4·ℓ, at least 20 ms.
+func (c *Config) retryBase() time.Duration { return max(4*c.Ell, 20*time.Millisecond) }
+
 // ErrAckTimeout is returned to a critical write's callback when the
-// backups did not acknowledge within CriticalMaxRetries retransmissions.
+// backups did not acknowledge within maxRetries retransmissions.
 var ErrAckTimeout = errors.New("core: critical write not acknowledged")
 
 // SchedTest selects the admission-time schedulability test.
@@ -316,9 +300,6 @@ func (c *Config) normalize() error {
 	if c.Port == nil {
 		return ErrNoPort
 	}
-	if c.LocalPort == 0 {
-		c.LocalPort = RTPBPort
-	}
 	if c.SlackFactor == 0 {
 		c.SlackFactor = 0.5
 	}
@@ -334,18 +315,6 @@ func (c *Config) normalize() error {
 	if c.Ell < 0 {
 		return fmt.Errorf("core: negative ℓ %v", c.Ell)
 	}
-	if c.RegisterRetries == 0 {
-		c.RegisterRetries = 5
-	}
-	if c.RegisterTimeout == 0 {
-		c.RegisterTimeout = max(4*c.Ell, 20*time.Millisecond)
-	}
-	if c.CriticalAckTimeout == 0 {
-		c.CriticalAckTimeout = max(4*c.Ell, 20*time.Millisecond)
-	}
-	if c.CriticalMaxRetries == 0 {
-		c.CriticalMaxRetries = 5
-	}
 	if c.SendQueueLimit == 0 {
 		c.SendQueueLimit = 64
 	}
@@ -354,24 +323,6 @@ func (c *Config) normalize() error {
 	}
 	if c.FrameBatch < 1 {
 		c.FrameBatch = 16
-	}
-	if c.FrameBytes <= 0 {
-		c.FrameBytes = 48 << 10
-	}
-	if c.RetryCeiling == 0 {
-		c.RetryCeiling = time.Second
-	}
-	if c.StateTransferRetries == 0 {
-		c.StateTransferRetries = 5
-	}
-	if c.ChunkEntries == 0 {
-		c.ChunkEntries = 8
-	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = 32 << 10
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 256
 	}
 	if c.SkewMargin < 0 {
 		return fmt.Errorf("core: negative SkewMargin %v", c.SkewMargin)

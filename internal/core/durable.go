@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the replica side of the durable persistence seam: append
-// on apply, snapshot on epoch advance (and every SnapshotEvery applies,
+// on apply, snapshot on epoch advance (and every snapshotEvery applies,
 // and whenever the async log reports drop-to-snapshot), restore on
 // restart. Every hook is a no-op when Config.Durable is nil, and none
 // of them ever blocks on disk — internal/durable's appends are
@@ -31,7 +31,7 @@ func (r *Replica) logApply(o *object, epoch uint32, seq uint64, version time.Tim
 	}
 	r.cfg.Durable.AppendApply(o.id, epoch, seq, version.UnixNano(), value)
 	r.durApplies++
-	if r.durApplies >= r.cfg.SnapshotEvery || r.cfg.Durable.NeedsSnapshot() {
+	if r.durApplies >= snapshotEvery || r.cfg.Durable.NeedsSnapshot() {
 		r.durableSnapshot()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"rtpb/internal/clock"
 	"rtpb/internal/netsim"
 )
 
@@ -14,20 +13,14 @@ import (
 // heals, the zombie's epoch-1 updates must not overwrite state on a
 // backup that has already heard from epoch 2.
 func TestZombiePrimaryIsFenced(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 77)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: ms(2)}); err != nil {
-		t.Fatal(err)
-	}
-	zPort, _ := stackOn(t, net, "zombie")
-	nPort, _ := stackOn(t, net, "newprimary")
-	bPort, _ := stackOn(t, net, "backup")
+	f, hs := fabric(t, 77, netsim.LinkParams{Delay: ms(2)}, "zombie", "newprimary", "backup")
+	clk, net, z, n, b := f.Clock, f.Net, hs[0], hs[1], hs[2]
 
-	zombie, err := NewPrimary(Config{Clock: clk, Port: zPort, Peer: "backup:7000", Ell: ms(5)})
+	zombie, err := NewPrimary(Config{Clock: clk, Port: z.Port, Peer: b.Addr, Ell: ms(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	backup, err := NewBackup(Config{Clock: clk, Port: bPort, Peer: "zombie:7000", Ell: ms(5)})
+	backup, err := NewBackup(Config{Clock: clk, Port: b.Port, Peer: z.Addr, Ell: ms(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +36,7 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 	// The zombie is partitioned away; a new primary at epoch 2 takes
 	// over serving the backup.
 	net.Partition("zombie", "backup")
-	newPrimary, err := NewPrimary(Config{Clock: clk, Port: nPort, Peer: "backup:7000", Ell: ms(5)})
+	newPrimary, err := NewPrimary(Config{Clock: clk, Port: n.Port, Peer: b.Addr, Ell: ms(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +62,8 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 		t.Fatalf("zombie primary overwrote promoted state: %q", v)
 	}
 
-	// A zombie state transfer is fenced too.
-	zombie.SendStateTransfer()
+	// A zombie anti-entropy exchange is fenced too.
+	zombie.ResyncPeers()
 	clk.RunFor(100 * time.Millisecond)
 	if v, _, _ := backup.Value("x"); string(v) != "new-world" {
 		t.Fatalf("zombie state transfer overwrote promoted state: %q", v)

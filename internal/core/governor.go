@@ -350,7 +350,7 @@ func (g *governor) announce(o *object, m ObjectMode) {
 		EffectiveBound: g.effectiveBound(o, m),
 	}
 	g.p.broadcast(msg)
-	spacing := max(4*g.p.cfg.Ell, 20*time.Millisecond)
+	spacing := g.p.cfg.retryBase()
 	for i := 1; i <= 2; i++ {
 		g.p.clk.Schedule(time.Duration(i)*spacing, func() {
 			if g.p.running && g.mode(o.id) == m {

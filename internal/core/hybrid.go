@@ -123,7 +123,7 @@ func (p *Primary) transmitCritical(o *object, pa *pendingAck) {
 
 // criticalRetryDelay is the adaptive ack timeout for one critical write:
 // the slowest waited-on peer's RTO under that peer's backoff, falling
-// back to the static CriticalAckTimeout when no link is attributable.
+// back to the static retryBase when no link is attributable.
 func (p *Primary) criticalRetryDelay(pa *pendingAck) time.Duration {
 	var d time.Duration
 	for _, pr := range p.peers {
@@ -135,7 +135,7 @@ func (p *Primary) criticalRetryDelay(pa *pendingAck) time.Duration {
 		}
 	}
 	if d == 0 {
-		d = p.cfg.CriticalAckTimeout
+		d = p.cfg.retryBase()
 	}
 	return d
 }
@@ -152,7 +152,7 @@ func (p *Primary) criticalTimeout(o *object, pa *pendingAck) {
 		}
 	}
 	pa.retries++
-	if pa.retries >= p.cfg.CriticalMaxRetries {
+	if pa.retries >= maxRetries {
 		delete(o.pendingAcks, pa.seq)
 		if pa.done != nil {
 			pa.done(p.clk.Now().Sub(pa.arrival), ErrAckTimeout)

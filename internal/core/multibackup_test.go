@@ -6,13 +6,14 @@ import (
 
 	"rtpb/internal/clock"
 	"rtpb/internal/netsim"
+	"rtpb/internal/topo"
 	"rtpb/internal/xkernel"
 )
 
 // multiCluster is a primary with several backups on one simulated fabric.
 type multiCluster struct {
 	clk     *clock.SimClock
-	net     *netsim.Network
+	fabric  *topo.Fabric
 	primary *Primary
 	backups []*Backup
 	eps     []*netsim.Endpoint
@@ -20,21 +21,17 @@ type multiCluster struct {
 
 func newMultiCluster(t *testing.T, nBackups int, mutateP func(*Config)) *multiCluster {
 	t.Helper()
-	clk := clock.NewSim()
-	net := netsim.New(clk, 91)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: ms(2)}); err != nil {
-		t.Fatal(err)
-	}
-	pPort, _ := stackOn(t, net, "primary")
-	peers := make([]xkernel.Addr, nBackups)
-	bPorts := make([]*xkernel.PortProtocol, nBackups)
-	eps := make([]*netsim.Endpoint, nBackups)
+	names := []string{"primary"}
 	for i := 0; i < nBackups; i++ {
-		host := "backup" + string(rune('A'+i))
-		bPorts[i], eps[i] = stackOn(t, net, host)
-		peers[i] = xkernel.Addr(host + ":7000")
+		names = append(names, "backup"+string(rune('A'+i)))
 	}
-	pCfg := Config{Clock: clk, Port: pPort, Peers: peers, Ell: ms(5)}
+	f, hs := fabric(t, 91, netsim.LinkParams{Delay: ms(2)}, names...)
+	var peers []xkernel.Addr
+	var eps []*netsim.Endpoint
+	for _, h := range hs[1:] {
+		peers, eps = append(peers, h.Addr), append(eps, h.EP)
+	}
+	pCfg := Config{Clock: f.Clock, Port: hs[0].Port, Peers: peers, Ell: ms(5)}
 	if mutateP != nil {
 		mutateP(&pCfg)
 	}
@@ -42,11 +39,9 @@ func newMultiCluster(t *testing.T, nBackups int, mutateP func(*Config)) *multiCl
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := &multiCluster{clk: clk, net: net, primary: primary, eps: eps}
-	for i := 0; i < nBackups; i++ {
-		b, err := NewBackup(Config{
-			Clock: clk, Port: bPorts[i], Peer: "primary:7000", Ell: ms(5),
-		})
+	mc := &multiCluster{clk: f.Clock, fabric: f, primary: primary, eps: eps}
+	for _, h := range hs[1:] {
+		b, err := NewBackup(Config{Clock: f.Clock, Port: h.Port, Peer: hs[0].Addr, Ell: ms(5)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,12 +134,15 @@ func TestAddPeerMidRun(t *testing.T) {
 	mc.clk.RunFor(200 * time.Millisecond)
 
 	// A third host joins as an extra backup.
-	cPort, _ := stackOn(t, mc.net, "backupC")
-	extra, err := NewBackup(Config{Clock: mc.clk, Port: cPort, Peer: "primary:7000", Ell: ms(5)})
+	c, err := mc.fabric.Host("backupC")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mc.primary.AddPeer("backupC:7000"); err != nil {
+	extra, err := NewBackup(Config{Clock: mc.clk, Port: c.Port, Peer: "primary:7000", Ell: ms(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.primary.AddPeer(c.Addr); err != nil {
 		t.Fatal(err)
 	}
 	mc.clk.RunFor(100 * time.Millisecond)

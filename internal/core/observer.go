@@ -1,6 +1,9 @@
 package core
 
 import (
+	"time"
+
+	"rtpb/internal/clock"
 	"rtpb/internal/wire"
 	"rtpb/internal/xkernel"
 )
@@ -15,6 +18,21 @@ import (
 // critical-write waits, the replication degree, failover candidacy, and
 // repair recruitment. Promote rejects them (ErrNotBackup), so no
 // detector wiring can accidentally elect one.
+
+// Subscribe starts the observer's own attach loop: a JoinRequest every
+// interval until the chunked exchange completes, and a heartbeat every
+// interval at offset interval/2 that carries the clock-sync probe and
+// solicits the upstream's ChainStatus, so certificates compound depth
+// and θ honestly. Stop cancels both.
+func (r *Replica) Subscribe(interval time.Duration) {
+	r.subTasks = append(r.subTasks,
+		clock.NewPeriodic(r.clk, 0, interval, func() {
+			if !r.joined {
+				r.Join()
+			}
+		}),
+		clock.NewPeriodic(r.clk, interval/2, interval, func() { r.SendPing() }))
+}
 
 // demuxObserver handles inbound RTPB datagrams while observing. Traffic
 // from the upstream flows through the backup-role handlers — the same
@@ -61,8 +79,6 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 			// tree.
 			r.relayDownstream(t)
 		}
-	case *wire.StateTransfer:
-		r.handleStateTransfer(t)
 	case *wire.JoinAccept:
 		relay := r.wouldAcceptEpoch(t.Epoch)
 		r.handleJoinAccept(t)

@@ -20,8 +20,8 @@ import (
 // chain is the N-hop fan-out fixture: a primary on hosts[0] and hops
 // chained observers, obs[k] subscribed to hosts[k] (so obs[0] observes
 // the primary directly and each later hop observes the previous one).
-// Each observer runs the same self-driven join and heartbeat loops the
-// rtpbd -observe daemon runs.
+// Each observer subscribes itself, exactly as the rtpbd -observe daemon
+// does.
 type chain struct {
 	clk     *clock.SimClock
 	net     *netsim.Network
@@ -37,45 +37,38 @@ type chainOpts struct {
 	// linkFor, when set, picks the link parameters for the hop between
 	// hosts[i] and hosts[i+1]; the default 2ms+1ms link covers the rest.
 	linkFor func(i int) netsim.LinkParams
-	// drive, when set and false for observer k, suppresses that
-	// observer's self-driven join loop so a test can sequence joins by
-	// hand. Heartbeats always run.
+	// drive, when set and false for observer k, leaves that observer
+	// unsubscribed so a test can sequence its join by hand.
 	drive func(k int) bool
 }
 
 func newChain(t *testing.T, opts chainOpts) *chain {
 	t.Helper()
-	clk := clock.NewSim()
-	net := netsim.New(clk, opts.seed)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
 	hosts := []string{"primary"}
 	for k := 1; k <= opts.hops; k++ {
 		hosts = append(hosts, fmt.Sprintf("obs%d", k))
 	}
+	f, hs := fabric(t, opts.seed, netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}, hosts...)
 	if opts.linkFor != nil {
 		for i := 0; i+1 < len(hosts); i++ {
-			if err := net.SetLinkBoth(hosts[i], hosts[i+1], opts.linkFor(i)); err != nil {
+			if err := f.Net.SetLinkBoth(hosts[i], hosts[i+1], opts.linkFor(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	const ell = 8 * time.Millisecond // covers the widest randomized link
-	pPort, _ := stackOn(t, net, hosts[0])
-	primary, err := NewPrimary(Config{Clock: clk, Port: pPort, Ell: ell})
+	primary, err := NewPrimary(Config{Clock: f.Clock, Port: hs[0].Port, Ell: ell})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &chain{clk: clk, net: net, primary: primary, hosts: hosts}
+	c := &chain{clk: f.Clock, net: f.Net, primary: primary, hosts: hosts}
 	for k := 1; k <= opts.hops; k++ {
-		port, _ := stackOn(t, net, hosts[k])
 		o, err := NewObserver(Config{
-			Clock:                clk,
-			Port:                 port,
-			Peer:                 xkernel.Addr(hosts[k-1] + ":7000"),
+			Clock:                f.Clock,
+			Port:                 hs[k].Port,
+			Peer:                 hs[k-1].Addr,
 			Ell:                  ell,
-			SelfAddr:             xkernel.Addr(hosts[k] + ":7000"),
+			SelfAddr:             hs[k].Addr,
 			ClockSync:            opts.clockSync,
 			ClockSyncMaxDriftPPM: 200,
 		})
@@ -83,19 +76,9 @@ func newChain(t *testing.T, opts chainOpts) *chain {
 			t.Fatal(err)
 		}
 		c.obs = append(c.obs, o)
-		obs := o
 		if opts.drive == nil || opts.drive(k-1) {
-			clock.NewPeriodic(clk, 0, 100*time.Millisecond, func() {
-				if obs.Running() && !obs.Joined() {
-					obs.Join()
-				}
-			})
+			o.Subscribe(100 * time.Millisecond)
 		}
-		clock.NewPeriodic(clk, 50*time.Millisecond, 100*time.Millisecond, func() {
-			if obs.Running() {
-				obs.SendPing()
-			}
-		})
 	}
 	return c
 }
@@ -282,30 +265,21 @@ func TestObserverJoinGatedOnUnjoinedUpstream(t *testing.T) {
 // counts toward the replication degree, its peer entry is flagged, and
 // promoting it is a hard error that leaves the role untouched.
 func TestObserverExcludedFromQuorumAndPromotion(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 0xc4a1)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	pPort, _ := stackOn(t, net, "primary")
-	bPort, _ := stackOn(t, net, "backup")
-	oPort, _ := stackOn(t, net, "obs1")
-	primary, err := NewPrimary(Config{Clock: clk, Port: pPort, Peer: "backup:7000", Ell: 5 * time.Millisecond})
+	f, hs := fabric(t, 0xc4a1, netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond},
+		"primary", "backup", "obs1")
+	clk, p, b, o := f.Clock, hs[0], hs[1], hs[2]
+	primary, err := NewPrimary(Config{Clock: clk, Port: p.Port, Peer: b.Addr, Ell: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBackup(Config{Clock: clk, Port: bPort, Peer: "primary:7000", Ell: 5 * time.Millisecond}); err != nil {
+	if _, err := NewBackup(Config{Clock: clk, Port: b.Port, Peer: p.Addr, Ell: 5 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	obs, err := NewObserver(Config{Clock: clk, Port: oPort, Peer: "primary:7000", Ell: 5 * time.Millisecond, SelfAddr: "obs1:7000"})
+	obs, err := NewObserver(Config{Clock: clk, Port: o.Port, Peer: p.Addr, Ell: 5 * time.Millisecond, SelfAddr: o.Addr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.NewPeriodic(clk, 0, 100*time.Millisecond, func() {
-		if obs.Running() && !obs.Joined() {
-			obs.Join()
-		}
-	})
+	obs.Subscribe(100 * time.Millisecond)
 	d := primary.Register(spec("gauge", ms(40), ms(50), ms(250)))
 	if !d.Accepted {
 		t.Fatalf("registration rejected: %s", d.Reason)
@@ -400,5 +374,25 @@ func TestRoleLattice(t *testing.T) {
 		if got := tc.role.FansOut(); got != tc.fansOut {
 			t.Errorf("%v.FansOut() = %v, want %v", tc.role, got, tc.fansOut)
 		}
+	}
+}
+
+// TestSubscribeDrivesAttachUntilStop pins Subscribe's two loops: the
+// observer joins on its own, heartbeats once per interval at the
+// half-interval offset, and Stop silences both.
+func TestSubscribeDrivesAttachUntilStop(t *testing.T) {
+	c := newChain(t, chainOpts{seed: 0x5b, hops: 1})
+	var pings, joins int
+	c.primary.OnPing = func(uint64) { pings++ }
+	c.primary.OnJoinRequest = func(xkernel.Addr, uint32, string) { joins++ }
+	c.clk.RunFor(300 * time.Millisecond)
+	c.requireJoined(t)
+	if pings != 3 || joins != 1 {
+		t.Fatalf("after 300ms: %d pings, %d join requests; want 3 (at 50, 150, 250ms) and 1", pings, joins)
+	}
+	c.obs[0].Stop()
+	c.clk.RunFor(time.Second)
+	if pings != 3 || joins != 1 {
+		t.Fatalf("after Stop: %d pings, %d join requests; the loops outlived the replica", pings, joins)
 	}
 }

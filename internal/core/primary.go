@@ -48,12 +48,6 @@ type replicaPeer struct {
 	// allocate.
 	frame *wire.FrameBuilder
 
-	// State-transfer reliability: the last transfer pushed to this peer
-	// is retried on the adaptive timer until its ack arrives.
-	stAwaiting bool
-	stAttempt  int
-	stRetry    *clock.Event
-
 	// Chunked join/anti-entropy exchange state (transfer.go). A syncing
 	// peer receives live updates but does not count toward critical-write
 	// quorums or the reported replication degree until its exchange
@@ -90,22 +84,22 @@ func (p *Primary) addPeerLocked(addr xkernel.Addr) error {
 			return fmt.Errorf("core: peer %s already attached", addr)
 		}
 	}
-	sess, err := p.port.OpenFrom(p.cfg.LocalPort, addr)
+	sess, err := p.port.OpenFrom(RTPBPort, addr)
 	if err != nil {
 		return fmt.Errorf("core: open backup session to %s: %w", addr, err)
 	}
-	seed := linkSeed(p.cfg.LocalPort, addr)
+	seed := linkSeed(RTPBPort, addr)
 	backoff := resilience.NewBackoff(seed)
-	backoff.Cap = p.cfg.RetryCeiling
+	backoff.Cap = retryCeiling
 	p.peers = append(p.peers, &replicaPeer{
 		addr:       addr,
 		sess:       sess,
 		alive:      true,
 		registered: make(map[uint32]bool),
 		est: resilience.NewEstimator(resilience.EstimatorConfig{
-			InitialRTO: max(p.cfg.RegisterTimeout, p.cfg.CriticalAckTimeout),
+			InitialRTO: p.cfg.retryBase(),
 			MinRTO:     max(2*p.cfg.Ell, 2*time.Millisecond),
-			MaxRTO:     p.cfg.RetryCeiling,
+			MaxRTO:     retryCeiling,
 		}),
 		backoff:  backoff,
 		pingSent: make(map[uint64]time.Time),
@@ -170,7 +164,7 @@ func (p *Primary) Register(spec ObjectSpec) Decision {
 		}
 	}
 	for _, pr := range p.peers {
-		p.forwardRegistration(pr, o, p.cfg.RegisterRetries)
+		p.forwardRegistration(pr, o, maxRetries)
 	}
 	return d
 }
@@ -246,7 +240,7 @@ func (p *Primary) forwardRegistration(pr *replicaPeer, o *object, retriesLeft in
 		DeltaP:   o.spec.Constraint.DeltaP,
 		DeltaB:   o.spec.Constraint.DeltaB,
 	})
-	attempt := p.cfg.RegisterRetries - retriesLeft
+	attempt := maxRetries - retriesLeft
 	p.clk.Schedule(p.retryDelay(pr, attempt), func() {
 		if p.peerByAddr(pr.addr) != pr {
 			return // peer set replaced while the retry was pending
@@ -422,12 +416,12 @@ func (p *Primary) drainStep() {
 }
 
 // collectBatch drains up to cfg.FrameBatch distinct objects (and at most
-// ~cfg.FrameBytes of payload) from the live peers' queues. An object is
+// ~frameBytes of payload) from the live peers' queues. An object is
 // removed from every queue that held it, so each slot transmits at most
 // one update per object — the frame-level mirror of the send queue's
 // coalescing invariant.
 func (p *Primary) collectBatch() (entries []batchEntry, cost time.Duration) {
-	frameBytes := 0
+	bytes := 0
 	for len(entries) < p.cfg.FrameBatch {
 		var id uint32
 		found := false
@@ -443,7 +437,7 @@ func (p *Primary) collectBatch() (entries []batchEntry, cost time.Duration) {
 		if !found {
 			break
 		}
-		if o, ok := p.adm.objects[id]; ok && len(entries) > 0 && frameBytes+len(o.value) > p.cfg.FrameBytes {
+		if o, ok := p.adm.objects[id]; ok && len(entries) > 0 && bytes+len(o.value) > frameBytes {
 			break // over the frame byte budget: the next slot takes it
 		}
 		var targets []*replicaPeer
@@ -462,7 +456,7 @@ func (p *Primary) collectBatch() (entries []batchEntry, cost time.Duration) {
 			cost += p.cfg.Costs.marginalSendCost(len(o.value))
 		}
 		entries = append(entries, batchEntry{o: o, targets: targets})
-		frameBytes += len(o.value)
+		bytes += len(o.value)
 	}
 	return entries, cost
 }
@@ -642,11 +636,6 @@ func (p *Primary) SetPeerAlive(addr xkernel.Addr, alive bool) {
 		// reintegration transfer on revival supersedes them.
 		p.dropPeerFromCriticalWaits(addr)
 		pr.queue.clear()
-		if pr.stRetry != nil {
-			pr.stRetry.Cancel()
-			pr.stRetry = nil
-		}
-		pr.stAwaiting = false
 		p.cancelTransfer(pr)
 	}
 }
@@ -706,10 +695,6 @@ func (p *Primary) AddPeer(addr xkernel.Addr) error {
 func (p *Primary) RemovePeer(addr xkernel.Addr) {
 	for i, pr := range p.peers {
 		if pr.addr == addr {
-			if pr.stRetry != nil {
-				pr.stRetry.Cancel()
-				pr.stRetry = nil
-			}
 			p.cancelTransfer(pr)
 			pr.sess.Close()
 			p.peers = append(p.peers[:i], p.peers[i+1:]...)
@@ -734,66 +719,12 @@ func (p *Primary) SetPeer(peer xkernel.Addr) error {
 		return err
 	}
 	for _, pr := range old {
-		if pr.stRetry != nil {
-			pr.stRetry.Cancel()
-			pr.stRetry = nil
-		}
 		p.cancelTransfer(pr)
 		pr.sess.Close()
 	}
 	p.beginJoin(p.peers[0])
 	p.maybeStartPump()
 	return nil
-}
-
-// SendStateTransfer pushes the full object table to every live backup.
-func (p *Primary) SendStateTransfer() {
-	for _, pr := range p.peers {
-		if pr.alive {
-			p.sendStateTransferTo(pr)
-		}
-	}
-}
-
-// sendStateTransferTo starts (or restarts) a reliable state transfer to
-// one peer: the snapshot is pushed and retried on the adaptive timer until
-// the peer's StateTransferAck arrives or retries run out. Retried
-// snapshots are rebuilt fresh, and application is idempotent on the
-// backup (supersedes() drops entries an interleaved update already beat).
-func (p *Primary) sendStateTransferTo(pr *replicaPeer) {
-	if pr.stRetry != nil {
-		pr.stRetry.Cancel()
-		pr.stRetry = nil
-	}
-	pr.stAttempt = 0
-	p.pushStateTransfer(pr)
-}
-
-func (p *Primary) pushStateTransfer(pr *replicaPeer) {
-	if !p.running || p.peerByAddr(pr.addr) != pr {
-		return
-	}
-	st := &wire.StateTransfer{Epoch: p.epoch}
-	for _, o := range p.adm.ordered() {
-		if !o.hasData {
-			continue
-		}
-		st.Entries = append(st.Entries, p.stateEntryFor(o))
-	}
-	pr.stAwaiting = true
-	p.sendTo(pr, st)
-	attempt := pr.stAttempt
-	pr.stAttempt++
-	if pr.stAttempt >= p.cfg.StateTransferRetries {
-		return
-	}
-	pr.stRetry = p.clk.Schedule(p.retryDelay(pr, attempt), func() {
-		pr.stRetry = nil
-		if pr.stAwaiting && pr.alive {
-			pr.est.SampleLoss()
-			p.pushStateTransfer(pr)
-		}
-	})
 }
 
 // SendPingTo emits one heartbeat to the named backup and returns its
@@ -899,17 +830,6 @@ func (p *Primary) demuxPrimary(msg wire.Message, from xkernel.Addr) {
 		if p.OnPingAckFrom != nil {
 			p.OnPingAckFrom(from, t.Seq)
 		}
-	case *wire.StateTransferAck:
-		if pr := p.peerByAddr(from); pr != nil && t.Epoch == p.epoch {
-			pr.stAwaiting = false
-			if pr.stRetry != nil {
-				pr.stRetry.Cancel()
-				pr.stRetry = nil
-			}
-		}
-		if p.OnStateTransferAck != nil {
-			p.OnStateTransferAck(t.Epoch, int(t.Objects))
-		}
 	case *wire.UpdateAck:
 		p.handleUpdateAck(from, t)
 	case *wire.JoinRequest:
@@ -945,7 +865,7 @@ func (p *Primary) replyTo(addr xkernel.Addr, msg wire.Message) {
 		p.sendTo(pr, msg)
 		return
 	}
-	sess, err := p.port.OpenFrom(p.cfg.LocalPort, addr)
+	sess, err := p.port.OpenFrom(RTPBPort, addr)
 	if err != nil {
 		return
 	}

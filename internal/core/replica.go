@@ -203,6 +203,8 @@ type Replica struct {
 	// through the version timestamp regardless.
 	upstreamDepth uint32
 	upstreamTheta time.Duration
+	// subTasks are Subscribe's join and heartbeat loops.
+	subTasks []*clock.Periodic
 
 	// --- callbacks (role-relevant subsets fire; the rest stay silent) ---
 
@@ -224,9 +226,8 @@ type Replica struct {
 	OnPingAckFrom func(from xkernel.Addr, seq uint64)
 	// OnPing, when set, observes inbound pings (an ack is always sent).
 	OnPing func(seq uint64)
-	// OnStateTransferAck, when set, observes a backup's state-transfer
-	// acknowledgement: the legacy monolithic ack, or — for the chunked
-	// exchange — the final chunk's ack, with the total entries streamed.
+	// OnStateTransferAck, when set, observes the final chunk's ack of a
+	// peer's chunked exchange, with the total entries streamed.
 	OnStateTransferAck func(epoch uint32, objects int)
 	// OnPeerSynced, when set, observes a peer completing its anti-entropy
 	// exchange: from this instant it counts toward quorums again.
@@ -252,9 +253,8 @@ type Replica struct {
 	// OnRegister, when set, observes object registrations replicated from
 	// the primary.
 	OnRegister func(spec ObjectSpec)
-	// OnStateTransfer, when set, observes applied state transfers: the
-	// legacy monolithic form, or a completed chunked join exchange with
-	// the total entries it applied.
+	// OnStateTransfer, when set, observes a completed chunked join
+	// exchange with the total entries it applied.
 	OnStateTransfer func(epoch uint32, objects int)
 	// OnJoinAccept, when set, observes an accepted join with the
 	// primary's epoch and spec count — the instant every listed object
@@ -315,7 +315,7 @@ func NewReplica(cfg Config, role Role) (*Replica, error) {
 		if r.cfg.Governor.Enable {
 			r.gov = newGovernor(r)
 		}
-		if err := cfg.Port.EnablePort(cfg.LocalPort, r); err != nil {
+		if err := cfg.Port.EnablePort(RTPBPort, r); err != nil {
 			return nil, err
 		}
 		for _, addr := range cfg.Peers {
@@ -326,13 +326,13 @@ func NewReplica(cfg Config, role Role) (*Replica, error) {
 		}
 	case RoleBackup, RoleObserver:
 		r.seedBackupLink(cfg.Peer)
-		if err := cfg.Port.EnablePort(cfg.LocalPort, r); err != nil {
+		if err := cfg.Port.EnablePort(RTPBPort, r); err != nil {
 			return nil, err
 		}
 		if cfg.Peer != "" {
-			sess, err := cfg.Port.OpenFrom(cfg.LocalPort, cfg.Peer)
+			sess, err := cfg.Port.OpenFrom(RTPBPort, cfg.Peer)
 			if err != nil {
-				cfg.Port.DisablePort(cfg.LocalPort)
+				cfg.Port.DisablePort(RTPBPort)
 				return nil, fmt.Errorf("core: open primary session: %w", err)
 			}
 			r.sess = sess
@@ -350,7 +350,7 @@ func NewPrimary(cfg Config) (*Primary, error) { return NewReplica(cfg, RolePrima
 func NewBackup(cfg Config) (*Backup, error) { return NewReplica(cfg, RoleBackup) }
 
 // NewObserver builds a read-only replica observing cfg.Peer — a primary
-// or another observer. The caller drives Join() to subscribe through
+// or another observer. Subscribe starts its attach loop: Join through
 // the chunked anti-entropy exchange, and SendPing for heartbeat,
 // clock-sync, and chain-status traffic toward the upstream.
 func NewObserver(cfg Config) (*Observer, error) { return NewReplica(cfg, RoleObserver) }
@@ -358,13 +358,13 @@ func NewObserver(cfg Config) (*Observer, error) { return NewReplica(cfg, RoleObs
 // seedBackupLink derives the backup-role jitter streams for the upstream
 // link toward addr.
 func (r *Replica) seedBackupLink(addr xkernel.Addr) {
-	seed := linkSeed(r.cfg.LocalPort, addr)
+	seed := linkSeed(RTPBPort, addr)
 	r.gapBackoff = resilience.NewBackoff(seed)
-	r.gapBackoff.Cap = r.cfg.RetryCeiling
+	r.gapBackoff.Cap = retryCeiling
 	// A distinct jitter stream for digest retries so join traffic does
 	// not perturb the gap-recovery schedule of replays.
 	r.joinBackoff = resilience.NewBackoff(seed ^ 0x9e3779b97f4a7c15)
-	r.joinBackoff.Cap = r.cfg.RetryCeiling
+	r.joinBackoff.Cap = retryCeiling
 }
 
 // Stop cancels every periodic task in either role and releases the port
@@ -382,18 +382,18 @@ func (r *Replica) Stop() {
 			o.task.Stop()
 		}
 	}
+	for _, t := range r.subTasks {
+		t.Stop()
+	}
+	r.subTasks = nil
 	for _, pr := range r.peers {
-		if pr.stRetry != nil {
-			pr.stRetry.Cancel()
-			pr.stRetry = nil
-		}
 		r.cancelTransfer(pr)
 	}
 	if r.digestRetry != nil {
 		r.digestRetry.Cancel()
 		r.digestRetry = nil
 	}
-	r.port.DisablePort(r.cfg.LocalPort)
+	r.port.DisablePort(RTPBPort)
 	for _, pr := range r.peers {
 		pr.sess.Close()
 	}
@@ -705,7 +705,7 @@ func (r *Replica) Demote(epoch uint32, primary xkernel.Addr) error {
 	if r.role != RolePrimary {
 		return ErrNotPrimary
 	}
-	sess, err := r.port.OpenFrom(r.cfg.LocalPort, primary)
+	sess, err := r.port.OpenFrom(RTPBPort, primary)
 	if err != nil {
 		// Fail before mutating anything: the caller may retry or keep
 		// serving.
@@ -736,10 +736,6 @@ func (r *Replica) Demote(epoch uint32, primary xkernel.Addr) error {
 		}
 	}
 	for _, pr := range r.peers {
-		if pr.stRetry != nil {
-			pr.stRetry.Cancel()
-			pr.stRetry = nil
-		}
 		r.cancelTransfer(pr)
 		pr.queue.clear()
 		pr.sess.Close()

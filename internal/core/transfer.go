@@ -12,9 +12,8 @@ import (
 
 // This file implements the repair cycle's anti-entropy exchange: the
 // digest-based, chunked, resumable state transfer that brings a recruited
-// or rejoining backup to parity with the primary (the successor of the
-// monolithic wire.StateTransfer blast, which remains available through
-// SendStateTransfer as the legacy path).
+// or rejoining backup to parity with the primary — the only state
+// transfer the replica speaks (wire.StateTransfer survives decode-only).
 //
 // The exchange, in both the primary-initiated (AddPeer/SetPeer/
 // SetPeerAlive) and joiner-initiated (JoinRequest) directions:
@@ -64,11 +63,6 @@ type TransferStats struct {
 // per-object catch-up — but is not counted toward critical-write quorums
 // or the reported replication degree.
 func (p *Primary) beginJoin(pr *replicaPeer) {
-	if pr.stRetry != nil {
-		pr.stRetry.Cancel()
-		pr.stRetry = nil
-	}
-	pr.stAwaiting = false
 	p.cancelTransfer(pr)
 	pr.syncing = true
 	pr.joinAttempt = 0
@@ -102,7 +96,7 @@ func (p *Primary) sendJoinAccept(pr *replicaPeer) {
 	if !p.running || p.peerByAddr(pr.addr) != pr || !pr.syncing || pr.xferActive {
 		return
 	}
-	if pr.joinAttempt >= p.cfg.RegisterRetries {
+	if pr.joinAttempt >= maxRetries {
 		// The joiner never answered. Leave it marked syncing (it must not
 		// count toward quorums holding arbitrarily stale state) and let
 		// the repair layer rotate to another candidate or the joiner's own
@@ -242,11 +236,11 @@ func (p *Primary) sendNextChunk(pr *replicaPeer) {
 	}
 	n, bytes := 0, 0
 	for _, id := range pr.xferPending {
-		if n >= p.cfg.ChunkEntries {
+		if n >= chunkEntries {
 			break
 		}
 		if o, ok := p.adm.objects[id]; ok {
-			if n > 0 && bytes+len(o.value) > p.cfg.ChunkBytes {
+			if n > 0 && bytes+len(o.value) > chunkBytes {
 				break
 			}
 			bytes += len(o.value)
@@ -302,7 +296,7 @@ func (p *Primary) pushChunk(pr *replicaPeer, gen uint32, final, retrans bool) {
 				return
 			}
 			pr.est.SampleLoss()
-			if pr.xferAttempt >= p.cfg.StateTransferRetries {
+			if pr.xferAttempt >= maxRetries {
 				// The chunk outlived its retry budget. A joiner still
 				// mid-join resumes the transfer with its own digest retry —
 				// but a joiner that already applied the final chunk (whose
@@ -542,7 +536,7 @@ func (b *Backup) sendDigest() {
 	b.send(d)
 	attempt := b.digestAttempt
 	b.digestAttempt++
-	base := max(4*b.cfg.Ell, 20*time.Millisecond)
+	base := b.cfg.retryBase()
 	b.digestRetry = b.cfg.Clock.Schedule(b.joinBackoff.DelayFrom(base, attempt), func() {
 		b.digestRetry = nil
 		b.sendDigest()
@@ -593,7 +587,7 @@ func (b *Backup) handleStateChunk(t *wire.StateChunk) {
 	if b.digestRetry != nil {
 		b.digestRetry.Cancel()
 	}
-	base := max(4*b.cfg.Ell, 20*time.Millisecond)
+	base := b.cfg.retryBase()
 	b.digestRetry = b.cfg.Clock.Schedule(b.joinBackoff.DelayFrom(base, 0), func() {
 		b.digestRetry = nil
 		b.sendDigest()

@@ -16,14 +16,11 @@ import (
 // what survived. Entries that landed before the cut must never be
 // streamed again.
 func TestChunkedTransferResumesFromDigest(t *testing.T) {
-	const objects = 12
+	const objects = 3*chunkEntries + 4
 	c := newTestCluster(t, clusterOpts{
-		seed: 11,
-		link: netsim.LinkParams{Delay: time.Millisecond},
-		mutateP: func(cfg *Config) {
-			cfg.Peer = "" // the backup is attached later, via AddPeer
-			cfg.ChunkEntries = 2
-		},
+		seed:    11,
+		link:    netsim.LinkParams{Delay: time.Millisecond},
+		mutateP: func(cfg *Config) { cfg.Peer = "" }, // the backup is attached later, via AddPeer
 	})
 	defer c.primary.Stop()
 	defer c.backup.Stop()
@@ -118,17 +115,15 @@ func TestChunkedTransferResumesFromDigest(t *testing.T) {
 // digest, no retransmissions, every entry streamed exactly once.
 func TestJoinExchangeCompletesOnCleanLink(t *testing.T) {
 	c := newTestCluster(t, clusterOpts{
-		seed: 3,
-		link: netsim.LinkParams{Delay: time.Millisecond},
-		mutateP: func(cfg *Config) {
-			cfg.Peer = ""
-			cfg.ChunkEntries = 2
-		},
+		seed:    3,
+		link:    netsim.LinkParams{Delay: time.Millisecond},
+		mutateP: func(cfg *Config) { cfg.Peer = "" },
 	})
 	defer c.primary.Stop()
 	defer c.backup.Stop()
 
-	for i := 0; i < 5; i++ {
+	const objects = chunkEntries + 4
+	for i := 0; i < objects; i++ {
 		name := fmt.Sprintf("clean%d", i)
 		d := c.primary.Register(ObjectSpec{
 			Name:         name,
@@ -158,8 +153,8 @@ func TestJoinExchangeCompletesOnCleanLink(t *testing.T) {
 	if st.Digests != 1 || st.ChunkRetransmits != 0 || st.Completions != 1 {
 		t.Fatalf("stats = %+v, want one digest, no retransmits, one completion", st)
 	}
-	if st.EntriesSent != 5 {
-		t.Fatalf("entries sent = %d, want 5", st.EntriesSent)
+	if st.EntriesSent != objects {
+		t.Fatalf("entries sent = %d, want %d", st.EntriesSent, objects)
 	}
 }
 
@@ -172,12 +167,9 @@ func TestJoinExchangeCompletesOnCleanLink(t *testing.T) {
 // parity and an empty final chunk closes the sync.
 func TestJoinRecoversFromLostFinalAck(t *testing.T) {
 	c := newTestCluster(t, clusterOpts{
-		seed: 17,
-		link: netsim.LinkParams{Delay: time.Millisecond},
-		mutateP: func(cfg *Config) {
-			cfg.Peer = "" // the backup is attached later, via AddPeer
-			cfg.ChunkEntries = 4
-		},
+		seed:    17,
+		link:    netsim.LinkParams{Delay: time.Millisecond},
+		mutateP: func(cfg *Config) { cfg.Peer = "" }, // the backup is attached later, via AddPeer
 	})
 	defer c.primary.Stop()
 	defer c.backup.Stop()

@@ -30,42 +30,47 @@ func startPrimaryDurable(t *testing.T, dlog *durable.Log) (*Client, func()) {
 // the replica starts.
 func startPrimaryWith(t *testing.T, mutate func(*core.Config)) (*Client, func()) {
 	t.Helper()
+	return startLive(t, mutate, func(clk *clock.RealClock, p *core.Primary) (liveServer, error) {
+		return NewServer(clk, p, "127.0.0.1:0")
+	})
+}
+
+// liveServer is the control server a test drives.
+type liveServer interface {
+	Addr() string
+	Close() error
+}
+
+// startLive brings up a real-clock primary over real UDP (no peer: the
+// control interface works standalone) and, on the clock's executor, the
+// control server serve builds over it, returning a connected client and
+// a shutdown func.
+func startLive(t *testing.T, mutate func(*core.Config), serve func(*clock.RealClock, *core.Primary) (liveServer, error)) (*Client, func()) {
+	t.Helper()
 	clk := clock.NewReal()
 	tr, err := netsim.NewUDP(clk, "127.0.0.1:0")
 	if err != nil {
 		clk.Stop()
 		t.Skipf("UDP unavailable: %v", err)
 	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(tr)},
-	})
+	port, err := xkernel.NewStack(tr, clk, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, _ := g.Protocol("uport")
-
-	var primary *core.Primary
+	var srv liveServer
 	errCh := make(chan error, 1)
 	clk.Post(func() {
-		cfg := core.Config{
-			Clock: clk,
-			Port:  pp.(*xkernel.PortProtocol),
-			// No peer: the control interface works standalone.
-			Ell: 5 * time.Millisecond,
-		}
+		cfg := core.Config{Clock: clk, Port: port, Ell: 5 * time.Millisecond}
 		if mutate != nil {
 			mutate(&cfg)
 		}
 		p, err := core.NewPrimary(cfg)
-		primary = p
+		if err == nil {
+			srv, err = serve(clk, p)
+		}
 		errCh <- err
 	})
 	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(clk, primary, "127.0.0.1:0")
-	if err != nil {
 		t.Fatal(err)
 	}
 	cl, err := Dial(srv.Addr())

@@ -10,65 +10,23 @@ import (
 	"rtpb/internal/clock"
 	"rtpb/internal/core"
 	"rtpb/internal/gateway"
-	"rtpb/internal/netsim"
-	"rtpb/internal/xkernel"
 )
 
 // startGateway brings up a real-clock primary fronted by a gateway and
 // its control server, returning a connected client.
 func startGateway(t *testing.T) (*Client, func()) {
 	t.Helper()
-	clk := clock.NewReal()
-	tr, err := netsim.NewUDP(clk, "127.0.0.1:0")
-	if err != nil {
-		clk.Stop()
-		t.Skipf("UDP unavailable: %v", err)
-	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(tr)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, _ := g.Protocol("uport")
-
-	var gw *gateway.Gateway
-	errCh := make(chan error, 1)
-	clk.Post(func() {
-		primary, err := core.NewPrimary(core.Config{
-			Clock: clk,
-			Port:  pp.(*xkernel.PortProtocol),
-			Ell:   5 * time.Millisecond,
-		})
-		if err != nil {
-			errCh <- err
-			return
-		}
-		gw, err = gateway.New(gateway.Config{
+	return startLive(t, nil, func(clk *clock.RealClock, p *core.Primary) (liveServer, error) {
+		gw, err := gateway.New(gateway.Config{
 			Clock:           clk,
-			Backend:         gateway.ReplicaBackend{Primary: primary},
+			Backend:         gateway.ReplicaBackend{Primary: p},
 			BroadcastPeriod: 25 * time.Millisecond,
 		})
-		errCh <- err
+		if err != nil {
+			return nil, err
+		}
+		return NewGatewayServer(clk, gw, "127.0.0.1:0")
 	})
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewGatewayServer(clk, gw, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl, func() {
-		cl.Close()
-		srv.Close()
-		tr.Close()
-		clk.Stop()
-	}
 }
 
 // TestGatewayControlSubscribeStream drives the full gateway surface over

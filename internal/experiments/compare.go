@@ -8,6 +8,7 @@ import (
 	"rtpb/internal/clock"
 	"rtpb/internal/core"
 	"rtpb/internal/netsim"
+	"rtpb/internal/topo"
 	"rtpb/internal/trace"
 	"rtpb/internal/xkernel"
 )
@@ -59,37 +60,14 @@ func CompareActivePassive(seed int64, loss float64, duration time.Duration) (*Co
 	out.PassiveWrites = pres.Response.Count()
 
 	// Active: a sequencer with one member on the same link parameters.
-	clk := clock.NewSim()
-	net := netsim.New(clk, seed)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: linkDelay, Jitter: linkJitter, LossProb: loss}); err != nil {
-		return nil, err
-	}
-	stack := func(host string) (*xkernel.PortProtocol, error) {
-		ep, err := net.Endpoint(host)
-		if err != nil {
-			return nil, err
-		}
-		g, err := xkernel.BuildGraph([]xkernel.Spec{
-			{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-			{Name: "driver", Build: xkernel.DriverFactory(ep)},
-		})
-		if err != nil {
-			return nil, err
-		}
-		p, _ := g.Protocol("uport")
-		return p.(*xkernel.PortProtocol), nil
-	}
-	seqPort, err := stack("seq")
+	f, hs, err := topo.Build(seed, netsim.LinkParams{Delay: linkDelay, Jitter: linkJitter, LossProb: loss}, "seq", "member")
 	if err != nil {
 		return nil, err
 	}
-	memPort, err := stack("member")
-	if err != nil {
-		return nil, err
-	}
+	clk := f.Clock
 	seq, err := active.NewSequencer(active.Config{
 		Clock:   clk,
-		Port:    seqPort,
+		Port:    hs[0].Port,
 		Members: []xkernel.Addr{"member:7100"},
 	})
 	if err != nil {
@@ -97,7 +75,7 @@ func CompareActivePassive(seed int64, loss float64, duration time.Duration) (*Co
 	}
 	if _, err := active.NewMember(active.Config{
 		Clock:     clk,
-		Port:      memPort,
+		Port:      hs[1].Port,
 		Sequencer: "seq:7100",
 	}); err != nil {
 		return nil, err

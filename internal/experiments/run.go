@@ -15,9 +15,9 @@ import (
 	"rtpb/internal/core"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
+	"rtpb/internal/topo"
 	"rtpb/internal/trace"
 	"rtpb/internal/workload"
-	"rtpb/internal/xkernel"
 )
 
 // Params configures one simulated RTPB run.
@@ -99,42 +99,18 @@ func runHooked(p Params, onSend sendHook) (*Result, error) {
 	if p.Duration <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive duration %v", p.Duration)
 	}
-	clk := clock.NewSim()
-	net := netsim.New(clk, p.Seed)
 	// Registration happens over a clean link; loss starts with the
 	// measurement interval.
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: p.Delay, Jitter: p.Jitter}); err != nil {
-		return nil, err
-	}
-
-	buildStack := func(host string) (*xkernel.PortProtocol, error) {
-		ep, err := net.Endpoint(host)
-		if err != nil {
-			return nil, err
-		}
-		g, err := xkernel.BuildGraph([]xkernel.Spec{
-			{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-			{Name: "driver", Build: xkernel.DriverFactory(ep)},
-		})
-		if err != nil {
-			return nil, err
-		}
-		pp, _ := g.Protocol("uport")
-		return pp.(*xkernel.PortProtocol), nil
-	}
-	pPort, err := buildStack("primary")
+	f, hs, err := topo.Build(p.Seed, netsim.LinkParams{Delay: p.Delay, Jitter: p.Jitter}, "primary", "backup")
 	if err != nil {
 		return nil, err
 	}
-	bPort, err := buildStack("backup")
-	if err != nil {
-		return nil, err
-	}
+	clk := f.Clock
 
 	primary, err := core.NewPrimary(core.Config{
 		Clock:                   clk,
-		Port:                    pPort,
-		Peer:                    "backup:7000",
+		Port:                    hs[0].Port,
+		Peer:                    hs[1].Addr,
 		Ell:                     p.Ell,
 		Scheduling:              p.Scheduling,
 		SlackFactor:             p.SlackFactor,
@@ -152,8 +128,8 @@ func runHooked(p Params, onSend sendHook) (*Result, error) {
 	}
 	backup, err := core.NewBackup(core.Config{
 		Clock:              clk,
-		Port:               bPort,
-		Peer:               "primary:7000",
+		Port:               hs[1].Port,
+		Peer:               hs[0].Addr,
 		Ell:                p.Ell,
 		DisableGapRecovery: p.DisableGapRecovery,
 	})
@@ -267,7 +243,7 @@ func runHooked(p Params, onSend sendHook) (*Result, error) {
 		clients = append(clients, workload.NewClient(clk, primary, s.Name, offset, p.ClientPeriod, p.ObjectSize))
 	}
 	clk.RunFor(2 * p.ClientPeriod)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: p.Delay, Jitter: p.Jitter, LossProb: p.Loss}); err != nil {
+	if err := f.Net.SetDefaultLink(netsim.LinkParams{Delay: p.Delay, Jitter: p.Jitter, LossProb: p.Loss}); err != nil {
 		return nil, err
 	}
 	preReq, preSup := backup.RetransmitStats()
@@ -309,7 +285,7 @@ func runHooked(p Params, onSend sendHook) (*Result, error) {
 	}
 	req, sup := backup.RetransmitStats()
 	res.RetransmitRequests, res.RetransmitSuppressed = req-preReq, sup-preSup
-	res.Net = net.Stats()
+	res.Net = f.Net.Stats()
 	primary.Stop()
 	backup.Stop()
 	return res, nil

@@ -8,24 +8,28 @@ import (
 	"rtpb/internal/core"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
+	"rtpb/internal/topo"
 	"rtpb/internal/xkernel"
 )
 
-func stack(t *testing.T, net *netsim.Network, host string) (*xkernel.PortProtocol, *netsim.Endpoint) {
+// fabric builds a simulated fabric with one host per name.
+func fabric(t *testing.T, seed int64, link netsim.LinkParams, names ...string) (*topo.Fabric, []*topo.Host) {
 	t.Helper()
-	ep, err := net.Endpoint(host)
+	f, hs, err := topo.Build(seed, link, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
+	return f, hs
+}
+
+// replica builds a replica in role on port, peered with peer.
+func replica(t *testing.T, clk clock.Clock, port *xkernel.PortProtocol, role core.Role, peer xkernel.Addr, ell time.Duration) *core.Replica {
+	t.Helper()
+	r, err := core.NewReplica(core.Config{Clock: clk, Port: port, Peer: peer, Ell: ell}, role)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := g.Protocol("uport")
-	return p.(*xkernel.PortProtocol), ep
+	return r
 }
 
 // TestFullFailoverScenario exercises the complete Section 4.4 story:
@@ -33,36 +37,22 @@ func stack(t *testing.T, net *netsim.Network, host string) (*xkernel.PortProtoco
 // with state recovery and name-service update, standby client activation,
 // recruitment of a fresh backup, and resumed replication to it.
 func TestFullFailoverScenario(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 42)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: 2 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	pPort, pEP := stack(t, net, "primary")
-	bPort, _ := stack(t, net, "backup")
+	f, hs := fabric(t, 42, netsim.LinkParams{Delay: 2 * time.Millisecond}, "primary", "backup")
+	clk := f.Clock
+	pPort, pEP := hs[0].Port, hs[0].EP
+	bPort := hs[1].Port
 	ns := NewNameService()
 	if err := ns.Set("plant", "primary:7000", 1); err != nil {
 		t.Fatal(err)
 	}
 
-	primary, err := core.NewPrimary(core.Config{
-		Clock: clk, Port: pPort, Peer: "backup:7000", Ell: ms(5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup, err := core.NewBackup(core.Config{
-		Clock: clk, Port: bPort, Peer: "primary:7000", Ell: ms(5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary := replica(t, clk, pPort, core.RolePrimary, "backup:7000", ms(5))
+	backup := replica(t, clk, bPort, core.RoleBackup, "primary:7000", ms(5))
 
 	// Backup-side failure detector over the real heartbeat messages.
 	var promoted *core.Primary
 	clientActivated := false
-	var det *Detector
-	det, err = NewDetector(clk, cfg(), backup.SendPing, func() {
+	det, err := NewDetector(clk, cfg(), backup.SendPing, func() {
 		var perr error
 		promoted, perr = Promote(backup, PromoteOptions{
 			Service:        "plant",
@@ -131,13 +121,11 @@ func TestFullFailoverScenario(t *testing.T) {
 	}
 
 	// Phase 4: recruit a replacement backup on a fresh node.
-	rPort, _ := stack(t, net, "recruit")
-	recruit, err := core.NewBackup(core.Config{
-		Clock: clk, Port: rPort, Peer: "backup:7000", Ell: ms(5),
-	})
+	r, err := f.Host("recruit")
 	if err != nil {
 		t.Fatal(err)
 	}
+	recruit := replica(t, clk, r.Port, core.RoleBackup, "backup:7000", ms(5))
 	if err := Recruit(promoted, "recruit:7000"); err != nil {
 		t.Fatal(err)
 	}
@@ -158,20 +146,13 @@ func TestFullFailoverScenario(t *testing.T) {
 // TestPromoteFreshBackupWithoutData promotes a backup that never received
 // any update: specs re-register, no values to seed.
 func TestPromoteFreshBackupWithoutData(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 7)
-	net.SetDefaultLink(netsim.LinkParams{Delay: ms(2)})
-	pPort, _ := stack(t, net, "primary")
-	bPort, _ := stack(t, net, "backup")
+	f, hs := fabric(t, 7, netsim.LinkParams{Delay: ms(2)}, "primary", "backup")
+	clk := f.Clock
+	pPort := hs[0].Port
+	bPort := hs[1].Port
 
-	primary, err := core.NewPrimary(core.Config{Clock: clk, Port: pPort, Peer: "backup:7000", Ell: ms(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup, err := core.NewBackup(core.Config{Clock: clk, Port: bPort, Peer: "primary:7000", Ell: ms(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary := replica(t, clk, pPort, core.RolePrimary, "backup:7000", ms(5))
+	backup := replica(t, clk, bPort, core.RoleBackup, "primary:7000", ms(5))
 	s := core.ObjectSpec{
 		Name: "x", Size: 8, UpdatePeriod: ms(40),
 		Constraint: temporal.ExternalConstraint{DeltaP: ms(50), DeltaB: ms(250)},

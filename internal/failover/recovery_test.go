@@ -18,22 +18,13 @@ import (
 // most MaxMisses·Timeout + Interval, and promotion itself is immediate in
 // virtual time.
 func TestRecoveryTimeBoundedByDetectorConfig(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 101)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: 2 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	pPort, pEP := stack(t, net, "primary")
-	bPort, _ := stack(t, net, "backup")
+	f, hs := fabric(t, 101, netsim.LinkParams{Delay: 2 * time.Millisecond}, "primary", "backup")
+	clk := f.Clock
+	pPort, pEP := hs[0].Port, hs[0].EP
+	bPort := hs[1].Port
 
-	primary, err := core.NewPrimary(core.Config{Clock: clk, Port: pPort, Peer: "backup:7000", Ell: ms(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup, err := core.NewBackup(core.Config{Clock: clk, Port: bPort, Peer: "primary:7000", Ell: ms(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary := replica(t, clk, pPort, core.RolePrimary, "backup:7000", ms(5))
+	backup := replica(t, clk, bPort, core.RoleBackup, "primary:7000", ms(5))
 	s := core.ObjectSpec{
 		Name: "x", Size: 8, UpdatePeriod: ms(20),
 		Constraint: temporal.ExternalConstraint{DeltaP: ms(30), DeltaB: ms(200)},

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"rtpb/internal/clock"
 	"rtpb/internal/core"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
@@ -17,31 +16,18 @@ import (
 // chunks must carry full specs. Before the fix, its objects were
 // nameless placeholders and a second failover silently dropped them.
 func TestRecruitCarriesSpecsAcrossDoubleFailover(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 17)
-	if err := net.SetDefaultLink(netsim.LinkParams{Delay: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	p0Port, p0EP := stack(t, net, "p0")
-	b1Port, b1EP := stack(t, net, "b1")
-	b2Port, _ := stack(t, net, "b2")
+	f, hs := fabric(t, 17, netsim.LinkParams{Delay: time.Millisecond}, "p0", "b1", "b2")
+	clk := f.Clock
+	p0Port, p0EP := hs[0].Port, hs[0].EP
+	b1Port, b1EP := hs[1].Port, hs[1].EP
+	b2Port := hs[2].Port
 	ns := NewNameService()
 	if err := ns.Set("plant", "p0:7000", 1); err != nil {
 		t.Fatal(err)
 	}
 
-	primary0, err := core.NewPrimary(core.Config{
-		Clock: clk, Port: p0Port, Peer: "b1:7000", Ell: ms(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup1, err := core.NewBackup(core.Config{
-		Clock: clk, Port: b1Port, Peer: "p0:7000", Ell: ms(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary0 := replica(t, clk, p0Port, core.RolePrimary, "b1:7000", ms(2))
+	backup1 := replica(t, clk, b1Port, core.RoleBackup, "p0:7000", ms(2))
 
 	specs := []core.ObjectSpec{
 		{
@@ -81,12 +67,7 @@ func TestRecruitCarriesSpecsAcrossDoubleFailover(t *testing.T) {
 
 	// Recruit b2 — a replica that never saw a Register message; the
 	// chunked join exchange is its only source of specs and state.
-	backup2, err := core.NewBackup(core.Config{
-		Clock: clk, Port: b2Port, Peer: "b1:7000", Ell: ms(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	backup2 := replica(t, clk, b2Port, core.RoleBackup, "b1:7000", ms(2))
 	if err := Recruit(p1, "b2:7000"); err != nil {
 		t.Fatal(err)
 	}
@@ -128,27 +109,17 @@ func TestRecruitCarriesSpecsAcrossDoubleFailover(t *testing.T) {
 // Set race must re-derive its epoch above the recorded one instead of
 // failing (or worse, serving under a duplicate epoch).
 func TestConcurrentPromotionsMintDistinctEpochs(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 5)
-	b1Port, _ := stack(t, net, "b1")
-	b2Port, _ := stack(t, net, "b2")
+	f, hs := fabric(t, 5, netsim.LinkParams{}, "b1", "b2")
+	clk := f.Clock
+	b1Port := hs[0].Port
+	b2Port := hs[1].Port
 	ns := NewNameService()
 	if err := ns.Set("plant", "dead:7000", 1); err != nil {
 		t.Fatal(err)
 	}
 
-	backup1, err := core.NewBackup(core.Config{
-		Clock: clk, Port: b1Port, Peer: "dead:7000", Ell: ms(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup2, err := core.NewBackup(core.Config{
-		Clock: clk, Port: b2Port, Peer: "dead:7000", Ell: ms(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	backup1 := replica(t, clk, b1Port, core.RoleBackup, "dead:7000", ms(2))
+	backup2 := replica(t, clk, b2Port, core.RoleBackup, "dead:7000", ms(2))
 
 	p1, err := Promote(backup1, PromoteOptions{
 		Service:  "plant",

@@ -9,6 +9,7 @@ import (
 	"rtpb/internal/failover"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
+	"rtpb/internal/topo"
 	"rtpb/internal/xkernel"
 )
 
@@ -19,48 +20,26 @@ type fixture struct {
 	net     *netsim.Network
 	ns      *failover.NameService
 	primary *core.Primary
-	ports   map[string]*xkernel.PortProtocol
-	eps     map[string]*netsim.Endpoint
+	hosts   map[string]*topo.Host
 }
 
 func addrOf(host string) xkernel.Addr {
 	return xkernel.Addr(host + ":7000")
 }
 
-func stackOn(t *testing.T, net *netsim.Network, host string) (*xkernel.PortProtocol, *netsim.Endpoint) {
-	t.Helper()
-	ep, err := net.Endpoint(host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := g.Protocol("uport")
-	return p.(*xkernel.PortProtocol), ep
-}
-
 func newFixture(t *testing.T, hosts ...string) *fixture {
 	t.Helper()
-	f := &fixture{
-		clk:   clock.NewSim(),
-		ns:    failover.NewNameService(),
-		ports: make(map[string]*xkernel.PortProtocol),
-		eps:   make(map[string]*netsim.Endpoint),
+	fab, hs, err := topo.Build(7, netsim.LinkParams{}, append([]string{"primary"}, hosts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.net = netsim.New(f.clk, 7)
-	for _, h := range append([]string{"primary"}, hosts...) {
-		port, ep := stackOn(t, f.net, h)
-		f.ports[h] = port
-		f.eps[h] = ep
+	f := &fixture{clk: fab.Clock, net: fab.Net, ns: failover.NewNameService(), hosts: make(map[string]*topo.Host)}
+	for _, h := range hs {
+		f.hosts[h.Name] = h
 	}
 	p, err := core.NewPrimary(core.Config{
 		Clock: f.clk,
-		Port:  f.ports["primary"],
+		Port:  f.hosts["primary"].Port,
 		Ell:   time.Millisecond,
 	})
 	if err != nil {
@@ -79,7 +58,7 @@ func (f *fixture) startBackup(t *testing.T, host string) *core.Backup {
 	t.Helper()
 	b, err := core.NewBackup(core.Config{
 		Clock: f.clk,
-		Port:  f.ports[host],
+		Port:  f.hosts[host].Port,
 		Peer:  addrOf("primary"),
 		Ell:   time.Millisecond,
 	})
@@ -153,7 +132,7 @@ func TestRecruiterRotatesPastDeadCandidate(t *testing.T) {
 	f.register(t, "alpha", 20*time.Millisecond)
 
 	// cand1 sorts first but is down; cand2 is live.
-	f.eps["cand1"].SetDown(true)
+	f.hosts["cand1"].EP.SetDown(true)
 	b2 := f.startBackup(t, "cand2")
 	_ = b2
 	f.ns.AddCandidate("svc", addrOf("cand1"))
@@ -319,7 +298,7 @@ func TestRejoinerDemotesFencedPrimaryInPlace(t *testing.T) {
 
 	// The old primary's machine drops off the fabric; the backup promotes
 	// in place and serves a newer value under the bumped epoch.
-	f.eps["primary"].SetDown(true)
+	f.hosts["primary"].EP.SetDown(true)
 	succ, err := failover.Promote(b, failover.PromoteOptions{
 		Service: "svc", SelfAddr: addrOf("succ"), Names: f.ns,
 	})
@@ -331,7 +310,7 @@ func TestRejoinerDemotesFencedPrimaryInPlace(t *testing.T) {
 
 	// The link heals. The fenced old primary is still running; the
 	// rejoiner demotes it in place and drives the join exchange.
-	f.eps["primary"].SetDown(false)
+	f.hosts["primary"].EP.SetDown(false)
 	demoted := 0
 	rj, err := NewRejoiner(RejoinerConfig{
 		Clock:     f.clk,

@@ -10,6 +10,7 @@ import (
 	"rtpb/internal/failover"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
+	"rtpb/internal/topo"
 	"rtpb/internal/xkernel"
 )
 
@@ -85,18 +86,6 @@ func (cfg *Config) normalize() {
 	}
 }
 
-// node is one simulated machine: a fabric endpoint with an x-kernel
-// stack on top.
-type node struct {
-	name string
-	ep   *netsim.Endpoint
-	port *xkernel.PortProtocol
-}
-
-func (n *node) addr() xkernel.Addr {
-	return xkernel.Addr(n.name + ":" + fmt.Sprint(core.RTPBPort))
-}
-
 // Shard is one primary-backup group. Each shard runs the full
 // two-replica protocol — its own admission controller, update pump,
 // failure detector and promotion path — independently of its siblings:
@@ -106,8 +95,8 @@ type Shard struct {
 	index   int
 	service string
 
-	pHost *node // host of the current primary
-	bHost *node // host of the backup (site name for the monitor)
+	pHost *topo.Host // host of the current primary
+	bHost *topo.Host // host of the backup (site name for the monitor)
 
 	primary    *core.Primary
 	backup     *core.Backup
@@ -116,12 +105,9 @@ type Shard struct {
 	promotions int
 
 	// The shard's observer tier: read-only replicas subscribed to the
-	// primary (or chained off each other), chain-ordered. obsTasks holds
-	// the periodics that drive each observer's join exchange and
-	// chain-position heartbeats.
-	oHosts    []*node
+	// primary (or chained off each other), chain-ordered.
+	oHosts    []*topo.Host
 	observers []*core.Observer
-	obsTasks  []*clock.Periodic
 }
 
 // Utilization implements Target with the shard primary's resident
@@ -161,8 +147,8 @@ func (sh *Shard) Backup() *core.Backup { return sh.backup }
 // (tracking each group's backup site independently).
 type Cluster struct {
 	cfg    Config
+	fabric *topo.Fabric
 	clk    *clock.SimClock
-	net    *netsim.Network
 	ns     *failover.NameService
 	mon    *temporal.Monitor
 	placer Placer
@@ -181,9 +167,14 @@ type Cluster struct {
 // watching its own primary through a failure detector.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg.normalize()
+	f, err := topo.New(cfg.Seed, cfg.Link)
+	if err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		cfg:         cfg,
-		clk:         clock.NewSim(),
+		fabric:      f,
+		clk:         f.Clock,
 		ns:          failover.NewNameService(),
 		mon:         temporal.NewMonitor(),
 		placer:      Placer{Headroom: cfg.Headroom},
@@ -192,10 +183,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		lastWritten: make(map[string][]byte),
 	}
 	c.start = c.clk.Now()
-	c.net = netsim.New(c.clk, cfg.Seed)
-	if err := c.net.SetDefaultLink(cfg.Link); err != nil {
-		return nil, err
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := c.buildShard(i)
 		if err != nil {
@@ -204,22 +191,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.shards = append(c.shards, sh)
 	}
 	return c, nil
-}
-
-func (c *Cluster) buildNode(name string) (*node, error) {
-	ep, err := c.net.Endpoint(name)
-	if err != nil {
-		return nil, err
-	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
-	if err != nil {
-		return nil, err
-	}
-	proto, _ := g.Protocol("uport")
-	return &node{name: name, ep: ep, port: proto.(*xkernel.PortProtocol)}, nil
 }
 
 func (c *Cluster) primaryConfig(port *xkernel.PortProtocol, peers []xkernel.Addr) core.Config {
@@ -240,29 +211,29 @@ func (c *Cluster) primaryConfig(port *xkernel.PortProtocol, peers []xkernel.Addr
 func (c *Cluster) buildShard(i int) (*Shard, error) {
 	sh := &Shard{c: c, index: i, service: fmt.Sprintf("shard%d", i)}
 	var err error
-	if sh.pHost, err = c.buildNode(fmt.Sprintf("shard%d-p", i)); err != nil {
+	if sh.pHost, err = c.fabric.Host(fmt.Sprintf("shard%d-p", i)); err != nil {
 		return nil, err
 	}
-	if sh.bHost, err = c.buildNode(fmt.Sprintf("shard%d-b", i)); err != nil {
+	if sh.bHost, err = c.fabric.Host(fmt.Sprintf("shard%d-b", i)); err != nil {
 		return nil, err
 	}
-	sh.primary, err = core.NewPrimary(c.primaryConfig(sh.pHost.port, []xkernel.Addr{sh.bHost.addr()}))
+	sh.primary, err = core.NewPrimary(c.primaryConfig(sh.pHost.Port, []xkernel.Addr{sh.bHost.Addr}))
 	if err != nil {
 		return nil, err
 	}
-	if err := c.ns.Set(sh.service, sh.pHost.addr(), 1); err != nil {
+	if err := c.ns.Set(sh.service, sh.pHost.Addr, 1); err != nil {
 		return nil, err
 	}
 	// The backup carries the full scheduling/cost configuration: promotion
 	// is in-place, so whatever this replica was built with is what it will
 	// serve with as a primary.
-	bcfg := c.primaryConfig(sh.bHost.port, nil)
-	bcfg.Peer = sh.pHost.addr()
+	bcfg := c.primaryConfig(sh.bHost.Port, nil)
+	bcfg.Peer = sh.pHost.Addr
 	sh.backup, err = core.NewBackup(bcfg)
 	if err != nil {
 		return nil, err
 	}
-	sh.peer = sh.pHost.addr()
+	sh.peer = sh.pHost.Addr
 	if err := c.wireBackup(sh); err != nil {
 		return nil, err
 	}
@@ -275,23 +246,19 @@ func (c *Cluster) buildShard(i int) (*Shard, error) {
 }
 
 // attachObserver builds observer j of a shard's tier on its own node
-// ("shardI-oJ") and starts the loops that keep it attached: a join
-// driver that re-sends the JoinRequest until the chunked anti-entropy
-// exchange completes, and a heartbeat that solicits the upstream's
-// chain-position advertisement (depth, accumulated θ) so the observer's
-// certificates compound staleness honestly. Chain placement follows
-// ObserverChainDepth: the first observer of each chain subscribes to
-// the primary, the rest to the observer before them.
+// ("shardI-oJ") and subscribes it (core.Replica.Subscribe). Chain
+// placement follows ObserverChainDepth: the first observer of each
+// chain subscribes to the primary, the rest to the observer before them.
 func (c *Cluster) attachObserver(sh *Shard, j int) error {
-	host, err := c.buildNode(fmt.Sprintf("shard%d-o%d", sh.index, j))
+	host, err := c.fabric.Host(fmt.Sprintf("shard%d-o%d", sh.index, j))
 	if err != nil {
 		return err
 	}
-	upstream := sh.pHost.addr()
+	upstream := sh.pHost.Addr
 	if j%c.cfg.ObserverChainDepth != 0 {
-		upstream = sh.oHosts[j-1].addr()
+		upstream = sh.oHosts[j-1].Addr
 	}
-	ocfg := c.primaryConfig(host.port, nil)
+	ocfg := c.primaryConfig(host.Port, nil)
 	ocfg.Peer = upstream
 	obs, err := core.NewObserver(ocfg)
 	if err != nil {
@@ -299,21 +266,15 @@ func (c *Cluster) attachObserver(sh *Shard, j int) error {
 	}
 	sh.oHosts = append(sh.oHosts, host)
 	sh.observers = append(sh.observers, obs)
-	join := clock.NewPeriodic(c.clk, 0, 100*time.Millisecond, func() {
-		if !obs.Joined() {
-			obs.Join()
-		}
-	})
-	ping := clock.NewPeriodic(c.clk, 50*time.Millisecond, 100*time.Millisecond, func() { obs.SendPing() })
-	sh.obsTasks = append(sh.obsTasks, join, ping)
-	c.logf("shard %d: observer %s subscribes to %v", sh.index, host.name, upstream)
+	obs.Subscribe(100 * time.Millisecond)
+	c.logf("shard %d: observer %s subscribes to %v", sh.index, host.Name, upstream)
 	return nil
 }
 
 // wireBackup attaches the monitor hooks and a fresh failure detector to
 // the shard's backup replica.
 func (c *Cluster) wireBackup(sh *Shard) error {
-	b, site := sh.backup, sh.bHost.name
+	b, site := sh.backup, sh.bHost.Name
 	b.OnApply = func(_ uint32, name string, _ uint32, _ uint64, version, at time.Time) {
 		c.mon.RecordUpdate(site, name, version, at)
 	}
@@ -388,7 +349,7 @@ func (c *Cluster) onPrimaryDead(sh *Shard) {
 	specs := sh.backup.Specs()
 	p, err := failover.Promote(sh.backup, failover.PromoteOptions{
 		Service:  sh.service,
-		SelfAddr: sh.bHost.addr(),
+		SelfAddr: sh.bHost.Addr,
 		Names:    c.ns,
 		OnPlaceholderDrop: func(ids []uint32) {
 			c.logf("shard %d: promotion dropped %d spec-less placeholder object(s) %v",
@@ -405,12 +366,12 @@ func (c *Cluster) onPrimaryDead(sh *Shard) {
 	}
 	now := c.clk.Now()
 	for _, spec := range specs {
-		c.mon.Suspend(sh.bHost.name, spec.Name, now)
+		c.mon.Suspend(sh.bHost.Name, spec.Name, now)
 	}
 	sh.backup = nil
 	sh.det = nil
 	sh.promotions++
-	c.logf("shard %d: %s promoted to primary, epoch %d", sh.index, sh.pHost.name, p.Epoch())
+	c.logf("shard %d: %s promoted to primary, epoch %d", sh.index, sh.pHost.Name, p.Epoch())
 }
 
 // targets returns the shards as a placement slice (index-aligned).
@@ -440,8 +401,8 @@ func (c *Cluster) Place(spec core.ObjectSpec) (int, core.Decision, error) {
 	sh := c.shards[idx]
 	c.router.Assign(spec.Name, idx)
 	if sh.backup != nil {
-		if _, ok := c.mon.ExternalReport(sh.bHost.name, spec.Name); !ok {
-			c.mon.TrackExternal(sh.bHost.name, spec.Name, spec.Constraint.DeltaB)
+		if _, ok := c.mon.ExternalReport(sh.bHost.Name, spec.Name); !ok {
+			c.mon.TrackExternal(sh.bHost.Name, spec.Name, spec.Constraint.DeltaB)
 		}
 	}
 	c.logf("place %q -> shard %d (r=%v, util %.3f)", spec.Name, idx, d.UpdatePeriod, sh.Utilization())
@@ -576,7 +537,7 @@ func (c *Cluster) Remove(name string) error {
 		return err
 	}
 	if sh.backup != nil {
-		c.mon.Suspend(sh.bHost.name, name, c.clk.Now())
+		c.mon.Suspend(sh.bHost.Name, name, c.clk.Now())
 	}
 	c.router.Forget(name)
 	c.logf("remove %q from shard %d", name, sh.index)
@@ -617,8 +578,8 @@ func (c *Cluster) Migrate(name string, dst int) error {
 		}
 	}
 	if dh.backup != nil {
-		if _, ok := c.mon.ExternalReport(dh.bHost.name, spec.Name); !ok {
-			c.mon.TrackExternal(dh.bHost.name, spec.Name, spec.Constraint.DeltaB)
+		if _, ok := c.mon.ExternalReport(dh.bHost.Name, spec.Name); !ok {
+			c.mon.TrackExternal(dh.bHost.Name, spec.Name, spec.Constraint.DeltaB)
 		}
 		// Push registrations and state to the destination backup through
 		// the join exchange; its OnJoinAccept hook marks the image
@@ -629,7 +590,7 @@ func (c *Cluster) Migrate(name string, dst int) error {
 		return fmt.Errorf("shard: revoke %q on shard %d: %w", name, sh.index, err)
 	}
 	if sh.backup != nil {
-		c.mon.Suspend(sh.bHost.name, name, c.clk.Now())
+		c.mon.Suspend(sh.bHost.Name, name, c.clk.Now())
 	}
 	c.router.Assign(name, dst)
 	c.logf("migrate %q: shard %d -> shard %d", name, sh.index, dst)
@@ -643,8 +604,8 @@ func (c *Cluster) CrashPrimary(i int) {
 	if sh.primary != nil {
 		sh.primary.Stop()
 	}
-	sh.pHost.ep.SetDown(true)
-	c.logf("shard %d: %s is down", i, sh.pHost.name)
+	sh.pHost.EP.SetDown(true)
+	c.logf("shard %d: %s is down", i, sh.pHost.Name)
 }
 
 // WriteEvery starts a periodic client writer for one object; each fire
@@ -729,8 +690,8 @@ func (c *Cluster) Statuses() []Status {
 		s := Status{
 			Index:       i,
 			Service:     sh.service,
-			PrimaryHost: sh.pHost.name,
-			PrimaryAddr: sh.pHost.addr(),
+			PrimaryHost: sh.pHost.Name,
+			PrimaryAddr: sh.pHost.Addr,
 			Promotions:  sh.promotions,
 			Observers:   len(sh.observers),
 		}
@@ -757,14 +718,14 @@ func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 func (c *Cluster) Clock() *clock.SimClock { return c.clk }
 
 // Network exposes the simulated fabric.
-func (c *Cluster) Network() *netsim.Network { return c.net }
+func (c *Cluster) Network() *netsim.Network { return c.fabric.Net }
 
 // Monitor exposes the temporal-consistency monitor; backup sites are
 // named "shardI-b".
 func (c *Cluster) Monitor() *temporal.Monitor { return c.mon }
 
 // BackupSite returns shard i's monitor site name.
-func (c *Cluster) BackupSite(i int) string { return c.shards[i].bHost.name }
+func (c *Cluster) BackupSite(i int) string { return c.shards[i].bHost.Name }
 
 // RunFor advances virtual time.
 func (c *Cluster) RunFor(d time.Duration) { c.clk.RunFor(d) }
@@ -795,10 +756,6 @@ func (c *Cluster) Stop() {
 			sh.det.Stop()
 			sh.det = nil
 		}
-		for _, task := range sh.obsTasks {
-			task.Stop()
-		}
-		sh.obsTasks = nil
 		for _, obs := range sh.observers {
 			obs.Stop()
 		}

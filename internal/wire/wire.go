@@ -21,6 +21,9 @@ const (
 	Magic uint16 = 0x52B0 // "RTPB"-ish
 	// Version is the wire-format version this package speaks.
 	Version uint8 = 1
+	// Port is the well-known x-kernel port RTPB is enabled on, the
+	// analogue of the paper's anchor-protocol demux key.
+	Port uint16 = 7000
 	// headerLen is magic(2) + version(1) + kind(1).
 	headerLen = 4
 	// MaxPayload bounds object payloads and strings to keep a malformed
@@ -659,8 +662,10 @@ func decodeStateEntry(r *reader) StateEntry {
 	}
 }
 
-// StateTransfer brings a newly recruited backup up to the primary's
-// current state (Section 4.4: "supports the integration of a new backup").
+// StateTransfer is the legacy monolithic state transfer (Section 4.4:
+// "supports the integration of a new backup"). It is decode-only: no
+// replica sends or handles it since the chunked exchange (StateChunk)
+// replaced it; the kind stays so golden vectors and fuzz corpora decode.
 type StateTransfer struct {
 	// Epoch is the sending primary's epoch.
 	Epoch uint32
@@ -700,7 +705,8 @@ func (m *StateTransfer) decodeBody(r *reader) error {
 	return r.err
 }
 
-// StateTransferAck confirms a state transfer was applied.
+// StateTransferAck confirms a StateTransfer was applied (decode-only,
+// like StateTransfer).
 type StateTransferAck struct {
 	// Epoch echoes the transfer's epoch.
 	Epoch uint32

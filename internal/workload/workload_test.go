@@ -8,36 +8,22 @@ import (
 	"rtpb/internal/core"
 	"rtpb/internal/netsim"
 	"rtpb/internal/temporal"
-	"rtpb/internal/xkernel"
+	"rtpb/internal/topo"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func testPrimary(t *testing.T) (*clock.SimClock, *core.Primary) {
 	t.Helper()
-	clk := clock.NewSim()
-	net := netsim.New(clk, 1)
-	ep, err := net.Endpoint("primary")
+	f, hs, err := topo.Build(1, netsim.LinkParams{}, "primary")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(ep)},
-	})
+	p, err := core.NewPrimary(core.Config{Clock: f.Clock, Port: hs[0].Port, Ell: ms(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, _ := g.Protocol("uport")
-	p, err := core.NewPrimary(core.Config{
-		Clock: clk,
-		Port:  pp.(*xkernel.PortProtocol),
-		Ell:   ms(5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return clk, p
+	return f.Clock, p
 }
 
 func TestClientWritesPeriodically(t *testing.T) {

@@ -3,6 +3,8 @@ package xkernel
 import (
 	"errors"
 	"fmt"
+
+	"rtpb/internal/clock"
 )
 
 // Addr is a protocol participant address. Its syntax is interpreted by
@@ -156,6 +158,28 @@ func BuildGraph(specs []Spec) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// NewStack assembles the paper's protocol graph (Figure 5) over tr and
+// returns its port protocol, the layer RTPB is enabled on: uport → driver,
+// or uport → frag → driver when mtu > 0, so objects larger than mtu
+// replicate transparently (clk then runs the reassembly timeouts). Every
+// host of one deployment must use the same stack shape.
+func NewStack(tr Transport, clk clock.Clock, mtu int) (*PortProtocol, error) {
+	specs := []Spec{
+		{Name: "uport", Below: "driver", Build: PortFactory()},
+		{Name: "driver", Build: DriverFactory(tr)},
+	}
+	if mtu > 0 {
+		specs[0].Below = "frag"
+		specs = append(specs, Spec{Name: "frag", Below: "driver", Build: FragFactory(FragOptions{MTU: mtu, Clock: clk})})
+	}
+	g, err := BuildGraph(specs)
+	if err != nil {
+		return nil, err
+	}
+	p, _ := g.Protocol("uport")
+	return p.(*PortProtocol), nil
 }
 
 // Protocol looks up a protocol instance by name.

@@ -259,36 +259,14 @@ func Recruit(p *Primary, backupAddr Addr) error { return failover.Recruit(p, bac
 // NewStack assembles the paper's protocol graph (Figure 5) — RTPB's port
 // protocol over a network driver over the given transport — and returns
 // the port protocol a replica Config needs.
-func NewStack(tr Transport) (*PortProtocol, error) {
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "driver", Build: xkernel.PortFactory()},
-		{Name: "driver", Build: xkernel.DriverFactory(tr)},
-	})
-	if err != nil {
-		return nil, err
-	}
-	p, _ := g.Protocol("uport")
-	return p.(*xkernel.PortProtocol), nil
-}
+func NewStack(tr Transport) (*PortProtocol, error) { return xkernel.NewStack(tr, nil, 0) }
 
 // NewStackMTU assembles the protocol graph with a fragmentation layer
 // between the port protocol and the driver (uport → frag → driver), so
 // objects larger than the transport MTU replicate transparently. Both
 // replicas must use the same stack shape.
 func NewStackMTU(tr Transport, clk Clock, mtu int) (*PortProtocol, error) {
-	g, err := xkernel.BuildGraph([]xkernel.Spec{
-		{Name: "uport", Below: "frag", Build: xkernel.PortFactory()},
-		{Name: "frag", Below: "driver", Build: xkernel.FragFactory(xkernel.FragOptions{
-			MTU:   mtu,
-			Clock: clk,
-		})},
-		{Name: "driver", Build: xkernel.DriverFactory(tr)},
-	})
-	if err != nil {
-		return nil, err
-	}
-	p, _ := g.Protocol("uport")
-	return p.(*xkernel.PortProtocol), nil
+	return xkernel.NewStack(tr, clk, mtu)
 }
 
 // MaxPrimaryPeriod returns the largest client update period satisfying

@@ -7,6 +7,7 @@ import (
 	"rtpb/internal/clock"
 	"rtpb/internal/core"
 	"rtpb/internal/netsim"
+	"rtpb/internal/topo"
 )
 
 // SimClusterConfig parameterizes a turnkey simulated RTPB deployment.
@@ -43,10 +44,8 @@ type SimCluster struct {
 	Primary *Primary
 	Backup  *Backup
 
-	primaryEP   *netsim.Endpoint
-	backupEP    *netsim.Endpoint
-	primaryPort *PortProtocol
-	backupPort  *PortProtocol
+	fabric       *topo.Fabric
+	pHost, bHost *topo.Host
 }
 
 // PrimaryHost and BackupHost are the simulated host names of a SimCluster.
@@ -59,24 +58,7 @@ const (
 // x-kernel stack per host, and the RTPB primary and backup wired
 // together on the well-known port.
 func NewSimCluster(cfg SimClusterConfig) (*SimCluster, error) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, cfg.Seed)
-	if err := net.SetDefaultLink(cfg.Link); err != nil {
-		return nil, err
-	}
-	pEP, err := net.Endpoint(PrimaryHost)
-	if err != nil {
-		return nil, err
-	}
-	bEP, err := net.Endpoint(BackupHost)
-	if err != nil {
-		return nil, err
-	}
-	pPort, err := NewStack(pEP)
-	if err != nil {
-		return nil, err
-	}
-	bPort, err := NewStack(bEP)
+	f, hs, err := topo.Build(cfg.Seed, cfg.Link, PrimaryHost, BackupHost)
 	if err != nil {
 		return nil, err
 	}
@@ -88,9 +70,9 @@ func NewSimCluster(cfg SimClusterConfig) (*SimCluster, error) {
 		}
 	}
 	primary, err := core.NewPrimary(core.Config{
-		Clock:                   clk,
-		Port:                    pPort,
-		Peer:                    Addr(BackupHost + ":7000"),
+		Clock:                   f.Clock,
+		Port:                    hs[0].Port,
+		Peer:                    hs[1].Addr,
 		Ell:                     ell,
 		Scheduling:              cfg.Scheduling,
 		DisableAdmissionControl: cfg.DisableAdmissionControl,
@@ -101,34 +83,21 @@ func NewSimCluster(cfg SimClusterConfig) (*SimCluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtpb: sim primary: %w", err)
 	}
-	backup, err := core.NewBackup(core.Config{
-		Clock: clk,
-		Port:  bPort,
-		Peer:  Addr(PrimaryHost + ":7000"),
-		Ell:   ell,
-	})
+	backup, err := core.NewBackup(core.Config{Clock: f.Clock, Port: hs[1].Port, Peer: hs[0].Addr, Ell: ell})
 	if err != nil {
 		return nil, fmt.Errorf("rtpb: sim backup: %w", err)
 	}
-	return &SimCluster{
-		Clock:       clk,
-		Net:         net,
-		Primary:     primary,
-		Backup:      backup,
-		primaryEP:   pEP,
-		backupEP:    bEP,
-		primaryPort: pPort,
-		backupPort:  bPort,
-	}, nil
+	return &SimCluster{Clock: f.Clock, Net: f.Net, Primary: primary, Backup: backup,
+		fabric: f, pHost: hs[0], bHost: hs[1]}, nil
 }
 
 // PrimaryPort exposes the primary host's port protocol, for wiring
 // additional protocols or re-homing a replica after failover.
-func (s *SimCluster) PrimaryPort() *PortProtocol { return s.primaryPort }
+func (s *SimCluster) PrimaryPort() *PortProtocol { return s.pHost.Port }
 
 // BackupPort exposes the backup host's port protocol. A promotion on the
 // backup host (failover.Promote) builds the new primary on this stack.
-func (s *SimCluster) BackupPort() *PortProtocol { return s.backupPort }
+func (s *SimCluster) BackupPort() *PortProtocol { return s.bHost.Port }
 
 // RunFor advances virtual time by d, running everything that falls due.
 func (s *SimCluster) RunFor(d time.Duration) { s.Clock.RunFor(d) }
@@ -163,24 +132,24 @@ func (s *SimCluster) WriteEveryTo(p *Primary, name string, period time.Duration,
 // AddHost attaches a fresh host to the simulated fabric and returns its
 // protocol stack, ready for a replacement replica (failover recruitment).
 func (s *SimCluster) AddHost(host string) (*PortProtocol, error) {
-	ep, err := s.Net.Endpoint(host)
+	h, err := s.fabric.Host(host)
 	if err != nil {
 		return nil, err
 	}
-	return NewStack(ep)
+	return h.Port, nil
 }
 
 // CrashPrimary simulates a primary host failure: the replica stops and
 // its network endpoint goes silent.
 func (s *SimCluster) CrashPrimary() {
 	s.Primary.Stop()
-	s.primaryEP.SetDown(true)
+	s.pHost.EP.SetDown(true)
 }
 
 // CrashBackup simulates a backup host failure.
 func (s *SimCluster) CrashBackup() {
 	s.Backup.Stop()
-	s.backupEP.SetDown(true)
+	s.bHost.EP.SetDown(true)
 }
 
 // Partition cuts the primary↔backup link; Heal restores it.

@@ -7,49 +7,39 @@ import (
 
 	"rtpb"
 	"rtpb/internal/clock"
-	"rtpb/internal/netsim"
+	"rtpb/internal/topo"
 )
 
-// TestLargeObjectOverFragmentedStack replicates an object far larger than
-// the transport MTU through the uport→frag→driver graph, end to end.
-func TestLargeObjectOverFragmentedStack(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 5)
-	if err := net.SetDefaultLink(rtpb.LinkParams{Delay: 2 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	pEP, err := net.Endpoint("primary")
+// fragPair builds a primary and backup over uport→frag→driver stacks of
+// the given MTU on a fresh fabric, with one object of size bytes
+// registered.
+func fragPair(t *testing.T, seed int64, link rtpb.LinkParams, mtu int, name string, size int) (*rtpb.SimClock, *rtpb.Primary, *rtpb.Backup) {
+	t.Helper()
+	f, err := topo.New(seed, link)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bEP, err := net.Endpoint("backup")
+	var ports [2]*rtpb.PortProtocol
+	for i, host := range []string{"primary", "backup"} {
+		ep, err := f.Net.Endpoint(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ports[i], err = rtpb.NewStackMTU(ep, f.Clock, mtu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary, err := rtpb.NewPrimary(rtpb.Config{Clock: f.Clock, Port: ports[0], Peer: "backup:7000", Ell: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const mtu = 512
-	pPort, err := rtpb.NewStackMTU(pEP, clk, mtu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bPort, err := rtpb.NewStackMTU(bEP, clk, mtu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary, err := rtpb.NewPrimary(rtpb.Config{
-		Clock: clk, Port: pPort, Peer: "backup:7000", Ell: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup, err := rtpb.NewBackup(rtpb.Config{
-		Clock: clk, Port: bPort, Peer: "primary:7000", Ell: 5 * time.Millisecond,
-	})
+	backup, err := rtpb.NewBackup(rtpb.Config{Clock: f.Clock, Port: ports[1], Peer: "primary:7000", Ell: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := primary.Register(rtpb.ObjectSpec{
-		Name:         "image",
-		Size:         8192,
+		Name:         name,
+		Size:         size,
 		UpdatePeriod: 40 * time.Millisecond,
 		Constraint: rtpb.ExternalConstraint{
 			DeltaP: 50 * time.Millisecond,
@@ -58,6 +48,13 @@ func TestLargeObjectOverFragmentedStack(t *testing.T) {
 	}); !d.Accepted {
 		t.Fatalf("rejected: %s", d.Reason)
 	}
+	return f.Clock, primary, backup
+}
+
+// TestLargeObjectOverFragmentedStack replicates an object far larger than
+// the transport MTU through the uport→frag→driver graph, end to end.
+func TestLargeObjectOverFragmentedStack(t *testing.T) {
+	clk, primary, backup := fragPair(t, 5, rtpb.LinkParams{Delay: 2 * time.Millisecond}, 512, "image", 8192)
 	payload := bytes.Repeat([]byte{0xC7, 0x01, 0x55, 0xAA}, 2048) // 8 KiB ≫ 512 B MTU
 	primary.ClientWrite("image", payload, nil)
 	clk.RunFor(500 * time.Millisecond)
@@ -74,38 +71,7 @@ func TestLargeObjectOverFragmentedStack(t *testing.T) {
 // semantics hold under loss: a fragment loss costs that update, but the
 // next periodic update heals the backup.
 func TestLargeObjectFragmentsSurviveModerateLoss(t *testing.T) {
-	clk := clock.NewSim()
-	net := netsim.New(clk, 6)
-	if err := net.SetDefaultLink(rtpb.LinkParams{Delay: 2 * time.Millisecond, LossProb: 0.02}); err != nil {
-		t.Fatal(err)
-	}
-	pEP, _ := net.Endpoint("primary")
-	bEP, _ := net.Endpoint("backup")
-	pPort, _ := rtpb.NewStackMTU(pEP, clk, 256)
-	bPort, _ := rtpb.NewStackMTU(bEP, clk, 256)
-	primary, err := rtpb.NewPrimary(rtpb.Config{
-		Clock: clk, Port: pPort, Peer: "backup:7000", Ell: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup, err := rtpb.NewBackup(rtpb.Config{
-		Clock: clk, Port: bPort, Peer: "primary:7000", Ell: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := primary.Register(rtpb.ObjectSpec{
-		Name:         "blob",
-		Size:         2048,
-		UpdatePeriod: 40 * time.Millisecond,
-		Constraint: rtpb.ExternalConstraint{
-			DeltaP: 50 * time.Millisecond,
-			DeltaB: 300 * time.Millisecond,
-		},
-	}); !d.Accepted {
-		t.Fatalf("rejected: %s", d.Reason)
-	}
+	clk, primary, backup := fragPair(t, 6, rtpb.LinkParams{Delay: 2 * time.Millisecond, LossProb: 0.02}, 256, "blob", 2048)
 	want := bytes.Repeat([]byte{0x42}, 2048)
 	writer := clock.NewPeriodic(clk, 0, 40*time.Millisecond, func() {
 		primary.ClientWrite("blob", want, nil)
