@@ -94,7 +94,7 @@ type Sequencer struct {
 	clk     clock.Clock
 	proc    *cpu.Resource
 	port    *xkernel.PortProtocol
-	members map[xkernel.Addr]xkernel.Session
+	members map[xkernel.Addr]*xkernel.Session
 
 	objects map[string]uint32
 	byID    map[uint32]*objectState
@@ -130,7 +130,7 @@ func NewSequencer(cfg Config) (*Sequencer, error) {
 		clk:     cfg.Clock,
 		proc:    cpu.New(cfg.Clock),
 		port:    cfg.Port,
-		members: make(map[xkernel.Addr]xkernel.Session, len(cfg.Members)),
+		members: make(map[xkernel.Addr]*xkernel.Session, len(cfg.Members)),
 		objects: make(map[string]uint32),
 		byID:    make(map[uint32]*objectState),
 		pending: make(map[uint64]*pendingOrder),
@@ -306,7 +306,7 @@ func (s *Sequencer) Value(name string) (data []byte, version time.Time, ok bool)
 type Member struct {
 	cfg     Config
 	port    *xkernel.PortProtocol
-	sess    xkernel.Session
+	sess    *xkernel.Session
 	applied uint64
 	hold    map[uint64]*wire.Order
 	objects map[uint32]*objectState

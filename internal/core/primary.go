@@ -20,7 +20,7 @@ import (
 // per peer.
 type replicaPeer struct {
 	addr       xkernel.Addr
-	sess       xkernel.Session
+	sess       *xkernel.Session
 	alive      bool
 	pingSeq    uint64
 	registered map[uint32]bool

@@ -165,7 +165,7 @@ type Replica struct {
 	// --- backup-role state ---
 
 	// sess is the session toward the upstream primary (nil when none).
-	sess    xkernel.Session
+	sess    *xkernel.Session
 	pingSeq uint64
 
 	// csync estimates the upstream peer's clock offset from TimeSync

@@ -57,6 +57,7 @@ package ctl
 import (
 	"bufio"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -96,13 +97,16 @@ func (s *Server) handle(line string, reply func(string)) {
 	cmd := strings.ToUpper(fields[0])
 	switch cmd {
 	case "REGISTER":
-		reply(s.register(fields[1:]))
+		reply(register("REGISTER", fields[1:], s.admit))
 	case "RELATE":
 		reply(s.relate(fields[1:]))
 	case "WRITE":
-		s.write(fields[1:], reply)
+		write(fields[1:], reply, func(name string, value []byte, done func(time.Duration, error)) error {
+			s.primary.ClientWrite(name, value, done)
+			return nil
+		})
 	case "READ":
-		reply(s.read(fields[1:]))
+		reply(read(fields[1:], s.primary.Certificate))
 	case "STATUS":
 		reply(fmt.Sprintf("OK role=%s objects=%d utilization=%.4f epoch=%d backupAlive=%v transitions=%d",
 			s.primary.Role(), s.primary.Objects(), s.primary.Utilization(), s.primary.Epoch(),
@@ -124,35 +128,14 @@ func (s *Server) handle(line string, reply func(string)) {
 	}
 }
 
-func (s *Server) register(args []string) string {
-	if len(args) != 5 {
-		return "ERR usage: REGISTER <name> <size> <period> <deltaP> <deltaB>"
-	}
-	size, err := strconv.Atoi(args[1])
-	if err != nil {
-		return "ERR bad size: " + err.Error()
-	}
-	var durs [3]time.Duration
-	for i, a := range args[2:] {
-		d, err := time.ParseDuration(a)
-		if err != nil {
-			return "ERR bad duration: " + err.Error()
-		}
-		durs[i] = d
-	}
-	d := s.primary.Register(core.ObjectSpec{
-		Name:         args[0],
-		Size:         size,
-		UpdatePeriod: durs[0],
-		Constraint:   temporal.ExternalConstraint{DeltaP: durs[1], DeltaB: durs[2]},
-	})
+// admit is REGISTER's admission on the one pair, which has no shard
+// index; a rejection's error is its reason.
+func (s *Server) admit(spec core.ObjectSpec) (int, core.Decision, error) {
+	d := s.primary.Register(spec)
 	if !d.Accepted {
-		if d.SuggestedDeltaB > 0 {
-			return fmt.Sprintf("REJECT %s | suggest %v", d.Reason, d.SuggestedDeltaB)
-		}
-		return "REJECT " + d.Reason
+		return -1, d, errors.New(d.Reason)
 	}
-	return fmt.Sprintf("OK %d %v", d.ObjectID, d.UpdatePeriod)
+	return -1, d, nil
 }
 
 func (s *Server) relate(args []string) string {
@@ -261,7 +244,52 @@ func (s *Server) recruit(args []string) string {
 	return "OK " + args[0]
 }
 
-func (s *Server) write(args []string, reply func(string)) {
+// register parses a REGISTER or PLACE line (usage names the verb in the
+// usage error) and renders admit's decision on it. admit reports a
+// rejection with an error: the REJECT line carries the decision's reason,
+// else the error's, and the suggested δ_B. A shard index below 0 renders
+// the single pair's OK line, without the shard.
+func register(usage string, args []string, admit func(core.ObjectSpec) (shard int, d core.Decision, err error)) string {
+	if len(args) != 5 {
+		return "ERR usage: " + usage + " <name> <size> <period> <deltaP> <deltaB>"
+	}
+	size, err := strconv.Atoi(args[1])
+	if err != nil {
+		return "ERR bad size: " + err.Error()
+	}
+	var durs [3]time.Duration
+	for i, a := range args[2:] {
+		d, err := time.ParseDuration(a)
+		if err != nil {
+			return "ERR bad duration: " + err.Error()
+		}
+		durs[i] = d
+	}
+	idx, d, err := admit(core.ObjectSpec{
+		Name:         args[0],
+		Size:         size,
+		UpdatePeriod: durs[0],
+		Constraint:   temporal.ExternalConstraint{DeltaP: durs[1], DeltaB: durs[2]},
+	})
+	if err != nil {
+		reason := d.Reason
+		if reason == "" {
+			reason = err.Error()
+		}
+		if d.SuggestedDeltaB > 0 {
+			return fmt.Sprintf("REJECT %s | suggest %v", reason, d.SuggestedDeltaB)
+		}
+		return "REJECT " + reason
+	}
+	if idx < 0 {
+		return fmt.Sprintf("OK %d %v", d.ObjectID, d.UpdatePeriod)
+	}
+	return fmt.Sprintf("OK shard %d %d %v", idx, d.ObjectID, d.UpdatePeriod)
+}
+
+// write decodes a WRITE line and submits it. reply is called exactly once:
+// with the submission's error, or later with the write's outcome.
+func write(args []string, reply func(string), submit func(name string, value []byte, done func(time.Duration, error)) error) {
 	if len(args) != 2 {
 		reply("ERR usage: WRITE <name> <base64-value>")
 		return
@@ -271,34 +299,31 @@ func (s *Server) write(args []string, reply func(string)) {
 		reply("ERR bad base64: " + err.Error())
 		return
 	}
-	s.primary.ClientWrite(args[0], value, func(lat time.Duration, err error) {
+	err = submit(args[0], value, func(lat time.Duration, err error) {
 		if err != nil {
 			reply("ERR " + err.Error())
 			return
 		}
 		reply(fmt.Sprintf("OK %v", lat))
 	})
+	if err != nil {
+		reply("ERR " + err.Error())
+	}
 }
 
-func (s *Server) read(args []string) string {
+// read renders the READ reply for the certificate lookup serves. The
+// certificate suffix is core.Certificate's own rendering, so every serving
+// surface reports the same age/δ_B/mode/θ/depth fields.
+func read(args []string, lookup func(name string) (core.Certificate, bool)) string {
 	if len(args) != 1 {
 		return "ERR usage: READ <name>"
 	}
-	cert, ok := s.primary.Certificate(args[0])
+	cert, ok := lookup(args[0])
 	if !ok {
 		return "ERR not found"
 	}
 	return fmt.Sprintf("OK %s %s %s", base64.StdEncoding.EncodeToString(cert.Value),
-		cert.Version.Format(time.RFC3339Nano), certFields(cert))
-}
-
-// certFields renders the staleness-certificate suffix shared by READ
-// replies and gateway EVENT frames. The rendering itself lives on
-// core.Certificate so every serving surface — replica reads, gateway
-// frames, ctl verbs — reports the same age/δ_B/mode/θ/depth fields and
-// cannot drift.
-func certFields(cert core.Certificate) string {
-	return cert.Fields()
+		cert.Version.Format(time.RFC3339Nano), cert.Fields())
 }
 
 // Client is a minimal control-protocol client used by cmd/rtpbctl and the

@@ -3,14 +3,11 @@ package ctl
 import (
 	"encoding/base64"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
 	"rtpb/internal/clock"
-	"rtpb/internal/core"
 	"rtpb/internal/gateway"
-	"rtpb/internal/temporal"
 )
 
 // GatewayServer exposes a gateway on the shared line protocol — the
@@ -86,11 +83,11 @@ func (s *GatewayServer) handle(c *lineConn, line string, reply func(string)) {
 	case "SESSIONS":
 		reply(s.sessionsStatus())
 	case "PLACE", "REGISTER":
-		reply(s.place(fields[1:]))
+		reply(register("PLACE", fields[1:], s.gw.Place))
 	case "WRITE":
-		s.write(fields[1:], reply)
+		write(fields[1:], reply, s.gw.Write)
 	case "READ":
-		reply(s.read(fields[1:]))
+		reply(read(fields[1:], s.gw.Read))
 	default:
 		reply("ERR unknown command " + cmd)
 	}
@@ -172,75 +169,6 @@ func (s *GatewayServer) sessionsStatus() string {
 		s.gw.Mode(), st.Delivered, st.Coalesced, st.DroppedShed, st.Broadcasts)
 }
 
-func (s *GatewayServer) place(args []string) string {
-	if len(args) != 5 {
-		return "ERR usage: PLACE <name> <size> <period> <deltaP> <deltaB>"
-	}
-	size, err := strconv.Atoi(args[1])
-	if err != nil {
-		return "ERR bad size: " + err.Error()
-	}
-	var durs [3]time.Duration
-	for i, a := range args[2:] {
-		d, err := time.ParseDuration(a)
-		if err != nil {
-			return "ERR bad duration: " + err.Error()
-		}
-		durs[i] = d
-	}
-	idx, d, err := s.gw.Place(core.ObjectSpec{
-		Name:         args[0],
-		Size:         size,
-		UpdatePeriod: durs[0],
-		Constraint:   temporal.ExternalConstraint{DeltaP: durs[1], DeltaB: durs[2]},
-	})
-	if err != nil {
-		reason := d.Reason
-		if reason == "" {
-			reason = err.Error()
-		}
-		if d.SuggestedDeltaB > 0 {
-			return fmt.Sprintf("REJECT %s | suggest %v", reason, d.SuggestedDeltaB)
-		}
-		return "REJECT " + reason
-	}
-	return fmt.Sprintf("OK shard %d %d %v", idx, d.ObjectID, d.UpdatePeriod)
-}
-
-func (s *GatewayServer) write(args []string, reply func(string)) {
-	if len(args) != 2 {
-		reply("ERR usage: WRITE <name> <base64-value>")
-		return
-	}
-	value, err := base64.StdEncoding.DecodeString(args[1])
-	if err != nil {
-		reply("ERR bad base64: " + err.Error())
-		return
-	}
-	err = s.gw.Write(args[0], value, func(lat time.Duration, err error) {
-		if err != nil {
-			reply("ERR " + err.Error())
-			return
-		}
-		reply(fmt.Sprintf("OK %v", lat))
-	})
-	if err != nil {
-		reply("ERR " + err.Error())
-	}
-}
-
-func (s *GatewayServer) read(args []string) string {
-	if len(args) != 1 {
-		return "ERR usage: READ <name>"
-	}
-	cert, ok := s.gw.Read(args[0])
-	if !ok {
-		return "ERR not found"
-	}
-	return fmt.Sprintf("OK %s %s %s", base64.StdEncoding.EncodeToString(cert.Value),
-		cert.Version.Format(time.RFC3339Nano), certFields(cert))
-}
-
 // connSink adapts a lineConn to the gateway Sink: frames become EVENT
 // lines on the connection's bounded push queue. A full queue returns the
 // error that flips the session onto the freshest-wins slow path.
@@ -252,7 +180,7 @@ func (k *connSink) Deliver(f Frame) error {
 	return k.conn.Push(fmt.Sprintf("EVENT %s %s %d %s %s %s",
 		f.Group, f.Object, f.Seq,
 		base64.StdEncoding.EncodeToString(f.Cert.Value),
-		f.Cert.Version.Format(time.RFC3339Nano), certFields(f.Cert)))
+		f.Cert.Version.Format(time.RFC3339Nano), f.Cert.Fields()))
 }
 
 func (k *connSink) Close() {}

@@ -1,16 +1,12 @@
 package ctl
 
 import (
-	"encoding/base64"
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"rtpb/internal/clock"
-	"rtpb/internal/core"
 	"rtpb/internal/shard"
-	"rtpb/internal/temporal"
 )
 
 // ShardServer exposes a sharded cluster on the same line protocol the
@@ -61,7 +57,7 @@ func (s *ShardServer) handle(line string, reply func(string)) {
 	cmd := strings.ToUpper(fields[0])
 	switch cmd {
 	case "PLACE", "REGISTER":
-		reply(s.place(fields[1:]))
+		reply(register("PLACE", fields[1:], s.cluster.Place))
 	case "ROUTE":
 		reply(s.route(fields[1:]))
 	case "SHARDS":
@@ -69,47 +65,12 @@ func (s *ShardServer) handle(line string, reply func(string)) {
 	case "MIGRATE":
 		reply(s.migrate(fields[1:]))
 	case "WRITE":
-		s.write(fields[1:], reply)
+		write(fields[1:], reply, s.cluster.Write)
 	case "READ":
-		reply(s.read(fields[1:]))
+		reply(read(fields[1:], s.cluster.Certificate))
 	default:
 		reply("ERR unknown command " + cmd)
 	}
-}
-
-func (s *ShardServer) place(args []string) string {
-	if len(args) != 5 {
-		return "ERR usage: PLACE <name> <size> <period> <deltaP> <deltaB>"
-	}
-	size, err := strconv.Atoi(args[1])
-	if err != nil {
-		return "ERR bad size: " + err.Error()
-	}
-	var durs [3]time.Duration
-	for i, a := range args[2:] {
-		d, err := time.ParseDuration(a)
-		if err != nil {
-			return "ERR bad duration: " + err.Error()
-		}
-		durs[i] = d
-	}
-	idx, d, err := s.cluster.Place(core.ObjectSpec{
-		Name:         args[0],
-		Size:         size,
-		UpdatePeriod: durs[0],
-		Constraint:   temporal.ExternalConstraint{DeltaP: durs[1], DeltaB: durs[2]},
-	})
-	if err != nil {
-		reason := d.Reason
-		if reason == "" {
-			reason = err.Error()
-		}
-		if d.SuggestedDeltaB > 0 {
-			return fmt.Sprintf("REJECT %s | suggest %v", reason, d.SuggestedDeltaB)
-		}
-		return "REJECT " + reason
-	}
-	return fmt.Sprintf("OK shard %d %d %v", idx, d.ObjectID, d.UpdatePeriod)
 }
 
 func (s *ShardServer) route(args []string) string {
@@ -148,38 +109,4 @@ func (s *ShardServer) migrate(args []string) string {
 		return "ERR " + err.Error()
 	}
 	return fmt.Sprintf("OK %s shard %d", args[0], dst)
-}
-
-func (s *ShardServer) write(args []string, reply func(string)) {
-	if len(args) != 2 {
-		reply("ERR usage: WRITE <name> <base64-value>")
-		return
-	}
-	value, err := base64.StdEncoding.DecodeString(args[1])
-	if err != nil {
-		reply("ERR bad base64: " + err.Error())
-		return
-	}
-	err = s.cluster.Write(args[0], value, func(lat time.Duration, err error) {
-		if err != nil {
-			reply("ERR " + err.Error())
-			return
-		}
-		reply(fmt.Sprintf("OK %v", lat))
-	})
-	if err != nil {
-		reply("ERR " + err.Error())
-	}
-}
-
-func (s *ShardServer) read(args []string) string {
-	if len(args) != 1 {
-		return "ERR usage: READ <name>"
-	}
-	cert, ok := s.cluster.Certificate(args[0])
-	if !ok {
-		return "ERR not found"
-	}
-	return fmt.Sprintf("OK %s %s %s", base64.StdEncoding.EncodeToString(cert.Value),
-		cert.Version.Format(time.RFC3339Nano), certFields(cert))
 }

@@ -1,8 +1,6 @@
 package xkernel
 
-import "fmt"
-
-// Transport is the datagram service a Driver bridges to: the simulated
+// Transport is the datagram service the driver bridges to: the simulated
 // network (internal/netsim) and the real-UDP transport both implement it.
 // Receive callbacks must be delivered serially on the protocol graph's
 // executor (the clock event loop).
@@ -18,94 +16,17 @@ type Transport interface {
 	Close() error
 }
 
-// Driver is the bottom protocol of a graph: it moves whole messages
-// between the graph and a datagram Transport. It adds no header.
-type Driver struct {
-	name  string
-	tr    Transport
-	upper Upper
+// driver is the bottom of the stack: it moves whole messages between the
+// layer above it and a Transport. It adds no header.
+type driver struct {
+	tr Transport
+	up func(m *Message, from Addr) error // the fragmenter's demux, or the port's
 }
 
-var _ Protocol = (*Driver)(nil)
+func (d *driver) push(host string, m *Message) error { return d.tr.Send(host, m.Bytes()) }
 
-// NewDriver wraps a transport as a graph-bottom protocol.
-func NewDriver(name string, tr Transport) *Driver {
-	d := &Driver{name: name, tr: tr}
-	tr.SetReceiver(func(from string, payload []byte) {
-		if d.upper == nil {
-			return // no protocol enabled yet: drop, as a NIC would
-		}
-		// Inbound bytes become a message; drivers own the payload copy.
-		_ = d.upper.Demux(FromWire(payload), Addr(from))
-	})
-	return d
-}
-
-// DriverFactory returns a Factory producing a Driver over tr.
-func DriverFactory(tr Transport) Factory {
-	return func(below Protocol, opts map[string]string) (Protocol, error) {
-		if below != nil {
-			return nil, fmt.Errorf("driver must be at the bottom of the graph, got %q below", below.Name())
-		}
-		name := opts["name"]
-		if name == "" {
-			name = "driver"
-		}
-		return NewDriver(name, tr), nil
-	}
-}
-
-// Name implements Protocol.
-func (d *Driver) Name() string { return d.name }
-
-// OpenEnable implements Protocol.
-func (d *Driver) OpenEnable(u Upper) error {
-	d.upper = u
-	return nil
-}
-
-// Open implements Protocol.
-func (d *Driver) Open(remote Addr) (Session, error) {
-	if remote == "" {
-		return nil, ErrBadAddress
-	}
-	return &driverSession{d: d, remote: remote}, nil
-}
-
-// Demux implements Protocol; a driver has nothing below it.
-func (d *Driver) Demux(m *Message, from Addr) error {
-	if d.upper == nil {
-		return ErrNoUpper
-	}
-	return d.upper.Demux(m, from)
-}
-
-// Control implements Protocol. Supported ops: "local-addr" → string.
-func (d *Driver) Control(op string, arg any) (any, error) {
-	switch op {
-	case "local-addr":
-		return d.tr.LocalAddr(), nil
-	default:
-		return nil, ErrUnknownControl
-	}
-}
-
-type driverSession struct {
-	d      *Driver
-	remote Addr
-	closed bool
-}
-
-func (s *driverSession) Push(m *Message) error {
-	if s.closed {
-		return ErrClosed
-	}
-	return s.d.tr.Send(string(s.remote), m.Bytes())
-}
-
-func (s *driverSession) Remote() Addr { return s.remote }
-
-func (s *driverSession) Close() error {
-	s.closed = true
-	return nil
+// receive is the Transport's receive callback. A datagram the layers above
+// reject is dropped, as a NIC would.
+func (d *driver) receive(from string, payload []byte) {
+	_ = d.up(FromWire(payload), Addr(from))
 }

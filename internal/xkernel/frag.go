@@ -8,32 +8,22 @@ import (
 	"rtpb/internal/clock"
 )
 
-// FragClock is the scheduling capability FragProtocol needs from its
-// host's clock.
-type FragClock interface {
-	Schedule(d time.Duration, fn func()) *clock.Event
-	Now() time.Time
-}
-
-// FragProtocol fragments messages larger than the transport MTU and
+// fragmenter splits messages larger than the transport MTU and
 // reassembles them on receipt — the role the x-kernel's BLAST protocol
-// plays in classic configurations. It demonstrates the protocol graph's
-// composability: insert it between the port protocol and the driver
-// (rtpb → uport → frag → driver) and large object updates transparently
-// survive a datagram transport.
+// plays in classic configurations. NewStack puts it between the port
+// protocol and the driver, so large object updates transparently survive
+// a datagram transport.
 //
 // Header (8 bytes, big-endian): message id (4), fragment index (2),
 // fragment count (2). Reassembly is per (source, message id); partial
-// messages are discarded after a timeout, since any fragment can be lost.
-type FragProtocol struct {
-	name       string
-	below      Protocol
-	upper      Upper
-	mtu        int
-	timeout    time.Duration
-	clk        FragClock
-	nextID     uint32
-	reassembly map[fragKey]*fragBuffer
+// messages are discarded after fragTimeout, since any fragment can be lost.
+type fragmenter struct {
+	mtu     int // payload per fragment, upper-layer headers included
+	clk     clock.Clock
+	down    *driver
+	port    *PortProtocol
+	nextID  uint32
+	pending map[fragKey]*fragBuffer
 }
 
 type fragKey struct {
@@ -44,88 +34,51 @@ type fragKey struct {
 type fragBuffer struct {
 	parts    [][]byte
 	received int
+	size     int // bytes held in parts
 	expires  *clock.Event
 }
 
-const fragHeaderLen = 8
+const (
+	fragHeaderLen = 8
+	fragTimeout   = time.Second
+	// maxMessage bounds one fragmented message. The largest message RTPB
+	// sends is one wire.MaxPayload (1 MiB) object plus headers. Push
+	// refuses a longer message, and demux drops a fragment of one, so a
+	// peer that lies about its fragment count cannot make the receiver
+	// hold more.
+	maxMessage = 2 << 20
+	// maxPending caps concurrent partial reassemblies: with maxMessage it
+	// bounds what lying peers can make a stack retain. A fragment that
+	// would start one more is dropped, like a lost datagram.
+	maxPending = 64
+)
 
-// FragOptions configures a FragProtocol.
-type FragOptions struct {
-	// Name is the protocol instance name; defaults to "frag".
-	Name string
-	// MTU is the maximum payload per fragment (including upper-layer
-	// headers, excluding the fragment header); defaults to 1400.
-	MTU int
-	// Timeout discards incomplete reassemblies; defaults to 1s.
-	Timeout time.Duration
-	// Clock schedules reassembly timeouts; required.
-	Clock FragClock
-}
-
-// NewFragProtocol layers fragmentation over the protocol below.
-func NewFragProtocol(opts FragOptions, below Protocol) (*FragProtocol, error) {
-	if below == nil {
-		return nil, fmt.Errorf("xkernel: frag protocol needs a protocol below")
+// push splits m into fragments of at most mtu bytes and sends each one.
+func (f *fragmenter) push(host string, m *Message) error {
+	payload := m.Bytes()
+	count := max(1, (len(payload)+f.mtu-1)/f.mtu)
+	if len(payload) > maxMessage || count > 0xFFFF {
+		return fmt.Errorf("xkernel: frag: %d-byte message exceeds %d bytes or 65535 fragments", len(payload), maxMessage)
 	}
-	if opts.Clock == nil {
-		return nil, fmt.Errorf("xkernel: frag protocol needs a clock")
-	}
-	f := &FragProtocol{
-		name:       opts.Name,
-		below:      below,
-		mtu:        opts.MTU,
-		timeout:    opts.Timeout,
-		clk:        opts.Clock,
-		reassembly: make(map[fragKey]*fragBuffer),
-	}
-	if f.name == "" {
-		f.name = "frag"
-	}
-	if f.mtu <= 0 {
-		f.mtu = 1400
-	}
-	if f.timeout <= 0 {
-		f.timeout = time.Second
-	}
-	if err := below.OpenEnable(f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// FragFactory returns a Factory producing a FragProtocol.
-func FragFactory(opts FragOptions) Factory {
-	return func(below Protocol, cfg map[string]string) (Protocol, error) {
-		if n := cfg["name"]; n != "" {
-			opts.Name = n
+	f.nextID++
+	for idx := 0; idx < count; idx++ {
+		lo := idx * f.mtu
+		frag := NewMessage(payload[lo:min(lo+f.mtu, len(payload))])
+		var h [fragHeaderLen]byte
+		binary.BigEndian.PutUint32(h[0:4], f.nextID)
+		binary.BigEndian.PutUint16(h[4:6], uint16(idx))
+		binary.BigEndian.PutUint16(h[6:8], uint16(count))
+		frag.Push(h[:])
+		if err := f.down.push(host, frag); err != nil {
+			return err
 		}
-		return NewFragProtocol(opts, below)
 	}
-}
-
-var _ Protocol = (*FragProtocol)(nil)
-
-// Name implements Protocol.
-func (f *FragProtocol) Name() string { return f.name }
-
-// OpenEnable implements Protocol.
-func (f *FragProtocol) OpenEnable(u Upper) error {
-	f.upper = u
 	return nil
 }
 
-// Open implements Protocol.
-func (f *FragProtocol) Open(remote Addr) (Session, error) {
-	down, err := f.below.Open(remote)
-	if err != nil {
-		return nil, err
-	}
-	return &fragSession{f: f, down: down, remote: remote}, nil
-}
-
-// Demux implements Protocol: strip the fragment header, reassemble, and
-// deliver complete messages upward.
-func (f *FragProtocol) Demux(m *Message, from Addr) error {
+// demux strips the fragment header, reassembles, and delivers complete
+// messages to the port protocol.
+func (f *fragmenter) demux(m *Message, from Addr) error {
 	h, err := m.Pop(fragHeaderLen)
 	if err != nil {
 		return err
@@ -134,108 +87,54 @@ func (f *FragProtocol) Demux(m *Message, from Addr) error {
 	idx := int(binary.BigEndian.Uint16(h[4:6]))
 	count := int(binary.BigEndian.Uint16(h[6:8]))
 	if count == 0 || idx >= count {
-		return fmt.Errorf("xkernel: %s: bad fragment %d/%d", f.name, idx, count)
+		return fmt.Errorf("xkernel: frag: bad fragment %d/%d", idx, count)
 	}
 	if count == 1 {
-		return f.deliver(m, from)
+		return f.port.demux(m, from)
+	}
+	if (count-1)*f.mtu >= maxMessage {
+		return fmt.Errorf("xkernel: frag: %d fragments of %d bytes exceed %d bytes", count, f.mtu, maxMessage)
 	}
 	key := fragKey{from: from, id: id}
-	buf, ok := f.reassembly[key]
+	buf, ok := f.pending[key]
 	if !ok {
+		if len(f.pending) >= maxPending {
+			return fmt.Errorf("xkernel: frag: %d reassemblies pending", maxPending)
+		}
 		buf = &fragBuffer{parts: make([][]byte, count)}
-		buf.expires = f.clk.Schedule(f.timeout, func() {
-			delete(f.reassembly, key)
+		buf.expires = f.clk.Schedule(fragTimeout, func() {
+			delete(f.pending, key)
 		})
-		f.reassembly[key] = buf
+		f.pending[key] = buf
 	}
 	if len(buf.parts) != count {
-		// Conflicting fragment count: drop the whole reassembly.
-		buf.expires.Cancel()
-		delete(f.reassembly, key)
-		return fmt.Errorf("xkernel: %s: fragment count changed mid-message", f.name)
+		f.drop(key, buf)
+		return fmt.Errorf("xkernel: frag: fragment count changed mid-message")
 	}
 	if buf.parts[idx] == nil {
+		if buf.size+m.Len() > maxMessage {
+			f.drop(key, buf)
+			return fmt.Errorf("xkernel: frag: message %d exceeds %d bytes", id, maxMessage)
+		}
 		part := make([]byte, m.Len())
 		copy(part, m.Bytes())
 		buf.parts[idx] = part
+		buf.size += len(part)
 		buf.received++
 	}
 	if buf.received < count {
 		return nil
 	}
-	buf.expires.Cancel()
-	delete(f.reassembly, key)
-	total := 0
-	for _, p := range buf.parts {
-		total += len(p)
-	}
-	whole := make([]byte, 0, total)
+	f.drop(key, buf)
+	whole := make([]byte, 0, buf.size)
 	for _, p := range buf.parts {
 		whole = append(whole, p...)
 	}
-	return f.deliver(FromWire(whole), from)
+	return f.port.demux(FromWire(whole), from)
 }
 
-func (f *FragProtocol) deliver(m *Message, from Addr) error {
-	if f.upper == nil {
-		return ErrNoUpper
-	}
-	return f.upper.Demux(m, from)
-}
-
-// Control implements Protocol. Supported ops: "mtu" → int,
-// "pending-reassemblies" → int, otherwise delegated below.
-func (f *FragProtocol) Control(op string, arg any) (any, error) {
-	switch op {
-	case "mtu":
-		return f.mtu, nil
-	case "pending-reassemblies":
-		return len(f.reassembly), nil
-	default:
-		return f.below.Control(op, arg)
-	}
-}
-
-type fragSession struct {
-	f      *FragProtocol
-	down   Session
-	remote Addr
-	closed bool
-}
-
-func (s *fragSession) Push(m *Message) error {
-	if s.closed {
-		return ErrClosed
-	}
-	payload := m.Bytes()
-	count := (len(payload) + s.f.mtu - 1) / s.f.mtu
-	if count == 0 {
-		count = 1
-	}
-	if count > 0xFFFF {
-		return fmt.Errorf("xkernel: %s: message needs %d fragments (max 65535)", s.f.name, count)
-	}
-	s.f.nextID++
-	id := s.f.nextID
-	for idx := 0; idx < count; idx++ {
-		lo := idx * s.f.mtu
-		hi := min(lo+s.f.mtu, len(payload))
-		frag := NewMessage(payload[lo:hi])
-		var h [fragHeaderLen]byte
-		binary.BigEndian.PutUint32(h[0:4], id)
-		binary.BigEndian.PutUint16(h[4:6], uint16(idx))
-		binary.BigEndian.PutUint16(h[6:8], uint16(count))
-		frag.Push(h[:])
-		if err := s.down.Push(frag); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *fragSession) Remote() Addr { return s.remote }
-
-func (s *fragSession) Close() error {
-	s.closed = true
-	return s.down.Close()
+// drop forgets a reassembly and cancels its timeout.
+func (f *fragmenter) drop(key fragKey, buf *fragBuffer) {
+	buf.expires.Cancel()
+	delete(f.pending, key)
 }

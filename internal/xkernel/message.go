@@ -1,11 +1,12 @@
-// Package xkernel is a from-scratch reimplementation of the x-kernel
-// protocol-development architecture (Hutchinson & Peterson) that the paper
-// uses as its implementation substrate. It provides the uniform protocol
-// interface (open/push/demux/control), messages with efficient header
-// push/pop, and a declaratively configured protocol graph. The RTPB
-// protocol in internal/core is written as an anchor protocol in this
-// framework, mirroring Figure 5 of the paper: RTPB sits on a UDP-like port
-// protocol, which sits on a network driver.
+// Package xkernel is the protocol stack of the paper's x-kernel prototype
+// (Figure 5), fixed to the one graph the paper runs: RTPB sits on a
+// UDP-like port protocol, which sits on a network driver, with an
+// optional fragmentation layer between the two. NewStack wires the three
+// typed layers directly. The package keeps the x-kernel's layering,
+// header formats, sessions and messages with efficient header push/pop;
+// it does not keep the uniform protocol interface, the control operations
+// or a configurable protocol graph. The RTPB protocol in internal/core is
+// the anchor protocol enabled on the port protocol.
 package xkernel
 
 import "errors"
@@ -70,9 +71,4 @@ func (m *Message) Pop(n int) ([]byte, error) {
 	h := m.buf[m.off : m.off+n]
 	m.off += n
 	return h, nil
-}
-
-// Clone returns an independent copy of the message with fresh headroom.
-func (m *Message) Clone() *Message {
-	return NewMessage(m.Bytes())
 }

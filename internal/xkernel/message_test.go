@@ -52,15 +52,6 @@ func TestMessagePushGrowsBeyondHeadroom(t *testing.T) {
 	}
 }
 
-func TestMessageCloneIsIndependent(t *testing.T) {
-	m := NewMessage([]byte("data"))
-	c := m.Clone()
-	c.Push([]byte("x"))
-	if m.Len() != 4 {
-		t.Fatalf("clone mutation affected original: len=%d", m.Len())
-	}
-}
-
 func TestMessagePushPopRoundTripProperty(t *testing.T) {
 	f := func(payload []byte, headers [][]byte) bool {
 		m := NewMessage(payload)

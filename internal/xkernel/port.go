@@ -12,61 +12,17 @@ import (
 // (source port, destination port). In the paper's stack this is the role
 // UDP plays beneath the RTPB anchor protocol.
 type PortProtocol struct {
-	name      string
-	below     Protocol
-	down      Session // session to the protocol below, per remote host
-	sessions  map[Addr]Session
-	bindings  map[uint16]Upper
-	nextEphem uint16
+	down     lower
+	bindings map[uint16]Upper
 }
-
-var _ Protocol = (*PortProtocol)(nil)
 
 // portHeaderLen is srcPort(2) + dstPort(2).
 const portHeaderLen = 4
 
-// NewPortProtocol layers port multiplexing over the protocol below.
-func NewPortProtocol(name string, below Protocol) (*PortProtocol, error) {
-	if below == nil {
-		return nil, fmt.Errorf("xkernel: port protocol %q needs a protocol below", name)
-	}
-	p := &PortProtocol{
-		name:      name,
-		below:     below,
-		sessions:  make(map[Addr]Session),
-		bindings:  make(map[uint16]Upper),
-		nextEphem: 49152,
-	}
-	if err := below.OpenEnable(p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// PortFactory returns a Factory producing a PortProtocol.
-func PortFactory() Factory {
-	return func(below Protocol, opts map[string]string) (Protocol, error) {
-		name := opts["name"]
-		if name == "" {
-			name = "uport"
-		}
-		return NewPortProtocol(name, below)
-	}
-}
-
-// Name implements Protocol.
-func (p *PortProtocol) Name() string { return p.name }
-
-// OpenEnable implements Protocol. A port protocol demuxes by port number,
-// so passive opens must name a port; use EnablePort instead.
-func (p *PortProtocol) OpenEnable(Upper) error {
-	return fmt.Errorf("xkernel: %s: OpenEnable without a port; use EnablePort", p.name)
-}
-
 // EnablePort registers u to receive messages addressed to port.
 func (p *PortProtocol) EnablePort(port uint16, u Upper) error {
 	if _, taken := p.bindings[port]; taken {
-		return fmt.Errorf("xkernel: %s: port %d already enabled", p.name, port)
+		return fmt.Errorf("xkernel: uport: port %d already enabled", port)
 	}
 	p.bindings[port] = u
 	return nil
@@ -77,38 +33,19 @@ func (p *PortProtocol) DisablePort(port uint16) {
 	delete(p.bindings, port)
 }
 
-// Open implements Protocol: remote must be "host:port". The local port is
-// ephemeral; use OpenFrom to pin it.
-func (p *PortProtocol) Open(remote Addr) (Session, error) {
-	port := p.nextEphem
-	p.nextEphem++
-	if p.nextEphem == 0 {
-		p.nextEphem = 49152
-	}
-	return p.OpenFrom(port, remote)
-}
-
 // OpenFrom opens a session to remote ("host:port") with the given local
 // port, which is how a well-known-port protocol like RTPB opens its peer.
-func (p *PortProtocol) OpenFrom(local uint16, remote Addr) (Session, error) {
-	host, rport, err := SplitHostPort(remote)
+func (p *PortProtocol) OpenFrom(local uint16, remote Addr) (*Session, error) {
+	host, rport, err := splitHostPort(remote)
 	if err != nil {
 		return nil, err
 	}
-	down, ok := p.sessions[Addr(host)]
-	if !ok {
-		down, err = p.below.Open(Addr(host))
-		if err != nil {
-			return nil, err
-		}
-		p.sessions[Addr(host)] = down
-	}
-	return &portSession{p: p, down: down, remote: remote, local: local, rport: rport}, nil
+	return &Session{p: p, host: host, local: local, rport: rport}, nil
 }
 
-// Demux implements Protocol: strip the port header and deliver to the
-// upper protocol bound to the destination port.
-func (p *PortProtocol) Demux(m *Message, from Addr) error {
+// demux strips the port header and delivers to the upper protocol bound
+// to the destination port.
+func (p *PortProtocol) demux(m *Message, from Addr) error {
 	h, err := m.Pop(portHeaderLen)
 	if err != nil {
 		return err
@@ -122,27 +59,19 @@ func (p *PortProtocol) Demux(m *Message, from Addr) error {
 	return u.Demux(m, JoinHostPort(string(from), src))
 }
 
-// Control implements Protocol. Supported ops:
-// "local-addr" → string (delegated to the protocol below).
-func (p *PortProtocol) Control(op string, arg any) (any, error) {
-	switch op {
-	case "local-addr":
-		return p.below.Control(op, arg)
-	default:
-		return nil, ErrUnknownControl
-	}
-}
-
-type portSession struct {
+// Session is an open channel from a local port to a remote host's port
+// (the x-kernel session object).
+type Session struct {
 	p      *PortProtocol
-	down   Session
-	remote Addr
+	host   string
 	local  uint16
 	rport  uint16
 	closed bool
 }
 
-func (s *portSession) Push(m *Message) error {
+// Push prepends the port header and sends m down the stack (the x-kernel
+// xPush).
+func (s *Session) Push(m *Message) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -150,18 +79,14 @@ func (s *portSession) Push(m *Message) error {
 	binary.BigEndian.PutUint16(h[0:2], s.local)
 	binary.BigEndian.PutUint16(h[2:4], s.rport)
 	m.Push(h[:])
-	return s.down.Push(m)
+	return s.p.down.push(s.host, m)
 }
 
-func (s *portSession) Remote() Addr { return s.remote }
+// Close releases the session: a later Push returns ErrClosed.
+func (s *Session) Close() { s.closed = true }
 
-func (s *portSession) Close() error {
-	s.closed = true
-	return nil
-}
-
-// SplitHostPort parses "host:port" (the last colon separates the port).
-func SplitHostPort(a Addr) (host string, port uint16, err error) {
+// splitHostPort parses "host:port" (the last colon separates the port).
+func splitHostPort(a Addr) (host string, port uint16, err error) {
 	s := string(a)
 	i := strings.LastIndexByte(s, ':')
 	if i < 0 || i == len(s)-1 || i == 0 {
