@@ -77,7 +77,6 @@ import (
 	"rtpb/internal/durable"
 	"rtpb/internal/failover"
 	"rtpb/internal/netsim"
-	"rtpb/internal/temporal"
 	"rtpb/internal/xkernel"
 )
 
@@ -272,7 +271,10 @@ func runReplica(clk *clock.RealClock, cfg core.Config, role core.Role, ctlAddr, 
 		}
 		if recovered != nil {
 			if role == core.RolePrimary {
-				n := resumePrimary(r, recovered)
+				n, errs := r.ResumeFromDisk(recovered)
+				for _, err := range errs {
+					log.Printf("not resumed: %v", err)
+				}
 				log.Printf("resumed as primary under fenced epoch %d with %d restored object value(s)",
 					r.Epoch(), n)
 			} else if n := r.RestoreDurable(recovered); n > 0 {
@@ -298,12 +300,7 @@ func runReplica(clk *clock.RealClock, cfg core.Config, role core.Role, ctlAddr, 
 			// dead upstream simply lets its certificates age out of bound.
 			r.Subscribe(500 * time.Millisecond)
 		} else if heartbeat {
-			if role == core.RolePrimary {
-				err = wirePrimaryDetector(clk, r)
-			} else {
-				err = wireBackupDetector(clk, r, takeover)
-			}
-			if err != nil {
+			if err := wireDetector(clk, r, takeover); err != nil {
 				errCh <- err
 				return
 			}
@@ -350,52 +347,33 @@ func runReplica(clk *clock.RealClock, cfg core.Config, role core.Role, ctlAddr, 
 	return nil
 }
 
-// resumePrimary rebuilds a restarted primary from its recovered durable
-// image: specs re-enter through Register — in recovered-ID order, so IDs
-// survive the power cycle and admission accounting is rebuilt — values
-// are seeded with their recovered versions, and the serving epoch is
-// fenced one above everything witnessed on disk, so any straggler
-// traffic from the previous incarnation is rejected.
-func resumePrimary(p *core.Primary, st *durable.State) int {
-	restored := 0
-	for i := range st.Objects {
-		d := &st.Objects[i]
-		if d.Name == "" {
-			continue
-		}
-		dec := p.Register(core.ObjectSpec{
-			Name:         d.Name,
-			Size:         int(d.Size),
-			UpdatePeriod: time.Duration(d.Period),
-			Constraint: temporal.ExternalConstraint{
-				DeltaP: time.Duration(d.DeltaP),
-				DeltaB: time.Duration(d.DeltaB),
-			},
-			Critical: d.Critical,
-		})
-		if !dec.Accepted {
-			log.Printf("recovered object %q no longer admissible: %s", d.Name, dec.Reason)
-			continue
-		}
-		if d.HasData {
-			if err := p.SeedObject(d.Name, d.Value, time.Unix(0, d.Version)); err == nil {
-				restored++
-			}
-		}
-	}
-	p.SetEpoch(st.Epoch + 1)
-	p.NoteDiskRestore(restored)
-	return restored
-}
-
-// wirePrimaryDetector watches the backup: on its death, update events to
-// it are cancelled and the detector keeps probing so a restarted backup
-// is re-integrated automatically.
-func wirePrimaryDetector(clk *clock.RealClock, p *core.Primary) error {
+// wireDetector runs the heartbeat failure detector toward the replica's
+// peer; after a death verdict it keeps probing, so a restarted peer is
+// noticed. A primary watches its backup: on the backup's death, update
+// events to it are cancelled until it answers again, and then it is
+// re-integrated with a state transfer. A backup watches its primary:
+// without -takeover it only logs the verdict; with it, the replica
+// promotes in place and awaits recruits (rtpbctl recruit re-attaches a
+// restarted peer).
+func wireDetector(clk *clock.RealClock, r *core.Replica, takeover bool) error {
+	primary := r.Role() == core.RolePrimary
 	var det *failover.Detector
-	det, err := failover.NewDetector(clk, failover.DefaultDetectorConfig(), p.SendPing, func() {
-		log.Printf("backup declared DEAD; update events cancelled, probing for recovery")
-		p.SetBackupAlive(false)
+	det, err := failover.NewDetector(clk, failover.DefaultDetectorConfig(), r.SendPing, func() {
+		switch {
+		case primary:
+			log.Printf("backup declared DEAD; update events cancelled, probing for recovery")
+			r.SetBackupAlive(false)
+		case !takeover:
+			log.Printf("PRIMARY DECLARED DEAD — run with -takeover to promote in place; probing for recovery")
+		default:
+			if _, err := failover.Promote(r, failover.PromoteOptions{Service: "rtpbd"}); err != nil {
+				log.Printf("takeover failed: %v", err)
+				return
+			}
+			log.Printf("PRIMARY DECLARED DEAD — promoted in place: role=%s epoch=%d transitions=%d",
+				r.Role(), r.Epoch(), r.Transitions())
+			return
+		}
 		clk.Schedule(2*time.Second, func() {
 			det.Reset()
 			det.Start()
@@ -404,43 +382,13 @@ func wirePrimaryDetector(clk *clock.RealClock, p *core.Primary) error {
 	if err != nil {
 		return err
 	}
-	p.OnPingAck = func(seq uint64) {
-		if !p.BackupAlive() {
+	r.OnPingAck = func(seq uint64) {
+		if primary && !r.BackupAlive() {
 			log.Printf("backup responding again; resuming with state transfer")
-			p.SetBackupAlive(true)
+			r.SetBackupAlive(true)
 		}
 		det.OnAck(seq)
 	}
-	det.Start()
-	return nil
-}
-
-// wireBackupDetector watches the primary. Without -takeover it only logs
-// the verdict and keeps probing; with -takeover it promotes the replica
-// in place and leaves the new primary awaiting recruits (rtpbctl
-// recruit re-attaches a restarted peer).
-func wireBackupDetector(clk *clock.RealClock, b *core.Backup, takeover bool) error {
-	var det *failover.Detector
-	det, err := failover.NewDetector(clk, failover.DefaultDetectorConfig(), b.SendPing, func() {
-		if !takeover {
-			log.Printf("PRIMARY DECLARED DEAD — run with -takeover to promote in place; probing for recovery")
-			clk.Schedule(2*time.Second, func() {
-				det.Reset()
-				det.Start()
-			})
-			return
-		}
-		if _, err := failover.Promote(b, failover.PromoteOptions{Service: "rtpbd"}); err != nil {
-			log.Printf("takeover failed: %v", err)
-			return
-		}
-		log.Printf("PRIMARY DECLARED DEAD — promoted in place: role=%s epoch=%d transitions=%d",
-			b.Role(), b.Epoch(), b.Transitions())
-	})
-	if err != nil {
-		return err
-	}
-	b.OnPingAck = det.OnAck
 	det.Start()
 	return nil
 }

@@ -2,7 +2,7 @@
 // stack. A Scenario scripts a fault schedule — timed link degradation,
 // symmetric and asymmetric partitions, replica crash and restart,
 // heartbeat suppression, duplication storms — against a harnessed cluster
-// of core.Primary/core.Backup replicas wired with the failover machinery
+// of core.Replica replicas wired with the failover machinery
 // (detectors, name service, promotion), all driven by clock.SimClock and
 // netsim.Network so a run is a pure function of (scenario, seed).
 //

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,28 +36,20 @@ const (
 )
 
 // Node is one machine in the harnessed cluster: a fabric host (name,
-// endpoint, port protocol, RTPB address) plus what runs on it. A node
-// hosts at most one replica role at a time; promotion and restart swap
-// the role in place, exactly like the paper's deployment.
+// endpoint, port protocol, RTPB address, clock) plus what runs on it.
+// Every component the node runs — replica, detector, rejoiner — reads
+// the host's clock, never the fabric's, so per-node clock faults
+// (ClockSkew, ClockDrift, ClockStep) reach exactly the code a faulty
+// oscillator would reach on a real machine.
 type Node struct {
 	*topo.Host
-	// Clk is the node's own timebase: a clock.SkewedClock over the
-	// harness clock, transparent until a clock fault (ClockSkew,
-	// ClockDrift, ClockStep) perturbs it. Every component the node runs —
-	// replica, detector, rejoiner — reads this clock, never the fabric's,
-	// so per-node clock faults reach exactly the code a faulty oscillator
-	// would reach on a real machine. It survives crashes and restarts:
-	// the machine's clock fault outlives the process.
-	Clk *clock.SkewedClock
-	// Primary is the node's primary replica, if it currently runs one.
-	Primary *core.Primary
-	// Backup is the node's backup replica, if it currently runs one.
-	Backup *core.Backup
-	// Observer is the node's read-only observer replica, if it runs one
-	// (Scenario.Observers). Observer nodes never host a detector: they
-	// have no failover verdict to reach.
-	Observer *core.Observer
-	// Det is the backup-side failure detector, when Backup is set.
+	// Rep is the node's one replica (nil while the node is down). Its
+	// role is Rep.Role(): promotion flips it in place, exactly like the
+	// paper's deployment. Observer nodes (Scenario.Observers) run an
+	// observer and never host a detector: they have no failover verdict
+	// to reach.
+	Rep *core.Replica
+	// Det is the backup-side failure detector, while Rep is a backup.
 	Det *failover.Detector
 	// Dur is the node's durable store (Scenario.Durable); crash closes
 	// it but leaves its files under DurDir for a later restart.
@@ -64,19 +57,15 @@ type Node struct {
 	// DurDir is the node's durable directory (empty without Durable).
 	DurDir string
 
-	peer    xkernel.Addr // primary this node's backup replicates from
 	applies int
 }
 
-// shadow returns the node's stream-applying replica view — its backup or
-// its observer — or nil when the node currently runs neither. The apply
-// instrumentation is role-agnostic: both roles run the same upstream
-// handlers.
-func (n *Node) shadow() *core.Replica {
-	if n.Backup != nil {
-		return n.Backup
+// running returns the node's replica if it is running in role, else nil.
+func (n *Node) running(role core.Role) *core.Replica {
+	if n.Rep == nil || !n.Rep.Running() || n.Rep.Role() != role {
+		return nil
 	}
-	return n.Observer
+	return n.Rep
 }
 
 // Harness is a running chaos cluster: the simulated fabric, the nodes,
@@ -96,7 +85,7 @@ type Harness struct {
 	// role is excluded from.
 	obsOrder []string
 
-	active     *core.Primary
+	active     *core.Replica
 	activeNode string
 
 	start       time.Time
@@ -149,7 +138,7 @@ func (h *Harness) Clock() clock.Clock { return h.clk }
 
 // ActivePrimary returns the primary currently serving clients and the
 // node hosting it.
-func (h *Harness) ActivePrimary() (*core.Primary, string) { return h.active, h.activeNode }
+func (h *Harness) ActivePrimary() (*core.Replica, string) { return h.active, h.activeNode }
 
 // Monitor exposes the temporal-consistency monitor.
 func (h *Harness) Monitor() *temporal.Monitor { return h.mon }
@@ -224,9 +213,11 @@ func (h *Harness) build() error {
 		names = append(names, StandbyNode)
 	}
 	for _, name := range names {
-		if _, err := h.buildNode(name); err != nil {
+		host, err := h.fabric.Host(name)
+		if err != nil {
 			return err
 		}
+		h.nodes[name] = &Node{Host: host}
 		h.order = append(h.order, name)
 	}
 
@@ -249,41 +240,25 @@ func (h *Harness) build() error {
 	}
 
 	// The primary replicates to every other node.
-	var peers []xkernel.Addr
+	pn := h.nodes[PrimaryNode]
+	cfg := h.config(pn)
 	for _, name := range h.order[1:] {
-		peers = append(peers, h.nodes[name].Addr)
+		cfg.Peers = append(cfg.Peers, h.nodes[name].Addr)
 	}
-	primary, err := core.NewPrimary(core.Config{
-		Clock:      h.nodes[PrimaryNode].Clk,
-		Port:       h.nodes[PrimaryNode].Port,
-		Peers:      peers,
-		Ell:        sc.Ell,
-		Scheduling: sc.Scheduling,
-		Costs:      sc.Costs,
-		Governor:   sc.Governor,
-		FrameBatch: sc.FrameBatch,
-		Durable:    h.nodes[PrimaryNode].Dur,
-	})
+	primary, err := core.NewPrimary(cfg)
 	if err != nil {
 		return err
 	}
 	h.wireGovernor(primary)
-	h.nodes[PrimaryNode].Primary = primary
+	pn.Rep = primary
 	h.active = primary
 	h.activeNode = PrimaryNode
-	if err := h.ns.Set(ServiceName, h.nodes[PrimaryNode].Addr, 1); err != nil {
+	if err := h.ns.Set(ServiceName, pn.Addr, 1); err != nil {
 		return err
 	}
 
 	for _, name := range h.order[1:] {
-		n := h.nodes[name]
-		b, err := core.NewBackup(h.backupConfig(n, h.nodes[PrimaryNode].Addr))
-		if err != nil {
-			return err
-		}
-		n.Backup = b
-		n.peer = h.nodes[PrimaryNode].Addr
-		if err := h.wireBackup(n); err != nil {
+		if err := h.startShadow(h.nodes[name], core.RoleBackup, pn.Addr); err != nil {
 			return err
 		}
 		for _, spec := range sc.Objects {
@@ -315,18 +290,6 @@ func (h *Harness) build() error {
 	return nil
 }
 
-// buildNode attaches one named machine to the fabric with its own
-// skewed clock.
-func (h *Harness) buildNode(name string) (*Node, error) {
-	host, err := h.fabric.Host(name)
-	if err != nil {
-		return nil, err
-	}
-	n := &Node{Host: host, Clk: clock.NewSkewed(h.clk)}
-	h.nodes[name] = n
-	return n, nil
-}
-
 // attachObserver builds one observer node and subscribes it to its
 // upstream. The observer drives its own attach (core.Replica.Subscribe)
 // exactly like a real deployment (rtpbd -observe). No detector, no
@@ -340,63 +303,32 @@ func (h *Harness) attachObserver(spec ObserverSpec) error {
 	if h.nodes[spec.Name] != nil {
 		return fmt.Errorf("chaos: observer %q: node name already in use", spec.Name)
 	}
-	n, err := h.buildNode(spec.Name)
+	host, err := h.fabric.Host(spec.Name)
 	if err != nil {
 		return err
 	}
+	n := &Node{Host: host}
+	h.nodes[spec.Name] = n
 	h.obsOrder = append(h.obsOrder, spec.Name)
-	obs, err := core.NewObserver(h.backupConfig(n, up.Addr))
-	if err != nil {
+	if err := h.startShadow(n, core.RoleObserver, up.Addr); err != nil {
 		return err
 	}
-	n.Observer = obs
-	n.peer = up.Addr
-	h.wireObserver(n)
 	for _, os := range h.sc.Objects {
 		h.mon.TrackExternal(spec.Name, os.Name, os.Constraint.DeltaB)
 	}
-	obs.Subscribe(100 * time.Millisecond)
+	n.Rep.Subscribe(100 * time.Millisecond)
 	h.logf("%s observes %s", spec.Name, spec.Upstream)
 	return nil
 }
 
-// wireObserver attaches the monitor hooks to an observer node: the same
-// streaming apply/mode/catch-up instrumentation a backup gets, minus the
-// failure detector and the rejoin bookkeeping — an observer has no
-// failover verdict to reach and no degree to restore.
-func (h *Harness) wireObserver(n *Node) {
-	obs := n.Observer
-	obs.OnApply = func(_ uint32, name string, epoch uint32, _ uint64, version, at time.Time) {
-		h.observeApply(n, name, epoch, version, at)
-	}
-	obs.OnModeChange = h.modeChangeHook(n)
-	obs.OnJoinAccept = func(epoch uint32, specs int) {
-		h.logf("%s: observer subscription accepted at epoch %d (%d specs); catch-up begins",
-			n.Name, epoch, specs)
-		for _, spec := range h.sc.Objects {
-			h.mon.BeginCatchUp(n.Name, spec.Name, n.Clk.Now())
-		}
-	}
-	obs.OnCatchUp = func(_ uint32, object string, staleness time.Duration) {
-		h.mon.EndCatchUp(n.Name, object)
-		h.logf("%s: %q caught up (staleness %v)", n.Name, object,
-			staleness.Round(100*time.Microsecond))
-	}
-	if h.sc.ClockSync {
-		h.startUncertaintyFeed(n, obs)
-	}
-}
-
-// backupConfig builds a backup replica's configuration. It carries the
-// scenario's full scheduling, cost, and governor configuration even
-// though the backup role ignores them: promotion is in-place, so the
-// config a replica is built with is the config it will serve with after
-// takeover.
-func (h *Harness) backupConfig(n *Node, primary xkernel.Addr) core.Config {
+// config builds the configuration of a replica on the node, in any
+// role: promotion is in-place, so the config a backup is built with is
+// the config it will serve with after takeover. Callers add the
+// upstream (Peer) or the downstream peers (Peers).
+func (h *Harness) config(n *Node) core.Config {
 	return core.Config{
 		Clock:                n.Clk,
 		Port:                 n.Port,
-		Peer:                 primary,
 		Durable:              n.Dur,
 		Ell:                  h.sc.Ell,
 		Scheduling:           h.sc.Scheduling,
@@ -443,32 +375,94 @@ func (h *Harness) cleanupDurable() {
 
 // wireGovernor logs the primary-side overload governor's rung
 // transitions (the authoritative record of ladder activity).
-func (h *Harness) wireGovernor(p *core.Primary) {
+func (h *Harness) wireGovernor(p *core.Replica) {
 	p.OnModeChange = func(_ uint32, name string, mode core.ObjectMode, bound time.Duration) {
 		h.logf("governor: %q -> %s (effective bound %v)", name, mode, bound)
 	}
 }
 
-// wireBackup attaches the monitor hooks and a fresh failure detector to
-// the node's backup replica.
-func (h *Harness) wireBackup(n *Node) error {
-	b := n.Backup
-	h.wireCatchUp(n, b)
-	b.OnApply = func(_ uint32, name string, epoch uint32, _ uint64, version, at time.Time) {
-		h.observeApply(n, name, epoch, version, at)
-	}
-	b.OnModeChange = h.modeChangeHook(n)
-	det, err := failover.NewDetector(n.Clk, h.sc.Detector, b.SendPing, func() {
-		h.onPrimaryDead(n)
-	})
+// startShadow starts a backup or an observer on the node, shadowing
+// upstream, and wires it.
+func (h *Harness) startShadow(n *Node, role core.Role, upstream xkernel.Addr) error {
+	cfg := h.config(n)
+	cfg.Peer = upstream
+	r, err := core.NewReplica(cfg, role)
 	if err != nil {
 		return err
 	}
-	b.OnPingAck = det.OnAck
-	n.Det = det
-	det.Start()
+	n.Rep = r
+	return h.wireShadow(n)
+}
+
+// wireShadow streams the node's backup or observer into the monitor:
+// applies, mode changes and catch-up. When a JoinAccept lands, every
+// object's bound is suspended (the transferred image carries no temporal
+// guarantee) until the replica declares it inside δ_i^B again. Only a
+// backup gets a failure detector and the rejoin bookkeeping: an observer
+// has no failover verdict to reach and no degree to restore.
+func (h *Harness) wireShadow(n *Node) error {
+	r := n.Rep
+	observer := r.Role() == core.RoleObserver
+	r.OnApply = func(_ uint32, name string, epoch uint32, _ uint64, version, at time.Time) {
+		h.observeApply(n, r, name, epoch, version, at)
+	}
+	r.OnModeChange = h.modeChangeHook(n)
+	r.OnJoinAccept = func(epoch uint32, specs int) {
+		what := "join"
+		if observer {
+			what = "observer subscription"
+		}
+		h.logf("%s: %s accepted at epoch %d (%d specs); catch-up begins", n.Name, what, epoch, specs)
+		if _, rejoining := h.rejoinAt[n.Name]; rejoining {
+			if _, seen := h.joinAcceptAt[n.Name]; !seen {
+				// First accept after a rejoin: the anti-entropy transfer
+				// starts here. Its completion (OnJoined) closes the
+				// window the disk-vs-network sweep measures.
+				h.joinAcceptAt[n.Name] = h.clk.Now()
+			}
+		}
+		for _, spec := range h.sc.Objects {
+			h.mon.BeginCatchUp(n.Name, spec.Name, n.Clk.Now())
+		}
+	}
+	r.OnStateTransfer = func(epoch uint32, objects int) {
+		if _, rejoining := h.rejoinAt[n.Name]; !rejoining || !r.Joined() {
+			return
+		}
+		if _, seen := h.joinedAt[n.Name]; seen {
+			return
+		}
+		// The final chunk just landed: this instant — not the rejoiner's
+		// next poll — closes the transfer window the disk-vs-network
+		// sweep measures.
+		h.joinedAt[n.Name] = h.clk.Now()
+		h.logf("%s: anti-entropy streamed %d entr%s at epoch %d, %v after the join was accepted",
+			n.Name, objects, plural(objects, "y", "ies"), epoch,
+			h.clk.Now().Sub(h.joinAcceptAt[n.Name]).Round(100*time.Microsecond))
+	}
+	r.OnCatchUp = func(_ uint32, object string, staleness time.Duration) {
+		h.mon.EndCatchUp(n.Name, object)
+		h.logf("%s: %q caught up (staleness %v)", n.Name, object,
+			staleness.Round(100*time.Microsecond))
+		if !observer && r.CatchUpRemaining() == 0 {
+			h.caughtUpAt[n.Name] = h.clk.Now()
+			h.logf("%s: catch-up complete, %v after rejoin", n.Name,
+				h.clk.Now().Sub(h.rejoinAt[n.Name]).Round(100*time.Microsecond))
+		}
+	}
+	if !observer {
+		det, err := failover.NewDetector(n.Clk, h.sc.Detector, r.SendPing, func() {
+			h.onPrimaryDead(n)
+		})
+		if err != nil {
+			return err
+		}
+		r.OnPingAck = det.OnAck
+		n.Det = det
+		det.Start()
+	}
 	if h.sc.ClockSync {
-		h.startUncertaintyFeed(n, b)
+		h.startUncertaintyFeed(n, r)
 	}
 	return nil
 }
@@ -506,7 +500,7 @@ const unknownTheta = time.Hour
 // correction observeApply applies to update stamps.
 func (h *Harness) startUncertaintyFeed(n *Node, b *core.Replica) {
 	feed := clock.NewPeriodic(h.clk, 0, 10*time.Millisecond, func() {
-		if n.shadow() != b || !b.Running() {
+		if n.Rep != b || !b.Running() || !b.Role().Shadows() {
 			return
 		}
 		rep, ok := b.ClockSyncReport()
@@ -536,16 +530,16 @@ func (h *Harness) startUncertaintyFeed(n *Node, b *core.Replica) {
 
 // observeApply is the streaming invariant hook: every applied update is
 // fed to the monitor and checked for epoch and version monotonicity.
-func (h *Harness) observeApply(n *Node, object string, epoch uint32, version, at time.Time) {
+func (h *Harness) observeApply(n *Node, r *core.Replica, object string, epoch uint32, version, at time.Time) {
 	n.applies++
-	if sh := n.shadow(); h.sc.ClockSync && sh != nil {
+	if h.sc.ClockSync {
 		// The applied stamp comes from the node's own (possibly faulty)
 		// clock while the version stamp comes from the primary's; naively
 		// differencing them would charge the clock offset to the protocol.
 		// Map the applied instant onto the upstream timeline through the
 		// node's own offset estimate — its residual error is bounded by θ,
 		// which the uncertainty feed subtracts from the bound.
-		if rep, ok := sh.ClockSyncReport(); ok && rep.Valid {
+		if rep, ok := r.ClockSyncReport(); ok && rep.Valid {
 			at = at.Add(rep.Offset)
 		}
 	}
@@ -570,38 +564,19 @@ func (h *Harness) observeApply(n *Node, object string, epoch uint32, version, at
 	// an object catching up, the monitor must have its bound suspended —
 	// an image with no temporal guarantee yet must never be reported
 	// consistent.
-	if sh := n.shadow(); sh != nil && sh.CatchingUp(object) && !h.mon.Suspended(n.Name, object) {
+	if r.CatchingUp(object) && !h.mon.Suspended(n.Name, object) {
 		h.violationf("catch-up: %s applied %q while catching up but the monitor counted it consistent",
 			n.Name, object)
 	}
 }
 
-// onPrimaryDead is a backup detector's death verdict. If the name
-// service already records a successor for the service (another backup's
-// detector fired first), this node yields and rejoins the new primary as
-// a backup; otherwise it promotes itself (Section 4.4), keeping any
-// other live backup as its peer. The name-service arbitration is what
-// keeps concurrent detector verdicts from electing two primaries.
+// onPrimaryDead is a backup detector's death verdict, ruled on by
+// failover.Takeover. If another backup's detector fired first, this node
+// yields and rejoins the new primary as a backup; otherwise it promotes
+// itself (Section 4.4), keeping any other live backup as its peer.
 func (h *Harness) onPrimaryDead(n *Node) {
 	h.logf("%s: detector declares primary dead after %d misses", n.Name, h.sc.Detector.MaxMisses)
-	if addr, epoch, ok := h.ns.Lookup(ServiceName); ok && addr != n.peer {
-		h.logf("%s: %v already superseded by %v (epoch %d); yielding", n.Name, n.peer, addr, epoch)
-		n.Backup.Stop()
-		n.Backup = nil
-		n.Det = nil
-		if err := h.attachBackup(n); err != nil {
-			h.violationf("yield on %s: %v", n.Name, err)
-		}
-		return
-	}
-	var peers []xkernel.Addr
-	for _, name := range h.order {
-		o := h.nodes[name]
-		if o != n && o.Backup != nil && o.Backup.Running() {
-			peers = append(peers, o.Addr)
-		}
-	}
-	p, err := failover.Promote(n.Backup, failover.PromoteOptions{
+	p, err := failover.Takeover(n.Rep, failover.PromoteOptions{
 		Service:  ServiceName,
 		SelfAddr: n.Addr,
 		Names:    h.ns,
@@ -609,19 +584,32 @@ func (h *Harness) onPrimaryDead(n *Node) {
 			h.logf("%s: promotion dropped %d spec-less placeholder object(s) %v",
 				n.Name, len(ids), ids)
 		},
-		ActivateClient: func(p *core.Primary) {
+		ActivateClient: func(p *core.Replica) {
 			h.active = p
 			h.activeNode = n.Name
 		},
 	})
+	if errors.Is(err, failover.ErrSuperseded) {
+		h.logf("%s: %v", n.Name, err)
+		n.Rep.Stop()
+		n.Rep, n.Det = nil, nil
+		if err := h.attachBackup(n); err != nil {
+			h.violationf("yield on %s: %v", n.Name, err)
+		}
+		return
+	}
 	if err != nil {
 		h.violationf("promotion on %s failed: %v", n.Name, err)
 		return
 	}
 	h.wireGovernor(p)
-	n.Backup = nil
 	n.Det = nil
-	n.Primary = p
+	var peers []xkernel.Addr
+	for _, name := range h.order {
+		if o := h.nodes[name]; o.running(core.RoleBackup) != nil {
+			peers = append(peers, o.Addr)
+		}
+	}
 	h.promotions++
 	h.promotedAt = append(h.promotedAt, h.clk.Now())
 	// The in-place promotion starts with an empty peer set; re-attach the
@@ -635,11 +623,30 @@ func (h *Harness) onPrimaryDead(n *Node) {
 	h.logf("%s: promoted to primary, epoch %d, peers %v", n.Name, p.Epoch(), peers)
 }
 
-// crash kills the named node.
-func (h *Harness) crash(name string) {
+// node resolves a fault's target, recording a violation for an unknown name.
+func (h *Harness) node(fault, name string) *Node {
 	n := h.nodes[name]
 	if n == nil {
-		h.violationf("crash: unknown node %q", name)
+		h.violationf("%s: unknown node %q", fault, name)
+	}
+	return n
+}
+
+// downNode resolves a revival fault's target: nil unless the node is
+// known and down. A node running a replica in any role is already up.
+func (h *Harness) downNode(fault, name string) *Node {
+	n := h.node(fault, name)
+	if n != nil && n.Rep != nil {
+		h.logf("%s %s: already up, no-op", fault, name)
+		return nil
+	}
+	return n
+}
+
+// crash kills the named node.
+func (h *Harness) crash(name string) {
+	n := h.node("crash", name)
+	if n == nil {
 		return
 	}
 	n.EP.SetDown(true)
@@ -647,25 +654,17 @@ func (h *Harness) crash(name string) {
 		n.Det.Stop()
 		n.Det = nil
 	}
-	if n.Primary != nil {
-		n.Primary.Stop()
-		n.Primary = nil
-	}
-	if n.Backup != nil {
-		n.Backup.Stop()
-		n.Backup = nil
+	if r := n.Rep; r != nil {
+		r.Stop()
+		n.Rep = nil
 		// The live primary's failure detector notices a dead backup; the
-		// harness delivers the verdict instantly for determinism.
-		if h.active != nil && h.active.Running() && h.activeNode != name {
+		// harness delivers the verdict instantly for determinism. An
+		// observer's death costs the cluster nothing it must react to:
+		// downstream subscribers simply go stale — which their
+		// certificates must say.
+		if r.Role() == core.RoleBackup && h.active != nil && h.active.Running() && h.activeNode != name {
 			h.active.SetPeerAlive(n.Addr, false)
 		}
-	}
-	if n.Observer != nil {
-		// An observer's death costs the cluster nothing it must react to:
-		// no degree to restore, no detector verdict to deliver. Downstream
-		// subscribers simply go stale — which their certificates must say.
-		n.Observer.Stop()
-		n.Observer = nil
 	}
 	if n.Dur != nil {
 		// Power goes out: the store's handle dies with the process, but
@@ -679,13 +678,8 @@ func (h *Harness) crash(name string) {
 // restartAsBackup revives a crashed node as a backup of the current
 // primary and re-integrates it (registration replay + state transfer).
 func (h *Harness) restartAsBackup(name string) {
-	n := h.nodes[name]
+	n := h.downNode("restart", name)
 	if n == nil {
-		h.violationf("restart: unknown node %q", name)
-		return
-	}
-	if n.Primary != nil || n.Backup != nil {
-		h.logf("restart %s: already up, no-op", name)
 		return
 	}
 	n.EP.SetDown(false)
@@ -705,13 +699,7 @@ func (h *Harness) attachBackup(n *Node) error {
 	if !ok {
 		return fmt.Errorf("no primary in name service")
 	}
-	b, err := core.NewBackup(h.backupConfig(n, primaryAddr))
-	if err != nil {
-		return err
-	}
-	n.Backup = b
-	n.peer = primaryAddr
-	if err := h.wireBackup(n); err != nil {
+	if err := h.startShadow(n, core.RoleBackup, primaryAddr); err != nil {
 		return err
 	}
 	h.logf("%s is up as backup of %s", n.Name, primaryAddr)
@@ -734,13 +722,8 @@ func (h *Harness) attachBackup(n *Node) error {
 // the harness never touches the primary's peer table: the JoinRequest
 // itself attaches the replica, exactly as a real redeployment would.
 func (h *Harness) rejoin(name string) {
-	n := h.nodes[name]
+	n := h.downNode("rejoin", name)
 	if n == nil {
-		h.violationf("rejoin: unknown node %q", name)
-		return
-	}
-	if n.Primary != nil || n.Backup != nil {
-		h.logf("rejoin %s: already up, no-op", name)
 		return
 	}
 	n.EP.SetDown(false)
@@ -768,20 +751,14 @@ func (h *Harness) startRejoiner(n *Node, st *durable.State) {
 		Directory: h.ns,
 		Self:      n.Addr,
 		Announce:  true,
-		Start: func(primary xkernel.Addr, epoch uint32) (*core.Backup, error) {
-			b, err := core.NewBackup(h.backupConfig(n, primary))
-			if err != nil {
-				return nil, err
-			}
-			n.Backup = b
-			n.peer = primary
-			if err := h.wireBackup(n); err != nil {
+		Start: func(primary xkernel.Addr, epoch uint32) (*core.Replica, error) {
+			if err := h.startShadow(n, core.RoleBackup, primary); err != nil {
 				return nil, err
 			}
 			h.logf("%s is up, rejoining %s at epoch %d", name, primary, epoch)
-			return b, nil
+			return n.Rep, nil
 		},
-		OnJoined: func(b *core.Backup) {
+		OnJoined: func(b *core.Replica) {
 			if _, seen := h.joinedAt[name]; !seen {
 				// Fallback only: OnStateTransfer records the exact
 				// final-chunk instant; this path is poll-quantized.
@@ -792,7 +769,7 @@ func (h *Harness) startRejoiner(n *Node, st *durable.State) {
 		},
 	}
 	if st != nil {
-		cfg.Restore = func(b *core.Backup) (int, error) {
+		cfg.Restore = func(b *core.Replica) (int, error) {
 			restored := b.RestoreDurable(st)
 			h.logf("%s: seeded %d object value(s) from the local durable tail", name, restored)
 			return restored, nil
@@ -816,13 +793,8 @@ func (h *Harness) startRejoiner(n *Node, st *durable.State) {
 // as a backup, replaying its local tail before the join so anti-entropy
 // covers only the gap.
 func (h *Harness) restartFromDisk(name string) {
-	n := h.nodes[name]
+	n := h.downNode("restart-from-disk", name)
 	if n == nil {
-		h.violationf("restart-from-disk: unknown node %q", name)
-		return
-	}
-	if n.Primary != nil || n.Backup != nil {
-		h.logf("restart-from-disk %s: already up, no-op", name)
 		return
 	}
 	if n.DurDir == "" {
@@ -855,110 +827,29 @@ func (h *Harness) restartFromDisk(name string) {
 }
 
 // resumePrimaryFromDisk rebuilds a serving primary from a recovered
-// image: every recovered spec is re-admitted in its original ID order
-// (so object IDs survive the power cycle and backups' tables line up),
-// recovered values are seeded, and the epoch is bumped past the
+// image (core.Replica.ResumeFromDisk): object IDs survive the power
+// cycle, recovered values are seeded, and the epoch is bumped past the
 // recovered one — the fencing move that invalidates any stale in-flight
 // state from the pre-crash incarnation.
 func (h *Harness) resumePrimaryFromDisk(n *Node, st *durable.State) {
-	p, err := core.NewPrimary(core.Config{
-		Clock:      n.Clk,
-		Port:       n.Port,
-		Ell:        h.sc.Ell,
-		Scheduling: h.sc.Scheduling,
-		Costs:      h.sc.Costs,
-		Governor:   h.sc.Governor,
-		FrameBatch: h.sc.FrameBatch,
-		Durable:    n.Dur,
-	})
+	p, err := core.NewPrimary(h.config(n))
 	if err != nil {
 		h.violationf("restart-from-disk %s: %v", n.Name, err)
 		return
 	}
-	seeded := 0
-	for i := range st.Objects {
-		d := &st.Objects[i]
-		spec := core.ObjectSpec{
-			Name:         d.Name,
-			Size:         int(d.Size),
-			UpdatePeriod: time.Duration(d.Period),
-			Constraint: temporal.ExternalConstraint{
-				DeltaP: time.Duration(d.DeltaP),
-				DeltaB: time.Duration(d.DeltaB),
-			},
-			Critical: d.Critical,
-		}
-		if dec := p.Register(spec); !dec.Accepted {
-			h.violationf("restart-from-disk %s: recovered object %q rejected: %s",
-				n.Name, d.Name, dec.Reason)
-			continue
-		}
-		if d.HasData {
-			if err := p.SeedObject(d.Name, d.Value, time.Unix(0, d.Version)); err != nil {
-				h.violationf("restart-from-disk %s: seed %q: %v", n.Name, d.Name, err)
-				continue
-			}
-			seeded++
-		}
+	seeded, errs := p.ResumeFromDisk(st)
+	for _, err := range errs {
+		h.violationf("restart-from-disk %s: %v", n.Name, err)
 	}
-	epoch := st.Epoch + 1
-	p.SetEpoch(epoch)
-	p.NoteDiskRestore(seeded)
 	h.wireGovernor(p)
-	n.Primary = p
+	n.Rep = p
 	h.active = p
 	h.activeNode = n.Name
-	if err := h.ns.Set(ServiceName, n.Addr, epoch); err != nil {
+	if err := h.ns.Set(ServiceName, n.Addr, p.Epoch()); err != nil {
 		h.violationf("restart-from-disk %s: directory update: %v", n.Name, err)
 	}
 	h.logf("%s resumes as primary from disk: epoch %d, %d object(s), %d value(s) seeded",
-		n.Name, epoch, len(st.Objects), seeded)
-}
-
-// wireCatchUp mirrors the backup's catch-up lifecycle into the monitor:
-// when a JoinAccept lands, every object's bound is suspended (the
-// transferred image carries no temporal guarantee); each object resumes
-// only once the backup declares it inside δ_i^B again.
-func (h *Harness) wireCatchUp(n *Node, b *core.Backup) {
-	b.OnJoinAccept = func(epoch uint32, specs int) {
-		h.logf("%s: join accepted at epoch %d (%d specs); catch-up begins", n.Name, epoch, specs)
-		if _, rejoining := h.rejoinAt[n.Name]; rejoining {
-			if _, seen := h.joinAcceptAt[n.Name]; !seen {
-				// First accept after a rejoin: the anti-entropy transfer
-				// starts here. Its completion (OnJoined) closes the
-				// window the disk-vs-network sweep measures.
-				h.joinAcceptAt[n.Name] = h.clk.Now()
-			}
-		}
-		for _, spec := range h.sc.Objects {
-			h.mon.BeginCatchUp(n.Name, spec.Name, n.Clk.Now())
-		}
-	}
-	b.OnStateTransfer = func(epoch uint32, objects int) {
-		if _, rejoining := h.rejoinAt[n.Name]; !rejoining || !b.Joined() {
-			return
-		}
-		if _, seen := h.joinedAt[n.Name]; seen {
-			return
-		}
-		// The final chunk just landed: this instant — not the rejoiner's
-		// next poll — closes the transfer window the disk-vs-network
-		// sweep measures.
-		h.joinedAt[n.Name] = h.clk.Now()
-		h.logf("%s: anti-entropy streamed %d entr%s at epoch %d, %v after the join was accepted",
-			n.Name, objects, plural(objects, "y", "ies"), epoch,
-			h.clk.Now().Sub(h.joinAcceptAt[n.Name]).Round(100*time.Microsecond))
-	}
-	b.OnCatchUp = func(_ uint32, object string, staleness time.Duration) {
-		h.mon.EndCatchUp(n.Name, object)
-		h.logf("%s: %q caught up (staleness %v)", n.Name, object,
-			staleness.Round(100*time.Microsecond))
-		if b.CatchUpRemaining() == 0 {
-			h.caughtUpAt[n.Name] = h.clk.Now()
-			h.logf("%s: catch-up complete, %v after rejoin", n.Name,
-				h.clk.Now().Sub(h.rejoinAt[n.Name]).Round(100*time.Microsecond))
-		}
-	}
+		n.Name, p.Epoch(), len(st.Objects), seeded)
 }
 
 // startWriters begins the client workload against the active primary:

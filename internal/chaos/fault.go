@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rtpb/internal/clock"
+	"rtpb/internal/core"
 	"rtpb/internal/cpu"
 	"rtpb/internal/durable"
 	"rtpb/internal/netsim"
@@ -81,7 +82,7 @@ func (f Crash) String() string { return fmt.Sprintf("crash %s", f.Node) }
 func (f Crash) apply(h *Harness) { h.crash(f.Node) }
 
 // Restart revives a crashed node as a backup of the current primary: the
-// endpoint comes back up, a fresh core.Backup binds the node's port, a
+// endpoint comes back up, a fresh backup replica binds the node's port, a
 // new detector starts, and the primary re-integrates it with a state
 // transfer (Section 4.4's recruitment path).
 type Restart struct {
@@ -152,11 +153,11 @@ func (f Write) String() string { return fmt.Sprintf("write %s=%q at %s", f.Objec
 
 func (f Write) apply(h *Harness) {
 	n := h.nodes[f.Node]
-	if n == nil || n.Primary == nil || !n.Primary.Running() {
+	if n == nil || n.running(core.RolePrimary) == nil {
 		h.logf("write to %s dropped: no running primary", f.Node)
 		return
 	}
-	n.Primary.ClientWrite(f.Object, []byte(f.Value), nil)
+	n.Rep.ClientWrite(f.Object, []byte(f.Value), nil)
 }
 
 // CPUHog steals a node's processor with periodic high-priority bursts
@@ -185,27 +186,16 @@ func (f CPUHog) String() string {
 
 func (f CPUHog) apply(h *Harness) {
 	n := h.nodes[f.Node]
-	if n == nil || n.Primary == nil || !n.Primary.Running() {
+	if n == nil || n.running(core.RolePrimary) == nil {
 		h.violationf("cpu-hog: node %q runs no primary", f.Node)
 		return
 	}
-	proc := n.Primary.CPU()
+	proc := n.Rep.CPU()
 	task := clock.NewPeriodic(h.clk, 0, f.Period, func() {
 		proc.Submit(cpu.High, f.Burn, func() {})
 	})
 	h.hogs = append(h.hogs, task)
 	h.clk.Schedule(f.For, task.Stop)
-}
-
-// nodeClock resolves a clock fault's victim, reporting a violation for
-// an unknown node.
-func (h *Harness) nodeClock(name, fault string) *clock.SkewedClock {
-	n := h.nodes[name]
-	if n == nil {
-		h.violationf("%s: unknown node %q", fault, name)
-		return nil
-	}
-	return n.Clk
 }
 
 // ClockSkew sets a node's wall-clock offset from true time — the standing
@@ -223,8 +213,8 @@ type ClockSkew struct {
 func (f ClockSkew) String() string { return fmt.Sprintf("clock on %s skewed %v", f.Node, f.Offset) }
 
 func (f ClockSkew) apply(h *Harness) {
-	if c := h.nodeClock(f.Node, "clock-skew"); c != nil {
-		c.SetOffset(f.Offset)
+	if n := h.node("clock-skew", f.Node); n != nil {
+		n.Clk.SetOffset(f.Offset)
 	}
 }
 
@@ -244,8 +234,8 @@ func (f ClockDrift) String() string {
 }
 
 func (f ClockDrift) apply(h *Harness) {
-	if c := h.nodeClock(f.Node, "clock-drift"); c != nil {
-		c.SetDrift(f.PPM)
+	if n := h.node("clock-drift", f.Node); n != nil {
+		n.Clk.SetDrift(f.PPM)
 	}
 }
 
@@ -265,8 +255,8 @@ type ClockStep struct {
 func (f ClockStep) String() string { return fmt.Sprintf("clock on %s steps %+v", f.Node, f.Delta) }
 
 func (f ClockStep) apply(h *Harness) {
-	if c := h.nodeClock(f.Node, "clock-step"); c != nil {
-		c.Step(f.Delta)
+	if n := h.node("clock-step", f.Node); n != nil {
+		n.Clk.Step(f.Delta)
 	}
 }
 
@@ -281,11 +271,9 @@ func (CrashCluster) String() string { return "crash the whole cluster" }
 
 func (CrashCluster) apply(h *Harness) {
 	for _, name := range h.order {
-		n := h.nodes[name]
-		if n.Primary == nil && n.Backup == nil {
-			continue
+		if h.nodes[name].Rep != nil {
+			h.crash(name)
 		}
-		h.crash(name)
 	}
 }
 

@@ -25,7 +25,7 @@ func (Converged) Check(h *Harness) error {
 	backups := 0
 	for _, name := range h.order {
 		n := h.nodes[name]
-		if n.Backup == nil || !n.Backup.Running() {
+		if n.running(core.RoleBackup) == nil {
 			continue
 		}
 		backups++
@@ -34,7 +34,7 @@ func (Converged) Check(h *Harness) error {
 			if !ok {
 				return fmt.Errorf("primary has no value for %q", spec.Name)
 			}
-			got, _, ok := n.Backup.Value(spec.Name)
+			got, _, ok := n.Rep.Value(spec.Name)
 			if !ok {
 				return fmt.Errorf("%s has no value for %q", name, spec.Name)
 			}
@@ -297,10 +297,10 @@ func (c RetransmitDamped) Check(h *Harness) error {
 		site = BackupNode
 	}
 	n := h.nodes[site]
-	if n == nil || n.Backup == nil || !n.Backup.Running() {
+	if n == nil || n.running(core.RoleBackup) == nil {
 		return fmt.Errorf("no running backup on %s", site)
 	}
-	req, sup := n.Backup.RetransmitStats()
+	req, sup := n.Rep.RetransmitStats()
 	if req > c.MaxRequests {
 		return fmt.Errorf("%d retransmission requests sent, want at most %d (%d suppressed)",
 			req, c.MaxRequests, sup)
@@ -413,10 +413,10 @@ func (NoSplitBrain) Check(h *Harness) error {
 	want := h.active.Epoch()
 	for _, name := range h.order {
 		n := h.nodes[name]
-		if n.Backup == nil || !n.Backup.Running() {
+		if n.running(core.RoleBackup) == nil {
 			continue
 		}
-		if e := n.Backup.Epoch(); e != want {
+		if e := n.Rep.Epoch(); e != want {
 			return fmt.Errorf("%s at epoch %d, active primary at %d", name, e, want)
 		}
 	}
@@ -440,13 +440,13 @@ func (c RejoinCaughtUp) Name() string { return fmt.Sprintf("rejoin-caught-up-%s"
 // Check implements Checker.
 func (c RejoinCaughtUp) Check(h *Harness) error {
 	n := h.nodes[c.Node]
-	if n == nil || n.Backup == nil || !n.Backup.Running() {
+	if n == nil || n.running(core.RoleBackup) == nil {
 		return fmt.Errorf("no running backup on %s", c.Node)
 	}
-	if !n.Backup.Joined() {
+	if !n.Rep.Joined() {
 		return fmt.Errorf("%s never completed its join exchange", c.Node)
 	}
-	if rem := n.Backup.CatchUpRemaining(); rem != 0 {
+	if rem := n.Rep.CatchUpRemaining(); rem != 0 {
 		return fmt.Errorf("%s still has %d objects catching up", c.Node, rem)
 	}
 	for _, spec := range h.sc.Objects {
@@ -530,10 +530,10 @@ func (c RejoinSynced) Name() string { return fmt.Sprintf("rejoin-synced-%s", c.N
 // Check implements Checker.
 func (c RejoinSynced) Check(h *Harness) error {
 	n := h.nodes[c.Node]
-	if n == nil || n.Backup == nil || !n.Backup.Running() {
+	if n == nil || n.running(core.RoleBackup) == nil {
 		return fmt.Errorf("no running backup on %s", c.Node)
 	}
-	if !n.Backup.Joined() {
+	if !n.Rep.Joined() {
 		return fmt.Errorf("%s never completed its join exchange", c.Node)
 	}
 	if _, ok := h.joinedAt[c.Node]; !ok {
@@ -590,10 +590,10 @@ func (c HonestBounds) arm(h *Harness) {
 	h.honestChecks[c.site()] = ev
 	clock.NewPeriodic(h.clk, every, every, func() {
 		n := h.nodes[c.site()]
-		if n == nil || n.Backup == nil || !n.Backup.Running() {
+		if n == nil || n.running(core.RoleBackup) == nil {
 			return
 		}
-		rep, ok := n.Backup.ClockSyncReport()
+		rep, ok := n.Rep.ClockSyncReport()
 		if !ok || !rep.Valid {
 			return
 		}
@@ -745,12 +745,12 @@ func (c ObserverHonestCerts) arm(h *Harness) {
 	h.obsChecks[c.key()] = ev
 	task := clock.NewPeriodic(h.clk, c.From, every, func() {
 		n := h.nodes[c.Node]
-		if n == nil || n.Observer == nil || !n.Observer.Running() {
+		if n == nil || n.running(core.RoleObserver) == nil {
 			return
 		}
 		now := h.clk.Now()
 		for _, spec := range h.sc.Objects {
-			cert, ok := n.Observer.Certificate(spec.Name)
+			cert, ok := n.Rep.Certificate(spec.Name)
 			if !ok {
 				continue
 			}
@@ -837,13 +837,13 @@ func (c ObserverExcluded) Check(h *Harness) error {
 	}
 	for _, name := range h.obsOrder {
 		n := h.nodes[name]
-		if n.Observer == nil || !n.Observer.Running() {
+		if n.Rep == nil || !n.Rep.Running() {
 			return fmt.Errorf("%s is not running an observer", name)
 		}
-		if role := n.Observer.Role(); role != core.RoleObserver {
+		if role := n.Rep.Role(); role != core.RoleObserver {
 			return fmt.Errorf("%s ended as %v — an observer entered the failover lattice", name, role)
 		}
-		if !n.Observer.Joined() {
+		if !n.Rep.Joined() {
 			return fmt.Errorf("%s never completed its subscription join", name)
 		}
 	}
@@ -894,7 +894,7 @@ func (ObserverConverged) Check(h *Harness) error {
 	}
 	for _, name := range h.obsOrder {
 		n := h.nodes[name]
-		if n.Observer == nil || !n.Observer.Running() {
+		if n.running(core.RoleObserver) == nil {
 			return fmt.Errorf("%s is not running an observer", name)
 		}
 		for _, spec := range h.sc.Objects {
@@ -902,7 +902,7 @@ func (ObserverConverged) Check(h *Harness) error {
 			if !ok {
 				return fmt.Errorf("primary has no value for %q", spec.Name)
 			}
-			cert, ok := n.Observer.Certificate(spec.Name)
+			cert, ok := n.Rep.Certificate(spec.Name)
 			if !ok {
 				return fmt.Errorf("%s has no certificate for %q", name, spec.Name)
 			}
@@ -937,7 +937,7 @@ func (c Progress) Check(h *Harness) error {
 	}
 	for _, name := range h.order {
 		n := h.nodes[name]
-		if n.Backup == nil && n.Primary == nil {
+		if n.Rep == nil {
 			continue // crashed and never restarted
 		}
 		if name == h.activeNode {

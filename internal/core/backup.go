@@ -16,7 +16,7 @@ import (
 // from — nothing here is copied at takeover.
 
 // demuxBackup handles inbound RTPB datagrams while shadowing as backup.
-func (b *Backup) demuxBackup(msg wire.Message) {
+func (b *Replica) demuxBackup(msg wire.Message) {
 	switch t := msg.(type) {
 	case *wire.Register:
 		b.handleRegister(t)
@@ -57,7 +57,7 @@ func (b *Backup) demuxBackup(msg wire.Message) {
 // than one this backup has heard from are stale (a zombie primary after a
 // takeover) and must be ignored; a newer epoch is adopted. Epoch 0 is
 // "unstamped" and always accepted, so pre-takeover traffic flows.
-func (b *Backup) observeEpoch(epoch uint32) bool {
+func (b *Replica) observeEpoch(epoch uint32) bool {
 	if b.cfg.DisableEpochFencing {
 		// Ablation: adopt newer epochs but never reject older ones.
 		if epoch > b.epoch {
@@ -79,7 +79,7 @@ func (b *Backup) observeEpoch(epoch uint32) bool {
 	return true
 }
 
-func (b *Backup) handleRegister(t *wire.Register) {
+func (b *Replica) handleRegister(t *wire.Register) {
 	if !b.observeEpoch(t.Epoch) {
 		return
 	}
@@ -108,7 +108,7 @@ func (b *Backup) handleRegister(t *wire.Register) {
 	b.send(&wire.RegisterReply{ObjectID: t.ObjectID, Accepted: true})
 }
 
-func (b *Backup) handleUpdate(t *wire.Update) {
+func (b *Replica) handleUpdate(t *wire.Update) {
 	if !b.observeEpoch(t.Epoch) {
 		return
 	}
@@ -152,7 +152,7 @@ func (b *Backup) handleUpdate(t *wire.Update) {
 // (or a parked clock) stretches suppression until the clock catches up:
 // gap recovery slows, nothing else — the state that arrived with the gap
 // is already applied, and staleness accounting never reads this window.
-func (b *Backup) maybeRequestRetransmit(o *object) {
+func (b *Replica) maybeRequestRetransmit(o *object) {
 	now := b.cfg.Clock.Now()
 	if !b.cfg.DisableRetransmitThrottle && now.Before(o.retransNext) {
 		b.retransSuppressed++
@@ -170,14 +170,14 @@ func (b *Backup) maybeRequestRetransmit(o *object) {
 
 // RetransmitStats reports gap-recovery request activity: requests sent
 // and requests suppressed by the per-object throttle.
-func (b *Backup) RetransmitStats() (requested, suppressed int) {
+func (b *Replica) RetransmitStats() (requested, suppressed int) {
 	return b.retransRequested, b.retransSuppressed
 }
 
 // handleModeChange records the primary overload governor's announced
 // degradation rung for one object, deduplicating the loss-tolerant
 // re-sends by (epoch, seq).
-func (b *Backup) handleModeChange(t *wire.ModeChange) {
+func (b *Replica) handleModeChange(t *wire.ModeChange) {
 	if !b.observeEpoch(t.Epoch) {
 		return
 	}
@@ -201,7 +201,7 @@ func (b *Backup) handleModeChange(t *wire.ModeChange) {
 	}
 }
 
-func (b *Backup) apply(o *object, epoch uint32, seq uint64, version time.Time, payload []byte) {
+func (b *Replica) apply(o *object, epoch uint32, seq uint64, version time.Time, payload []byte) {
 	o.recvEpoch = epoch
 	o.seq = seq
 	o.version = version
@@ -230,7 +230,7 @@ func (b *Backup) apply(o *object, epoch uint32, seq uint64, version time.Time, p
 	b.logApply(o, epoch, seq, version, payload)
 }
 
-func (b *Backup) send(msg wire.Message) {
+func (b *Replica) send(msg wire.Message) {
 	if b.sess == nil {
 		return
 	}
@@ -239,7 +239,7 @@ func (b *Backup) send(msg wire.Message) {
 
 // Specs returns the registered object specs in object-id (admission)
 // order — the deterministic enumeration promotion-visible surfaces use.
-func (b *Backup) Specs() []ObjectSpec {
+func (b *Replica) Specs() []ObjectSpec {
 	out := make([]ObjectSpec, 0, len(b.adm.byName))
 	for _, id := range b.adm.orderedIDs() {
 		if o := b.adm.objects[id]; o.spec.Name != "" {
@@ -251,7 +251,7 @@ func (b *Backup) Specs() []ObjectSpec {
 
 // State snapshots the replicated values (spec-carrying wire entries) in
 // admission order.
-func (b *Backup) State() []wire.StateEntry {
+func (b *Replica) State() []wire.StateEntry {
 	out := make([]wire.StateEntry, 0, len(b.adm.objects))
 	for _, id := range b.adm.orderedIDs() {
 		o := b.adm.objects[id]
@@ -290,7 +290,7 @@ type SnapshotEntry struct {
 }
 
 // Snapshot captures every registered object's spec and replicated value.
-func (b *Backup) Snapshot() []SnapshotEntry {
+func (b *Replica) Snapshot() []SnapshotEntry {
 	out := make([]SnapshotEntry, 0, len(b.adm.byName))
 	for _, id := range b.adm.orderedIDs() {
 		o := b.adm.objects[id]
@@ -309,7 +309,7 @@ func (b *Backup) Snapshot() []SnapshotEntry {
 // SeedObject installs replicated state into a primary's table directly —
 // an external checkpoint restore path (in-place promotion no longer needs
 // it; the table carries over).
-func (p *Primary) SeedObject(name string, value []byte, version time.Time) error {
+func (p *Replica) SeedObject(name string, value []byte, version time.Time) error {
 	o, err := p.adm.byNameOrErr(name)
 	if err != nil {
 		return err

@@ -14,8 +14,8 @@ import (
 type testCluster struct {
 	clk     *clock.SimClock
 	net     *netsim.Network
-	primary *Primary
-	backup  *Backup
+	primary *Replica
+	backup  *Replica
 	pEP     *netsim.Endpoint
 	bEP     *netsim.Endpoint
 }

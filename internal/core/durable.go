@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"rtpb/internal/durable"
@@ -127,16 +128,7 @@ func (r *Replica) RestoreDurable(st *durable.State) int {
 		}
 		o := r.adm.placeholder(d.ID)
 		if o.spec.Name == "" {
-			r.adm.installSpec(o, ObjectSpec{
-				Name:         d.Name,
-				Size:         int(d.Size),
-				UpdatePeriod: time.Duration(d.Period),
-				Constraint: temporal.ExternalConstraint{
-					DeltaP: time.Duration(d.DeltaP),
-					DeltaB: time.Duration(d.DeltaB),
-				},
-				Critical: d.Critical,
-			})
+			r.adm.installSpec(o, recoveredSpec(d))
 		}
 		if d.HasData && !o.hasData {
 			o.recvEpoch = d.Epoch
@@ -154,14 +146,43 @@ func (r *Replica) RestoreDurable(st *durable.State) int {
 	return restored
 }
 
-// NoteDiskRestore records values seeded from a recovered durable image
-// outside RestoreDurable — a resumed primary re-enters its specs
-// through Register (rebuilding admission accounting) and seeds values
-// with SeedObject, and this keeps RecoverySource and RestoredObjects
-// truthful about where that state came from.
-func (r *Replica) NoteDiskRestore(n int) {
-	if n > 0 {
-		r.durRestored += n
+// ResumeFromDisk rebuilds a restarted primary from its recovered
+// durable image. Specs re-enter through Register in recovered-ID order,
+// so IDs survive the power cycle and admission accounting is rebuilt;
+// values are seeded; the epoch is fenced one past the recovered one, so
+// straggler traffic from the previous incarnation is rejected. It
+// returns the seeded count and one error per object not resumed.
+func (r *Replica) ResumeFromDisk(st *durable.State) (seeded int, errs []error) {
+	for i := range st.Objects {
+		d := &st.Objects[i]
+		if dec := r.Register(recoveredSpec(d)); !dec.Accepted {
+			errs = append(errs, fmt.Errorf("recovered object %q rejected: %s", d.Name, dec.Reason))
+			continue
+		}
+		if d.HasData {
+			if err := r.SeedObject(d.Name, d.Value, time.Unix(0, d.Version)); err != nil {
+				errs = append(errs, fmt.Errorf("seed %q: %w", d.Name, err))
+				continue
+			}
+			seeded++
+		}
+	}
+	r.SetEpoch(st.Epoch + 1)
+	r.durRestored += seeded
+	return seeded, errs
+}
+
+// recoveredSpec converts a recovered durable image back to its spec.
+func recoveredSpec(d *durable.ObjectState) ObjectSpec {
+	return ObjectSpec{
+		Name:         d.Name,
+		Size:         int(d.Size),
+		UpdatePeriod: time.Duration(d.Period),
+		Constraint: temporal.ExternalConstraint{
+			DeltaP: time.Duration(d.DeltaP),
+			DeltaB: time.Duration(d.DeltaB),
+		},
+		Critical: d.Critical,
 	}
 }
 
@@ -201,5 +222,6 @@ func (r *Replica) RecoverySource() string {
 	}
 }
 
-// RestoredObjects reports how many object values RestoreDurable seeded.
+// RestoredObjects reports how many object values RestoreDurable or
+// ResumeFromDisk seeded.
 func (r *Replica) RestoredObjects() int { return r.durRestored }

@@ -117,7 +117,7 @@ type GovernorStats struct {
 
 // governor implements the degradation ladder on the primary.
 type governor struct {
-	p         *Primary
+	p         *Replica
 	cfg       GovernorConfig
 	task      *clock.Periodic
 	modes     map[uint32]ObjectMode
@@ -127,7 +127,7 @@ type governor struct {
 	stats     GovernorStats
 }
 
-func newGovernor(p *Primary) *governor {
+func newGovernor(p *Replica) *governor {
 	g := &governor{p: p, cfg: p.cfg.Governor, modes: make(map[uint32]ObjectMode)}
 	g.task = clock.NewPeriodic(p.clk, g.cfg.Interval, g.cfg.Interval, g.tick)
 	return g

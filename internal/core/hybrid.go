@@ -38,7 +38,7 @@ type pendingAck struct {
 // startCriticalWrite transmits the just-installed value with an
 // acknowledgement request and registers the pending completion. It runs
 // on the clock executor after the client op's CPU cost.
-func (p *Primary) startCriticalWrite(o *object, arrival time.Time, done func(time.Duration, error)) {
+func (p *Replica) startCriticalWrite(o *object, arrival time.Time, done func(time.Duration, error)) {
 	finish := func(lat time.Duration, err error) {
 		if done != nil {
 			done(lat, err)
@@ -82,7 +82,7 @@ func (p *Primary) startCriticalWrite(o *object, arrival time.Time, done func(tim
 // peer still waited on, then arms the retransmission timer. Critical
 // transmissions use the high-priority CPU class: the client is blocked on
 // them.
-func (p *Primary) transmitCritical(o *object, pa *pendingAck) {
+func (p *Replica) transmitCritical(o *object, pa *pendingAck) {
 	if !p.running {
 		return
 	}
@@ -124,7 +124,7 @@ func (p *Primary) transmitCritical(o *object, pa *pendingAck) {
 // criticalRetryDelay is the adaptive ack timeout for one critical write:
 // the slowest waited-on peer's RTO under that peer's backoff, falling
 // back to the static retryBase when no link is attributable.
-func (p *Primary) criticalRetryDelay(pa *pendingAck) time.Duration {
+func (p *Replica) criticalRetryDelay(pa *pendingAck) time.Duration {
 	var d time.Duration
 	for _, pr := range p.peers {
 		if !pa.waiting[pr.addr] {
@@ -140,7 +140,7 @@ func (p *Primary) criticalRetryDelay(pa *pendingAck) time.Duration {
 	return d
 }
 
-func (p *Primary) criticalTimeout(o *object, pa *pendingAck) {
+func (p *Replica) criticalTimeout(o *object, pa *pendingAck) {
 	if o.pendingAcks[pa.seq] != pa {
 		return
 	}
@@ -164,7 +164,7 @@ func (p *Primary) criticalTimeout(o *object, pa *pendingAck) {
 
 // handleUpdateAck feeds a backup's acknowledgement into the pending
 // critical write it answers.
-func (p *Primary) handleUpdateAck(from xkernel.Addr, t *wire.UpdateAck) {
+func (p *Replica) handleUpdateAck(from xkernel.Addr, t *wire.UpdateAck) {
 	o, ok := p.adm.objects[t.ObjectID]
 	if !ok || o.pendingAcks == nil {
 		return
@@ -187,7 +187,7 @@ func (p *Primary) handleUpdateAck(from xkernel.Addr, t *wire.UpdateAck) {
 	p.completeCritical(o, pa, nil)
 }
 
-func (p *Primary) completeCritical(o *object, pa *pendingAck, err error) {
+func (p *Replica) completeCritical(o *object, pa *pendingAck, err error) {
 	delete(o.pendingAcks, pa.seq)
 	if pa.retry != nil {
 		pa.retry.Cancel()
@@ -199,7 +199,7 @@ func (p *Primary) completeCritical(o *object, pa *pendingAck, err error) {
 
 // dropPeerFromCriticalWaits removes a dead peer from every pending
 // critical write so the client is not held hostage by a failed backup.
-func (p *Primary) dropPeerFromCriticalWaits(addr xkernel.Addr) {
+func (p *Replica) dropPeerFromCriticalWaits(addr xkernel.Addr) {
 	for _, o := range p.adm.objects {
 		for _, pa := range o.pendingAcks {
 			if !pa.waiting[addr] {

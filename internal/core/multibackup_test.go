@@ -14,8 +14,8 @@ import (
 type multiCluster struct {
 	clk     *clock.SimClock
 	fabric  *topo.Fabric
-	primary *Primary
-	backups []*Backup
+	primary *Replica
+	backups []*Replica
 	eps     []*netsim.Endpoint
 }
 

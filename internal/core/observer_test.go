@@ -25,8 +25,8 @@ import (
 type chain struct {
 	clk     *clock.SimClock
 	net     *netsim.Network
-	primary *Primary
-	obs     []*Observer
+	primary *Replica
+	obs     []*Replica
 	hosts   []string // hosts[0] = "primary", hosts[k] = "obs<k>"
 }
 

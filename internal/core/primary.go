@@ -78,7 +78,7 @@ func linkSeed(local uint16, addr xkernel.Addr) uint64 {
 	return h.Sum64()
 }
 
-func (p *Primary) addPeerLocked(addr xkernel.Addr) error {
+func (p *Replica) addPeerLocked(addr xkernel.Addr) error {
 	for _, pr := range p.peers {
 		if pr.addr == addr {
 			return fmt.Errorf("core: peer %s already attached", addr)
@@ -114,23 +114,23 @@ func (p *Primary) addPeerLocked(addr xkernel.Addr) error {
 // exponential backoff with deterministic jitter. Before any RTT sample
 // the RTO equals the protocol's static timeout, so adaptivity only
 // changes behaviour once evidence exists.
-func (p *Primary) retryDelay(pr *replicaPeer, attempt int) time.Duration {
+func (p *Replica) retryDelay(pr *replicaPeer, attempt int) time.Duration {
 	return pr.backoff.DelayFrom(pr.est.RTO(), attempt)
 }
 
 // Utilization reports the admitted task set's planned CPU utilization.
-func (p *Primary) Utilization() float64 { return p.adm.utilization() }
+func (p *Replica) Utilization() float64 { return p.adm.utilization() }
 
 // UtilizationWith reports the planned CPU utilization were spec admitted
 // on top of the current table, without admitting it. The shard placement
 // layer uses it as its bin-packing estimate; ok is false when no
 // positive update period can be derived for the spec.
-func (p *Primary) UtilizationWith(spec ObjectSpec) (float64, bool) {
+func (p *Replica) UtilizationWith(spec ObjectSpec) (float64, bool) {
 	return p.adm.utilizationWith(spec)
 }
 
 // Peers reports the attached backup addresses.
-func (p *Primary) Peers() []xkernel.Addr {
+func (p *Replica) Peers() []xkernel.Addr {
 	out := make([]xkernel.Addr, len(p.peers))
 	for i, pr := range p.peers {
 		out[i] = pr.addr
@@ -139,12 +139,12 @@ func (p *Primary) Peers() []xkernel.Addr {
 }
 
 // CPU exposes the primary's processor model (for experiment probes).
-func (p *Primary) CPU() *cpu.Resource { return p.proc }
+func (p *Replica) CPU() *cpu.Resource { return p.proc }
 
 // Register runs admission control for spec (Section 4.2). On acceptance
 // the object's update task is scheduled and the registration is forwarded
 // to every backup (with bounded retries) so they can reserve space.
-func (p *Primary) Register(spec ObjectSpec) Decision {
+func (p *Replica) Register(spec ObjectSpec) Decision {
 	if !p.running {
 		return Decision{Accepted: false, Reason: ErrStopped.Error()}
 	}
@@ -172,7 +172,7 @@ func (p *Primary) Register(spec ObjectSpec) Decision {
 // RegisterInterObject admits an inter-object temporal constraint between
 // two registered objects, tightening their update tasks as needed
 // (Section 3 / Section 4.2).
-func (p *Primary) RegisterInterObject(c temporal.InterObjectConstraint) (Decision, error) {
+func (p *Replica) RegisterInterObject(c temporal.InterObjectConstraint) (Decision, error) {
 	if !p.running {
 		return Decision{Accepted: false, Reason: ErrStopped.Error()}, ErrStopped
 	}
@@ -199,7 +199,7 @@ func (p *Primary) RegisterInterObject(c temporal.InterObjectConstraint) (Decisio
 	return d, nil
 }
 
-func (p *Primary) startUpdateTask(o *object) {
+func (p *Replica) startUpdateTask(o *object) {
 	switch p.cfg.Scheduling {
 	case ScheduleCompressed:
 		p.pumpOrder = append(p.pumpOrder, o.id)
@@ -213,7 +213,7 @@ func (p *Primary) startUpdateTask(o *object) {
 	})
 }
 
-func (p *Primary) retimeUpdateTask(o *object) {
+func (p *Replica) retimeUpdateTask(o *object) {
 	if o.task == nil {
 		return
 	}
@@ -227,7 +227,7 @@ func (p *Primary) retimeUpdateTask(o *object) {
 // forwardRegistration sends the object's registration to one backup and
 // retries until that backup's RegisterReply arrives or retries are
 // exhausted.
-func (p *Primary) forwardRegistration(pr *replicaPeer, o *object, retriesLeft int) {
+func (p *Replica) forwardRegistration(pr *replicaPeer, o *object, retriesLeft int) {
 	if pr.registered[o.id] || retriesLeft <= 0 || !p.running {
 		return
 	}
@@ -253,7 +253,7 @@ func (p *Primary) forwardRegistration(pr *replicaPeer, o *object, retriesLeft in
 // CPU cost of the operation, and done (optional) observes the response
 // time. The version timestamp is the write's arrival instant — the moment
 // the client sampled the external world.
-func (p *Primary) ClientWrite(name string, data []byte, done func(latency time.Duration, err error)) {
+func (p *Replica) ClientWrite(name string, data []byte, done func(latency time.Duration, err error)) {
 	finish := func(lat time.Duration, err error) {
 		if done != nil {
 			done(lat, err)
@@ -313,7 +313,7 @@ func (p *Primary) ClientWrite(name string, data []byte, done func(latency time.D
 }
 
 // anyPeerAlive reports whether at least one backup is believed alive.
-func (p *Primary) anyPeerAlive() bool {
+func (p *Replica) anyPeerAlive() bool {
 	for _, pr := range p.peers {
 		if pr.alive {
 			return true
@@ -328,7 +328,7 @@ func (p *Primary) anyPeerAlive() bool {
 // is not delayed by the regular update backlog; regular transmissions go
 // through the bounded per-peer send queues unless the queue bound is
 // disabled.
-func (p *Primary) transmit(o *object, prio cpu.Priority) {
+func (p *Replica) transmit(o *object, prio cpu.Priority) {
 	if !p.running || p.role != RolePrimary || !o.hasData || !p.anyPeerAlive() {
 		return
 	}
@@ -377,7 +377,7 @@ func (p *Primary) transmit(o *object, prio cpu.Priority) {
 
 // startDrain kicks the send-queue drain pump if it is not already holding
 // a CPU submission.
-func (p *Primary) startDrain() {
+func (p *Replica) startDrain() {
 	if p.drainActive || !p.running {
 		return
 	}
@@ -399,7 +399,7 @@ type batchEntry struct {
 // submission is outstanding at a time, so client writes arriving
 // meanwhile interleave fairly in the low-priority FIFO instead of waiting
 // behind a pre-queued backlog.
-func (p *Primary) drainStep() {
+func (p *Replica) drainStep() {
 	if !p.running || p.role != RolePrimary {
 		p.drainActive = false
 		return
@@ -420,7 +420,7 @@ func (p *Primary) drainStep() {
 // removed from every queue that held it, so each slot transmits at most
 // one update per object — the frame-level mirror of the send queue's
 // coalescing invariant.
-func (p *Primary) collectBatch() (entries []batchEntry, cost time.Duration) {
+func (p *Replica) collectBatch() (entries []batchEntry, cost time.Duration) {
 	bytes := 0
 	for len(entries) < p.cfg.FrameBatch {
 		var id uint32
@@ -468,7 +468,7 @@ func (p *Primary) collectBatch() (entries []batchEntry, cost time.Duration) {
 // batch. A builder holding exactly one message emits the bare unframed
 // encoding, so single-update slots stay byte-identical to the pre-framing
 // wire format. Must run after the batch's CPU cost has been paid.
-func (p *Primary) flushBatch(entries []batchEntry) {
+func (p *Replica) flushBatch(entries []batchEntry) {
 	if !p.running || p.role != RolePrimary {
 		// A queued slot whose replica demoted while it waited must not
 		// fire: bumping seq here would corrupt the backup-role fence.
@@ -528,13 +528,13 @@ func (p *Primary) flushBatch(entries []batchEntry) {
 // sendUpdateNow emits the update datagram carrying the object's current
 // state to every live backup; it must run after the CPU cost has been
 // paid.
-func (p *Primary) sendUpdateNow(o *object) {
+func (p *Replica) sendUpdateNow(o *object) {
 	p.sendUpdateTo(o, p.peers)
 }
 
 // sendUpdateTo emits the update to the given peers (skipping any that
 // died since queuing); it must run after the CPU cost has been paid.
-func (p *Primary) sendUpdateTo(o *object, targets []*replicaPeer) {
+func (p *Replica) sendUpdateTo(o *object, targets []*replicaPeer) {
 	if !p.running || p.role != RolePrimary || !o.hasData {
 		// A queued send whose replica demoted while it waited must not
 		// fire: bumping o.seq here would corrupt the backup-role fence.
@@ -573,7 +573,7 @@ func (p *Primary) sendUpdateTo(o *object, targets []*replicaPeer) {
 
 // maybeStartPump starts the compressed-scheduling pump if it should run:
 // compressed mode, data available, a backup alive.
-func (p *Primary) maybeStartPump() {
+func (p *Replica) maybeStartPump() {
 	if p.cfg.Scheduling != ScheduleCompressed || p.pumpActive || !p.running || p.role != RolePrimary || !p.anyPeerAlive() {
 		return
 	}
@@ -586,7 +586,7 @@ func (p *Primary) maybeStartPump() {
 // allow" discipline of compressed scheduling. It runs in the processor's
 // idle class: queued with the writes on the modelled processor, and on a
 // live one paced by the send cost admission charged it, yielding to them.
-func (p *Primary) pumpStep() {
+func (p *Replica) pumpStep() {
 	if !p.running || p.role != RolePrimary || !p.anyPeerAlive() || p.cfg.Scheduling != ScheduleCompressed {
 		p.pumpActive = false
 		return
@@ -602,7 +602,7 @@ func (p *Primary) pumpStep() {
 	})
 }
 
-func (p *Primary) nextPumpObject() *object {
+func (p *Replica) nextPumpObject() *object {
 	for tries := 0; tries < len(p.pumpOrder); tries++ {
 		id := p.pumpOrder[p.pumpNext%len(p.pumpOrder)]
 		p.pumpNext++
@@ -621,7 +621,7 @@ func (p *Primary) nextPumpObject() *object {
 // peer coming (back) alive is reintegrated through the chunked
 // anti-entropy exchange (Section 4.4's recruitment, made resumable) and
 // only counts toward quorums again once it completes.
-func (p *Primary) SetPeerAlive(addr xkernel.Addr, alive bool) {
+func (p *Replica) SetPeerAlive(addr xkernel.Addr, alive bool) {
 	pr := p.peerByAddr(addr)
 	if pr == nil || pr.alive == alive {
 		return
@@ -642,7 +642,7 @@ func (p *Primary) SetPeerAlive(addr xkernel.Addr, alive bool) {
 
 // SetBackupAlive applies SetPeerAlive to every attached backup — the
 // single-backup deployments of the paper use this form.
-func (p *Primary) SetBackupAlive(alive bool) {
+func (p *Replica) SetBackupAlive(alive bool) {
 	for _, pr := range p.peers {
 		p.SetPeerAlive(pr.addr, alive)
 	}
@@ -651,17 +651,17 @@ func (p *Primary) SetBackupAlive(alive bool) {
 // BackupAlive reports whether any backup is believed alive and has
 // completed its anti-entropy exchange — a peer still catching up holds
 // arbitrarily stale state and is not counted as effective redundancy.
-func (p *Primary) BackupAlive() bool { return p.SyncedPeers() > 0 }
+func (p *Replica) BackupAlive() bool { return p.SyncedPeers() > 0 }
 
 // PeerAlive reports the liveness of one attached backup.
-func (p *Primary) PeerAlive(addr xkernel.Addr) bool {
+func (p *Replica) PeerAlive(addr xkernel.Addr) bool {
 	if pr := p.peerByAddr(addr); pr != nil {
 		return pr.alive
 	}
 	return false
 }
 
-func (p *Primary) peerByAddr(addr xkernel.Addr) *replicaPeer {
+func (p *Replica) peerByAddr(addr xkernel.Addr) *replicaPeer {
 	for _, pr := range p.peers {
 		if pr.addr == addr {
 			return pr
@@ -675,7 +675,7 @@ func (p *Primary) peerByAddr(addr xkernel.Addr) *replicaPeer {
 // object's spec, the peer's digest reports what it already holds, and
 // chunks stream the rest. Until the exchange completes the peer is
 // syncing and does not count toward quorums.
-func (p *Primary) AddPeer(addr xkernel.Addr) error {
+func (p *Replica) AddPeer(addr xkernel.Addr) error {
 	if !p.running {
 		return ErrStopped
 	}
@@ -692,7 +692,7 @@ func (p *Primary) AddPeer(addr xkernel.Addr) error {
 
 // RemovePeer detaches a backup replica (e.g. one that failed
 // permanently).
-func (p *Primary) RemovePeer(addr xkernel.Addr) {
+func (p *Replica) RemovePeer(addr xkernel.Addr) {
 	for i, pr := range p.peers {
 		if pr.addr == addr {
 			p.cancelTransfer(pr)
@@ -705,7 +705,7 @@ func (p *Primary) RemovePeer(addr xkernel.Addr) {
 
 // SetPeer replaces the entire peer set with one new backup (used by the
 // single-backup failover path when recruiting a replacement).
-func (p *Primary) SetPeer(peer xkernel.Addr) error {
+func (p *Replica) SetPeer(peer xkernel.Addr) error {
 	if !p.running {
 		return ErrStopped
 	}
@@ -729,7 +729,7 @@ func (p *Primary) SetPeer(peer xkernel.Addr) error {
 
 // SendPingTo emits one heartbeat to the named backup and returns its
 // per-peer sequence number.
-func (p *Primary) SendPingTo(addr xkernel.Addr) (uint64, error) {
+func (p *Replica) SendPingTo(addr xkernel.Addr) (uint64, error) {
 	pr := p.peerByAddr(addr)
 	if pr == nil {
 		return 0, fmt.Errorf("core: no peer %s", addr)
@@ -750,7 +750,7 @@ func (p *Primary) SendPingTo(addr xkernel.Addr) (uint64, error) {
 // observePingAck feeds one heartbeat ack into the peer's link estimator:
 // the answered ping yields an RTT sample, and any older pings still
 // outstanding are counted as losses (either they or their acks vanished).
-func (p *Primary) observePingAck(pr *replicaPeer, seq uint64) {
+func (p *Replica) observePingAck(pr *replicaPeer, seq uint64) {
 	sentAt, ok := pr.pingSent[seq]
 	if !ok {
 		return
@@ -772,7 +772,7 @@ func (p *Primary) observePingAck(pr *replicaPeer, seq uint64) {
 // adaptive timeout derived from it toward a value this link never
 // exhibited. Such an exchange counts as delivered with no usable RTT,
 // Karn's rule extended to clock faults.
-func (p *Primary) sampleRTT(pr *replicaPeer, sentAt time.Time) {
+func (p *Replica) sampleRTT(pr *replicaPeer, sentAt time.Time) {
 	if rtt := p.clk.Now().Sub(sentAt); rtt >= 0 {
 		pr.est.SampleRTT(rtt)
 	} else {
@@ -781,7 +781,7 @@ func (p *Primary) sampleRTT(pr *replicaPeer, sentAt time.Time) {
 }
 
 // demuxPrimary handles inbound RTPB datagrams while serving as primary.
-func (p *Primary) demuxPrimary(msg wire.Message, from xkernel.Addr) {
+func (p *Replica) demuxPrimary(msg wire.Message, from xkernel.Addr) {
 	switch t := msg.(type) {
 	case *wire.RetransmitRequest:
 		if p.OnRetransmitRequest != nil {
@@ -842,7 +842,7 @@ func (p *Primary) demuxPrimary(msg wire.Message, from xkernel.Addr) {
 }
 
 // broadcast sends a message to every live peer.
-func (p *Primary) broadcast(msg wire.Message) {
+func (p *Replica) broadcast(msg wire.Message) {
 	encoded := wire.Encode(msg)
 	for _, pr := range p.peers {
 		if pr.alive {
@@ -854,13 +854,13 @@ func (p *Primary) broadcast(msg wire.Message) {
 // sendTo sends a message to one peer regardless of its liveness mark
 // (registration retries and recruitment probes must reach a peer we have
 // not heard from yet).
-func (p *Primary) sendTo(pr *replicaPeer, msg wire.Message) {
+func (p *Replica) sendTo(pr *replicaPeer, msg wire.Message) {
 	_ = pr.sess.Push(xkernel.NewMessage(wire.Encode(msg)))
 }
 
 // replyTo answers a sender that may not be an attached peer (e.g. a ping
 // from a replica probing us).
-func (p *Primary) replyTo(addr xkernel.Addr, msg wire.Message) {
+func (p *Replica) replyTo(addr xkernel.Addr, msg wire.Message) {
 	if pr := p.peerByAddr(addr); pr != nil {
 		p.sendTo(pr, msg)
 		return
@@ -874,7 +874,7 @@ func (p *Primary) replyTo(addr xkernel.Addr, msg wire.Message) {
 }
 
 // Spec returns the registered spec for an object name.
-func (p *Primary) Spec(name string) (ObjectSpec, bool) {
+func (p *Replica) Spec(name string) (ObjectSpec, bool) {
 	o, err := p.adm.byNameOrErr(name)
 	if err != nil {
 		return ObjectSpec{}, false
@@ -884,7 +884,7 @@ func (p *Primary) Spec(name string) (ObjectSpec, bool) {
 
 // UpdatePeriod reports the admitted backup-update period r_i of an
 // object.
-func (p *Primary) UpdatePeriod(name string) (time.Duration, bool) {
+func (p *Replica) UpdatePeriod(name string) (time.Duration, bool) {
 	o, err := p.adm.byNameOrErr(name)
 	if err != nil {
 		return 0, false
@@ -894,7 +894,7 @@ func (p *Primary) UpdatePeriod(name string) (time.Duration, bool) {
 
 // Modes returns every admitted object's current degradation rung keyed by
 // name.
-func (p *Primary) Modes() map[string]ObjectMode {
+func (p *Replica) Modes() map[string]ObjectMode {
 	out := make(map[string]ObjectMode, len(p.adm.objects))
 	for name, id := range p.adm.byName {
 		if p.gov == nil {
@@ -908,7 +908,7 @@ func (p *Primary) Modes() map[string]ObjectMode {
 
 // GovernorStats reports the overload governor's ladder activity (zero on
 // an ungoverned primary).
-func (p *Primary) GovernorStats() GovernorStats {
+func (p *Replica) GovernorStats() GovernorStats {
 	if p.gov == nil {
 		return GovernorStats{}
 	}
@@ -934,7 +934,7 @@ type PeerLinkStats struct {
 
 // PeerLink reports the link estimator and send-queue state toward one
 // attached backup.
-func (p *Primary) PeerLink(addr xkernel.Addr) (PeerLinkStats, bool) {
+func (p *Replica) PeerLink(addr xkernel.Addr) (PeerLinkStats, bool) {
 	pr := p.peerByAddr(addr)
 	if pr == nil {
 		return PeerLinkStats{}, false

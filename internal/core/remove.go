@@ -52,7 +52,7 @@ func (a *admission) feasible() bool {
 // transmissions are dropped, and an Unregister is broadcast so every
 // backup releases the object. Objects bound by an inter-object
 // constraint cannot be removed (ErrConstrained).
-func (p *Primary) RemoveObject(name string) error {
+func (p *Replica) RemoveObject(name string) error {
 	if !p.running {
 		return ErrStopped
 	}
@@ -98,7 +98,7 @@ func (p *Primary) RemoveObject(name string) error {
 // its configured schedulability test. The placement layer's property —
 // no accepted placement sequence may overcommit a shard — is stated in
 // terms of this predicate.
-func (p *Primary) Feasible() bool { return p.adm.feasible() }
+func (p *Replica) Feasible() bool { return p.adm.feasible() }
 
 // ResyncPeers restarts the chunked anti-entropy exchange toward every
 // live peer. The digest diff ensures only missing or stale entries are
@@ -106,7 +106,7 @@ func (p *Primary) Feasible() bool { return p.adm.feasible() }
 // object's spec and state to the backups; everything already current is
 // skipped. Peers are marked syncing (excluded from quorums) until their
 // exchange completes.
-func (p *Primary) ResyncPeers() {
+func (p *Replica) ResyncPeers() {
 	if !p.running || p.role != RolePrimary {
 		return
 	}
@@ -119,7 +119,7 @@ func (p *Primary) ResyncPeers() {
 
 // handleUnregister releases one object at the backup. It is epoch-fenced
 // like every other mutation from the primary.
-func (b *Backup) handleUnregister(t *wire.Unregister) {
+func (b *Replica) handleUnregister(t *wire.Unregister) {
 	if !b.observeEpoch(t.Epoch) {
 		return
 	}

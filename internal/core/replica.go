@@ -98,7 +98,7 @@ var (
 // table (the admission ledger doubles as the backup's replica table), the
 // epoch ledger, the wire demux, the send path with its bounded queues and
 // link estimators, the overload governor, and the anti-entropy transfer
-// engine; the Primary and Backup names are thin role views over it.
+// engine. One type serves every role; Role reports which.
 //
 // The role decides the active task set:
 //
@@ -275,15 +275,6 @@ type Replica struct {
 	OnTimeSample func(s clocksync.Sample, theta time.Duration)
 }
 
-// Primary is the serving-role view of a Replica (see Replica); Backup is
-// the shadowing-role view; Observer is the read-only fan-out view. They
-// are the same state machine.
-type (
-	Primary  = Replica
-	Backup   = Replica
-	Observer = Replica
-)
-
 var _ xkernel.Upper = (*Replica)(nil)
 
 // NewReplica builds a replica in the given role and enables it on the
@@ -344,16 +335,16 @@ func NewReplica(cfg Config, role Role) (*Replica, error) {
 }
 
 // NewPrimary builds a replica serving as primary.
-func NewPrimary(cfg Config) (*Primary, error) { return NewReplica(cfg, RolePrimary) }
+func NewPrimary(cfg Config) (*Replica, error) { return NewReplica(cfg, RolePrimary) }
 
 // NewBackup builds a replica shadowing as backup.
-func NewBackup(cfg Config) (*Backup, error) { return NewReplica(cfg, RoleBackup) }
+func NewBackup(cfg Config) (*Replica, error) { return NewReplica(cfg, RoleBackup) }
 
 // NewObserver builds a read-only replica observing cfg.Peer — a primary
 // or another observer. Subscribe starts its attach loop: Join through
 // the chunked anti-entropy exchange, and SendPing for heartbeat,
 // clock-sync, and chain-status traffic toward the upstream.
-func NewObserver(cfg Config) (*Observer, error) { return NewReplica(cfg, RoleObserver) }
+func NewObserver(cfg Config) (*Replica, error) { return NewReplica(cfg, RoleObserver) }
 
 // seedBackupLink derives the backup-role jitter streams for the upstream
 // link toward addr.
@@ -407,6 +398,15 @@ func (r *Replica) Running() bool { return r.running }
 
 // Role reports the replica's current role.
 func (r *Replica) Role() Role { return r.role }
+
+// Upstream reports the address the replica's upstream session targets
+// (Demote rewrites it); empty when it has none, as while serving.
+func (r *Replica) Upstream() xkernel.Addr {
+	if r.sess == nil {
+		return ""
+	}
+	return r.cfg.Peer
+}
 
 // Transitions reports how many in-place role transitions (promotions and
 // demotions) this replica has performed.

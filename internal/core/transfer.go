@@ -62,7 +62,7 @@ type TransferStats struct {
 // update traffic — fresh updates are exactly what completes its
 // per-object catch-up — but is not counted toward critical-write quorums
 // or the reported replication degree.
-func (p *Primary) beginJoin(pr *replicaPeer) {
+func (p *Replica) beginJoin(pr *replicaPeer) {
 	p.cancelTransfer(pr)
 	pr.syncing = true
 	pr.joinAttempt = 0
@@ -75,7 +75,7 @@ func (p *Primary) beginJoin(pr *replicaPeer) {
 
 // cancelTransfer stops the peer's join/chunk timers and abandons any
 // in-flight generation (the syncing mark is left as-is).
-func (p *Primary) cancelTransfer(pr *replicaPeer) {
+func (p *Replica) cancelTransfer(pr *replicaPeer) {
 	if pr.joinRetry != nil {
 		pr.joinRetry.Cancel()
 		pr.joinRetry = nil
@@ -92,7 +92,7 @@ func (p *Primary) cancelTransfer(pr *replicaPeer) {
 // sendJoinAccept pushes the admission table to the joiner and retries on
 // the adaptive RTO until the joiner's StateDigest arrives (the digest is
 // the accept's acknowledgement) or the retry budget runs out.
-func (p *Primary) sendJoinAccept(pr *replicaPeer) {
+func (p *Replica) sendJoinAccept(pr *replicaPeer) {
 	if !p.running || p.peerByAddr(pr.addr) != pr || !pr.syncing || pr.xferActive {
 		return
 	}
@@ -138,7 +138,7 @@ func (p *Primary) sendJoinAccept(pr *replicaPeer) {
 // handleJoinRequest admits a restarted replica asking to rejoin as a
 // backup. The datagram's source address is authoritative; an unknown
 // sender is attached as a new peer.
-func (p *Primary) handleJoinRequest(from xkernel.Addr, t *wire.JoinRequest) {
+func (p *Replica) handleJoinRequest(from xkernel.Addr, t *wire.JoinRequest) {
 	if !p.running {
 		return
 	}
@@ -184,7 +184,7 @@ func (p *Primary) handleJoinRequest(from xkernel.Addr, t *wire.JoinRequest) {
 // entries. Freshness is judged by version timestamp, which survives
 // epoch changes: the joiner may legitimately hold state from an older
 // epoch that is still the newest value in existence.
-func (p *Primary) handleStateDigest(from xkernel.Addr, t *wire.StateDigest) {
+func (p *Replica) handleStateDigest(from xkernel.Addr, t *wire.StateDigest) {
 	pr := p.peerByAddr(from)
 	if pr == nil {
 		return
@@ -223,7 +223,7 @@ func (p *Primary) handleStateDigest(from xkernel.Addr, t *wire.StateDigest) {
 // it. Catch-up traffic yields to congestion: while the peer's send queue
 // is backlogged or the governor reports overload, the next chunk is
 // deferred — live replication outranks repair.
-func (p *Primary) sendNextChunk(pr *replicaPeer) {
+func (p *Replica) sendNextChunk(pr *replicaPeer) {
 	if !p.running || p.peerByAddr(pr.addr) != pr || !pr.xferActive {
 		return
 	}
@@ -258,7 +258,7 @@ func (p *Primary) sendNextChunk(pr *replicaPeer) {
 // and arms the retransmission timer. A chunk that exhausts its retry
 // budget abandons the generation; the joiner's digest retry resumes the
 // transfer from whatever landed.
-func (p *Primary) pushChunk(pr *replicaPeer, gen uint32, final, retrans bool) {
+func (p *Replica) pushChunk(pr *replicaPeer, gen uint32, final, retrans bool) {
 	if !p.running || p.peerByAddr(pr.addr) != pr || !pr.xferActive || pr.xferGen != gen {
 		return
 	}
@@ -314,7 +314,7 @@ func (p *Primary) pushChunk(pr *replicaPeer, gen uint32, final, retrans bool) {
 }
 
 // stateEntryFor snapshots one object — spec and value — as a wire entry.
-func (p *Primary) stateEntryFor(o *object) wire.StateEntry {
+func (p *Replica) stateEntryFor(o *object) wire.StateEntry {
 	return wire.StateEntry{
 		ObjectID: o.id,
 		Seq:      o.seq,
@@ -331,7 +331,7 @@ func (p *Primary) stateEntryFor(o *object) wire.StateEntry {
 // handleStateChunkAck advances the stop-and-wait stream: RTT sample
 // (Karn's rule: retransmitted chunks yield only a delivery sample), next
 // chunk, or — on the final chunk's ack — join completion.
-func (p *Primary) handleStateChunkAck(from xkernel.Addr, t *wire.StateChunkAck) {
+func (p *Replica) handleStateChunkAck(from xkernel.Addr, t *wire.StateChunkAck) {
 	pr := p.peerByAddr(from)
 	if pr == nil || t.Epoch != p.epoch {
 		return
@@ -389,7 +389,7 @@ type PeerStatus struct {
 
 // PeerStates reports every attached peer's repair-cycle state, sorted by
 // address for deterministic output.
-func (p *Primary) PeerStates() []PeerStatus {
+func (p *Replica) PeerStates() []PeerStatus {
 	out := make([]PeerStatus, 0, len(p.peers))
 	for _, pr := range p.peers {
 		out = append(out, PeerStatus{Addr: pr.addr, Alive: pr.alive, Syncing: pr.syncing,
@@ -405,7 +405,7 @@ func (p *Primary) PeerStates() []PeerStatus {
 // stream but are read-only bystanders: they never count here, in
 // critical-write quorums, or anywhere else the cluster's fate is
 // decided.
-func (p *Primary) SyncedPeers() int {
+func (p *Replica) SyncedPeers() int {
 	n := 0
 	for _, pr := range p.peers {
 		if pr.alive && !pr.syncing && !pr.observer {
@@ -416,7 +416,7 @@ func (p *Primary) SyncedPeers() int {
 }
 
 // TransferStatsFor reports the anti-entropy counters toward one peer.
-func (p *Primary) TransferStatsFor(addr xkernel.Addr) (TransferStats, bool) {
+func (p *Replica) TransferStatsFor(addr xkernel.Addr) (TransferStats, bool) {
 	if pr := p.peerByAddr(addr); pr != nil {
 		return pr.xfer, true
 	}
@@ -433,7 +433,7 @@ func (p *Primary) TransferStatsFor(addr xkernel.Addr) (TransferStats, bool) {
 // demoted) and whether it subscribes read-only; it is answered by a
 // JoinAccept. Join is fire-and-forget; callers (repair.Rejoiner, the
 // observer wiring) retry it until Joining or catch-up reports progress.
-func (b *Backup) Join() {
+func (b *Replica) Join() {
 	if !b.running || !b.role.Shadows() {
 		return
 	}
@@ -443,16 +443,16 @@ func (b *Backup) Join() {
 
 // Joining reports whether a join exchange is in flight (accepted but not
 // yet completed by a final chunk).
-func (b *Backup) Joining() bool { return b.joining }
+func (b *Replica) Joining() bool { return b.joining }
 
 // Joined reports whether a join exchange has ever completed on this
 // backup.
-func (b *Backup) Joined() bool { return b.joined }
+func (b *Replica) Joined() bool { return b.joined }
 
 // CatchingUp reports whether the named object is still catching up: it
 // was marked stale when a join began and no update or chunk within
 // δ_i^B has landed yet. An unknown name reports false.
-func (b *Backup) CatchingUp(name string) bool {
+func (b *Replica) CatchingUp(name string) bool {
 	if id, ok := b.adm.byName[name]; ok {
 		return b.adm.objects[id].catchingUp
 	}
@@ -460,13 +460,13 @@ func (b *Backup) CatchingUp(name string) bool {
 }
 
 // CatchUpRemaining reports how many objects are still catching up.
-func (b *Backup) CatchUpRemaining() int { return b.catchingUp }
+func (b *Replica) CatchUpRemaining() int { return b.catchingUp }
 
 // handleJoinAccept adopts the primary's epoch, admits every spec in the
 // accept, marks every listed object catching-up (its image must not be
 // reported consistent until an update lands within δ_i^B), and answers
 // with a state digest.
-func (b *Backup) handleJoinAccept(t *wire.JoinAccept) {
+func (b *Replica) handleJoinAccept(t *wire.JoinAccept) {
 	if !b.observeEpoch(t.Epoch) {
 		return
 	}
@@ -512,7 +512,7 @@ func (b *Backup) handleJoinAccept(t *wire.JoinAccept) {
 // join is incomplete, which is what makes the transfer resumable — a
 // fresh digest after any interruption enumerates exactly the entries
 // that survived.
-func (b *Backup) sendDigest() {
+func (b *Replica) sendDigest() {
 	if !b.running || !b.joining {
 		return
 	}
@@ -546,7 +546,7 @@ func (b *Backup) sendDigest() {
 // handleStateChunk applies one chunk (dedup by generation and chunk
 // number; duplicates are re-acknowledged but not re-applied) and, on the
 // final chunk, completes the join.
-func (b *Backup) handleStateChunk(t *wire.StateChunk) {
+func (b *Replica) handleStateChunk(t *wire.StateChunk) {
 	if !b.observeEpoch(t.Epoch) {
 		return
 	}
@@ -599,7 +599,7 @@ func (b *Backup) handleStateChunk(t *wire.StateChunk) {
 // saw — without the spec a later promotion would silently drop the
 // state), then the value under the usual supersedes ordering. It reports
 // 1 if the value was applied, 0 if local state was already newer.
-func (b *Backup) applyStateEntry(epoch uint32, e wire.StateEntry) int {
+func (b *Replica) applyStateEntry(epoch uint32, e wire.StateEntry) int {
 	o := b.adm.placeholder(e.ObjectID)
 	if o.spec.Name == "" && e.Name != "" {
 		b.adm.installSpec(o, ObjectSpec{

@@ -75,12 +75,12 @@ import (
 // execution model.
 type Server struct {
 	*lineServer
-	primary *core.Primary
+	primary *core.Replica
 }
 
 // NewServer starts the control listener on addr ("host:port", ":0" for
 // ephemeral).
-func NewServer(clk clock.Clock, primary *core.Primary, addr string) (*Server, error) {
+func NewServer(clk clock.Clock, primary *core.Replica, addr string) (*Server, error) {
 	s := &Server{primary: primary}
 	ls, err := newLineServer(clk, addr, s.handle)
 	if err != nil {

@@ -30,7 +30,7 @@ func startPrimaryDurable(t *testing.T, dlog *durable.Log) (*Client, func()) {
 // the replica starts.
 func startPrimaryWith(t *testing.T, mutate func(*core.Config)) (*Client, func()) {
 	t.Helper()
-	return startLive(t, mutate, func(clk *clock.RealClock, p *core.Primary) (liveServer, error) {
+	return startLive(t, mutate, func(clk *clock.RealClock, p *core.Replica) (liveServer, error) {
 		return NewServer(clk, p, "127.0.0.1:0")
 	})
 }
@@ -45,7 +45,7 @@ type liveServer interface {
 // control interface works standalone) and, on the clock's executor, the
 // control server serve builds over it, returning a connected client and
 // a shutdown func.
-func startLive(t *testing.T, mutate func(*core.Config), serve func(*clock.RealClock, *core.Primary) (liveServer, error)) (*Client, func()) {
+func startLive(t *testing.T, mutate func(*core.Config), serve func(*clock.RealClock, *core.Replica) (liveServer, error)) (*Client, func()) {
 	t.Helper()
 	clk := clock.NewReal()
 	tr, err := netsim.NewUDP(clk, "127.0.0.1:0")

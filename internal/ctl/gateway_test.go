@@ -16,7 +16,7 @@ import (
 // its control server, returning a connected client.
 func startGateway(t *testing.T) (*Client, func()) {
 	t.Helper()
-	return startLive(t, nil, func(clk *clock.RealClock, p *core.Primary) (liveServer, error) {
+	return startLive(t, nil, func(clk *clock.RealClock, p *core.Replica) (liveServer, error) {
 		gw, err := gateway.New(gateway.Config{
 			Clock:           clk,
 			Backend:         gateway.ReplicaBackend{Primary: p},

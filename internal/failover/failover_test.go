@@ -1,6 +1,7 @@
 package failover
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -50,7 +51,7 @@ func TestFullFailoverScenario(t *testing.T) {
 	backup := replica(t, clk, bPort, core.RoleBackup, "primary:7000", ms(5))
 
 	// Backup-side failure detector over the real heartbeat messages.
-	var promoted *core.Primary
+	var promoted *core.Replica
 	clientActivated := false
 	det, err := NewDetector(clk, cfg(), backup.SendPing, func() {
 		var perr error
@@ -58,7 +59,7 @@ func TestFullFailoverScenario(t *testing.T) {
 			Service:        "plant",
 			SelfAddr:       "backup:7000",
 			Names:          ns,
-			ActivateClient: func(*core.Primary) { clientActivated = true },
+			ActivateClient: func(*core.Replica) { clientActivated = true },
 		})
 		if perr != nil {
 			t.Fatalf("promotion failed: %v", perr)
@@ -178,5 +179,36 @@ func TestPromoteFreshBackupWithoutData(t *testing.T) {
 	}
 	if p2.Epoch() != 2 {
 		t.Fatalf("epoch = %d, want 2", p2.Epoch())
+	}
+}
+
+// TestSupersededTakeoverRefusesToPromote pins the yield half of the
+// takeover decision: when the directory already names a primary other
+// than the one the backup shadows, Takeover returns ErrSuperseded and
+// leaves the replica's role, epoch and the directory entry as they were.
+func TestSupersededTakeoverRefusesToPromote(t *testing.T) {
+	f, hs := fabric(t, 3, netsim.LinkParams{}, "b")
+	backup := replica(t, f.Clock, hs[0].Port, core.RoleBackup, "dead:7000", ms(5))
+	if got := backup.Upstream(); got != "dead:7000" {
+		t.Fatalf("Upstream = %v, want dead:7000", got)
+	}
+	ns := NewNameService()
+	if err := ns.Set("plant", "successor:7000", 2); err != nil {
+		t.Fatal(err)
+	}
+	epoch := backup.Epoch()
+
+	p, err := Takeover(backup, PromoteOptions{Service: "plant", SelfAddr: "b:7000", Names: ns})
+	if !errors.Is(err, ErrSuperseded) || p != nil {
+		t.Fatalf("Takeover = %v, %v; want nil, ErrSuperseded", p, err)
+	}
+	if want := "dead:7000 already superseded by successor:7000 (epoch 2); yielding"; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+	if backup.Role() != core.RoleBackup || backup.Epoch() != epoch || backup.Transitions() != 0 {
+		t.Errorf("replica moved: role=%v epoch=%d transitions=%d", backup.Role(), backup.Epoch(), backup.Transitions())
+	}
+	if addr, e, _ := ns.Lookup("plant"); addr != "successor:7000" || e != 2 {
+		t.Errorf("directory records %v@%d, want successor:7000@2", addr, e)
 	}
 }

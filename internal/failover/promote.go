@@ -29,7 +29,25 @@ type PromoteOptions struct {
 	// serving — the paper's "invokes a backup version of the client
 	// application at the local machine" with the recovered state fed by
 	// up-call.
-	ActivateClient func(p *core.Primary)
+	ActivateClient func(p *core.Replica)
+}
+
+// ErrSuperseded is Takeover's refusal: another backup's verdict won.
+var ErrSuperseded = errors.New("yielding")
+
+// Takeover rules on a backup detector's death verdict (Section 4.4). If
+// the directory already names a primary other than b.Upstream(), b must
+// yield: it returns ErrSuperseded and leaves b untouched. This is what
+// keeps concurrent verdicts from electing two primaries. Otherwise b
+// promotes in place (Promote).
+func Takeover(b *core.Replica, opts PromoteOptions) (*core.Replica, error) {
+	if opts.Names != nil {
+		if addr, epoch, ok := opts.Names.Lookup(opts.Service); ok && addr != b.Upstream() {
+			return nil, fmt.Errorf("%v already superseded by %v (epoch %d); %w",
+				b.Upstream(), addr, epoch, ErrSuperseded)
+		}
+	}
+	return Promote(b, opts)
 }
 
 // Promote executes the Section 4.4 takeover on a backup that has declared
@@ -40,7 +58,7 @@ type PromoteOptions struct {
 // The directory entry is then claimed and the standby client application
 // activated. The promoted primary starts with no peers; callers re-attach
 // surviving backups with AddPeer (or Recruit).
-func Promote(b *core.Backup, opts PromoteOptions) (*core.Primary, error) {
+func Promote(b *core.Replica, opts PromoteOptions) (*core.Replica, error) {
 	epoch := nextEpoch(b.Epoch(), opts)
 
 	drop := opts.OnPlaceholderDrop
@@ -112,7 +130,7 @@ func nextEpoch(observed uint32, opts PromoteOptions) uint32 {
 // Recruit points a serving primary at a fresh backup replica: the peer
 // session is re-opened, all object registrations are replayed, liveness
 // is re-armed, and a full state transfer pushes current values.
-func Recruit(p *core.Primary, backupAddr xkernel.Addr) error {
+func Recruit(p *core.Replica, backupAddr xkernel.Addr) error {
 	if err := p.SetPeer(backupAddr); err != nil {
 		return fmt.Errorf("failover: recruit %s: %w", backupAddr, err)
 	}

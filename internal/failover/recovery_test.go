@@ -34,7 +34,7 @@ func TestRecoveryTimeBoundedByDetectorConfig(t *testing.T) {
 	}
 
 	dcfg := DetectorConfig{Interval: ms(40), Timeout: ms(25), MaxMisses: 3}
-	var promoted *core.Primary
+	var promoted *core.Replica
 	var promotedAt time.Time
 	det, err := NewDetector(clk, dcfg, backup.SendPing, func() {
 		p2, perr := Promote(backup, PromoteOptions{
@@ -54,7 +54,7 @@ func TestRecoveryTimeBoundedByDetectorConfig(t *testing.T) {
 	det.Start()
 
 	// Steady state: the client writes continuously through the primary.
-	active := func() *core.Primary {
+	active := func() *core.Replica {
 		if promoted != nil {
 			return promoted
 		}

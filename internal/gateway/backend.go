@@ -57,7 +57,7 @@ func (b ClusterBackend) Place(spec core.ObjectSpec) (int, core.Decision, error) 
 // ReplicaBackend adapts a single primary replica — the unsharded
 // deployment — as a one-shard backend.
 type ReplicaBackend struct {
-	Primary *core.Primary
+	Primary *core.Replica
 }
 
 func (b ReplicaBackend) Write(name string, data []byte, done func(time.Duration, error)) error {
@@ -101,7 +101,7 @@ type ObserverBackend struct {
 	// routing and health go through it, and it is the read fallback.
 	Inner Backend
 	// Observers is the read tier, any chain arrangement.
-	Observers []*core.Observer
+	Observers []*core.Replica
 }
 
 func (b ObserverBackend) Write(name string, data []byte, done func(time.Duration, error)) error {

@@ -61,7 +61,7 @@ type RecruiterStats struct {
 // Detection of the degree loss itself is the failure detector's job;
 // the recruiter only reacts to what PeerStates reports.
 type Recruiter struct {
-	p     *core.Primary
+	p     *core.Replica
 	cfg   RecruiterConfig
 	cands failover.Candidates
 	task  *clock.Periodic
@@ -74,7 +74,7 @@ type Recruiter struct {
 // OnPeerSynced and OnPeerSyncFailed callbacks (previously installed
 // observers keep firing), so it must be created after any direct
 // callback assignment.
-func NewRecruiter(p *core.Primary, cfg RecruiterConfig) (*Recruiter, error) {
+func NewRecruiter(p *core.Replica, cfg RecruiterConfig) (*Recruiter, error) {
 	cands, ok := cfg.Directory.(failover.Candidates)
 	if !ok {
 		return nil, fmt.Errorf("repair: directory %T does not support candidates", cfg.Directory)

@@ -28,7 +28,7 @@ type RejoinerConfig struct {
 	// Peer at primary, and attaches its observers. epoch is the
 	// directory-recorded epoch, which the backup adopts from the
 	// JoinAccept. Exactly one of Start and Replica must be set.
-	Start func(primary xkernel.Addr, epoch uint32) (*core.Backup, error)
+	Start func(primary xkernel.Addr, epoch uint32) (*core.Replica, error)
 	// Replica, when set, is a still-running replica — typically a fenced
 	// old primary that lost its machine's network, not its process — to
 	// demote in place once the directory records a successor. The rejoin
@@ -39,7 +39,7 @@ type RejoinerConfig struct {
 	// OnDemoted, when set, fires right after the in-place demotion, before
 	// the first JoinRequest — the hook where callers re-attach backup-side
 	// observers (monitor taps, failure detector).
-	OnDemoted func(b *core.Backup)
+	OnDemoted func(b *core.Replica)
 	// Restore, when set, runs right after Start constructs the backup
 	// and before the first JoinRequest: the disk half of disk-fast
 	// rejoin. The hook replays the replica's local durable tail
@@ -49,7 +49,7 @@ type RejoinerConfig struct {
 	// accumulated while the node was down — catch-up cost proportional
 	// to downtime, not state size. It returns how many object values
 	// were seeded from disk.
-	Restore func(b *core.Backup) (int, error)
+	Restore func(b *core.Replica) (int, error)
 	// Interval is the poll/retry period; defaults to 250ms.
 	Interval time.Duration
 	// Announce registers Self in the directory's candidate list once the
@@ -57,7 +57,7 @@ type RejoinerConfig struct {
 	// failover.
 	Announce bool
 	// OnJoined, when set, fires once when the join exchange completes.
-	OnJoined func(b *core.Backup)
+	OnJoined func(b *core.Replica)
 }
 
 // RejoinerStatus is a snapshot of the rejoin protocol's progress.
@@ -90,7 +90,7 @@ type Rejoiner struct {
 	cfg  RejoinerConfig
 	task *clock.Periodic
 
-	b       *core.Backup
+	b       *core.Replica
 	primary xkernel.Addr
 	status  RejoinerStatus
 	done    bool
@@ -128,7 +128,7 @@ func (r *Rejoiner) Stop() {
 
 // Backup returns the backup replica once Start's hook has constructed
 // it (nil before the directory names a successor).
-func (r *Rejoiner) Backup() *core.Backup { return r.b }
+func (r *Rejoiner) Backup() *core.Replica { return r.b }
 
 // Status reports the loop's progress.
 func (r *Rejoiner) Status() RejoinerStatus { return r.status }

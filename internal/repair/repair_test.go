@@ -19,7 +19,7 @@ type fixture struct {
 	clk     *clock.SimClock
 	net     *netsim.Network
 	ns      *failover.NameService
-	primary *core.Primary
+	primary *core.Replica
 	hosts   map[string]*topo.Host
 }
 
@@ -54,7 +54,7 @@ func newFixture(t *testing.T, hosts ...string) *fixture {
 
 // startBackup runs a backup replica on the named candidate host, pointed
 // at the primary.
-func (f *fixture) startBackup(t *testing.T, host string) *core.Backup {
+func (f *fixture) startBackup(t *testing.T, host string) *core.Replica {
 	t.Helper()
 	b, err := core.NewBackup(core.Config{
 		Clock: f.clk,
@@ -185,7 +185,7 @@ func TestRejoinerWaitsForSuccessorThenJoins(t *testing.T) {
 		Directory: ns,
 		Self:      addrOf("cand1"),
 		Announce:  true,
-		Start: func(primary xkernel.Addr, epoch uint32) (*core.Backup, error) {
+		Start: func(primary xkernel.Addr, epoch uint32) (*core.Replica, error) {
 			started++
 			if primary != addrOf("primary") {
 				t.Fatalf("start hook got primary %v", primary)
@@ -258,7 +258,7 @@ func TestRejoinerJoinSurvivesLossyLink(t *testing.T) {
 		Service:   "svc",
 		Directory: f.ns,
 		Self:      addrOf("cand1"),
-		Start: func(primary xkernel.Addr, epoch uint32) (*core.Backup, error) {
+		Start: func(primary xkernel.Addr, epoch uint32) (*core.Replica, error) {
 			return f.startBackup(t, "cand1"), nil
 		},
 	})
@@ -318,7 +318,7 @@ func TestRejoinerDemotesFencedPrimaryInPlace(t *testing.T) {
 		Directory: f.ns,
 		Self:      addrOf("primary"),
 		Replica:   f.primary,
-		OnDemoted: func(b *core.Backup) {
+		OnDemoted: func(b *core.Replica) {
 			demoted++
 			if b != f.primary {
 				t.Fatal("demotion handed back a different replica")
@@ -370,7 +370,7 @@ func TestRejoinerConfigRequiresExactlyOneStartPath(t *testing.T) {
 		t.Fatal("rejoiner accepted a config with neither Start nor Replica")
 	}
 	both := base
-	both.Start = func(xkernel.Addr, uint32) (*core.Backup, error) { return nil, nil }
+	both.Start = func(xkernel.Addr, uint32) (*core.Replica, error) { return nil, nil }
 	both.Replica = &core.Replica{}
 	if _, err := NewRejoiner(both); err == nil {
 		t.Fatal("rejoiner accepted a config with both Start and Replica")

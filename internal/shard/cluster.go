@@ -95,49 +95,72 @@ type Shard struct {
 	index   int
 	service string
 
-	pHost *topo.Host // host of the current primary
-	bHost *topo.Host // host of the backup (site name for the monitor)
+	// hosts[i] runs reps[i]: first the pair ("shardI-p", "shardI-b"),
+	// then the observer tier, chain-ordered.
+	hosts []*topo.Host
+	reps  []*core.Replica
 
-	primary    *core.Primary
-	backup     *core.Backup
 	det        *failover.Detector
-	peer       xkernel.Addr // primary address the backup replicates from
 	promotions int
-
-	// The shard's observer tier: read-only replicas subscribed to the
-	// primary (or chained off each other), chain-ordered.
-	oHosts    []*topo.Host
-	observers []*core.Observer
 }
 
 // Utilization implements Target with the shard primary's resident
 // utilization.
-func (sh *Shard) Utilization() float64 { return sh.primary.Utilization() }
+func (sh *Shard) Utilization() float64 { return sh.Primary().Utilization() }
 
 // UtilizationWith implements Target with the primary's what-if estimate.
 // A shard whose primary is not serving reports no fit.
 func (sh *Shard) UtilizationWith(spec core.ObjectSpec) (float64, bool) {
-	if sh.primary == nil || !sh.primary.Running() {
+	p := sh.serving()
+	if p == nil {
 		return 0, false
 	}
-	return sh.primary.UtilizationWith(spec)
+	return p.UtilizationWith(spec)
 }
 
 // Admit implements Target by running the shard's real admission
 // pipeline.
 func (sh *Shard) Admit(spec core.ObjectSpec) core.Decision {
-	if sh.primary == nil || !sh.primary.Running() {
+	p := sh.serving()
+	if p == nil {
 		return core.Decision{Reason: "shard primary not running"}
 	}
-	return sh.primary.Register(spec)
+	return p.Register(spec)
 }
 
-// Primary exposes the shard's currently serving primary (nil after an
-// unrecovered crash).
-func (sh *Shard) Primary() *core.Primary { return sh.primary }
+// primaryIndex locates the host the directory names for the shard: the
+// current primary's, which a takeover moves to the backup's host.
+func (sh *Shard) primaryIndex() int {
+	addr, _, _ := sh.c.ns.Lookup(sh.service)
+	if sh.hosts[1].Addr == addr {
+		return 1
+	}
+	return 0
+}
 
-// Backup exposes the shard's backup replica (nil after it promoted).
-func (sh *Shard) Backup() *core.Backup { return sh.backup }
+// Primary exposes the shard's current primary: the replica on the host
+// the directory names (stopped after an unrecovered crash).
+func (sh *Shard) Primary() *core.Replica { return sh.reps[sh.primaryIndex()] }
+
+// serving returns the shard's primary while it is running, else nil.
+func (sh *Shard) serving() *core.Replica {
+	if p := sh.Primary(); p.Running() {
+		return p
+	}
+	return nil
+}
+
+// Backup exposes the shard's backup replica (nil once it promoted or
+// yielded).
+func (sh *Shard) Backup() *core.Replica {
+	if b := sh.reps[1]; b.Running() && b.Role() == core.RoleBackup {
+		return b
+	}
+	return nil
+}
+
+// site is the shard's backup site in the monitor.
+func (sh *Shard) site() string { return sh.hosts[1].Name }
 
 // Cluster is K primary-backup groups behind one client-facing surface:
 // the Placer spreads registrations across the groups, the Router owns
@@ -193,11 +216,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) primaryConfig(port *xkernel.PortProtocol, peers []xkernel.Addr) core.Config {
+// config builds the configuration of a replica on host h, in any role:
+// promotion is in-place, so whatever a backup is built with is what it
+// will serve with as a primary. Callers add Peer or Peers.
+func (c *Cluster) config(h *topo.Host) core.Config {
 	return core.Config{
-		Clock:                   c.clk,
-		Port:                    port,
-		Peers:                   peers,
+		Clock:                   h.Clk,
+		Port:                    h.Port,
 		Ell:                     c.cfg.Ell,
 		Scheduling:              c.cfg.Scheduling,
 		Costs:                   c.cfg.Costs,
@@ -210,30 +235,29 @@ func (c *Cluster) primaryConfig(port *xkernel.PortProtocol, peers []xkernel.Addr
 
 func (c *Cluster) buildShard(i int) (*Shard, error) {
 	sh := &Shard{c: c, index: i, service: fmt.Sprintf("shard%d", i)}
-	var err error
-	if sh.pHost, err = c.fabric.Host(fmt.Sprintf("shard%d-p", i)); err != nil {
-		return nil, err
+	for _, role := range []string{"p", "b"} {
+		h, err := c.fabric.Host(fmt.Sprintf("shard%d-%s", i, role))
+		if err != nil {
+			return nil, err
+		}
+		sh.hosts = append(sh.hosts, h)
 	}
-	if sh.bHost, err = c.fabric.Host(fmt.Sprintf("shard%d-b", i)); err != nil {
-		return nil, err
-	}
-	sh.primary, err = core.NewPrimary(c.primaryConfig(sh.pHost.Port, []xkernel.Addr{sh.bHost.Addr}))
+	pcfg := c.config(sh.hosts[0])
+	pcfg.Peers = []xkernel.Addr{sh.hosts[1].Addr}
+	p, err := core.NewPrimary(pcfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.ns.Set(sh.service, sh.pHost.Addr, 1); err != nil {
+	if err := c.ns.Set(sh.service, sh.hosts[0].Addr, 1); err != nil {
 		return nil, err
 	}
-	// The backup carries the full scheduling/cost configuration: promotion
-	// is in-place, so whatever this replica was built with is what it will
-	// serve with as a primary.
-	bcfg := c.primaryConfig(sh.bHost.Port, nil)
-	bcfg.Peer = sh.pHost.Addr
-	sh.backup, err = core.NewBackup(bcfg)
+	bcfg := c.config(sh.hosts[1])
+	bcfg.Peer = sh.hosts[0].Addr
+	b, err := core.NewBackup(bcfg)
 	if err != nil {
 		return nil, err
 	}
-	sh.peer = sh.pHost.Addr
+	sh.reps = []*core.Replica{p, b}
 	if err := c.wireBackup(sh); err != nil {
 		return nil, err
 	}
@@ -254,18 +278,18 @@ func (c *Cluster) attachObserver(sh *Shard, j int) error {
 	if err != nil {
 		return err
 	}
-	upstream := sh.pHost.Addr
+	upstream := sh.hosts[0].Addr
 	if j%c.cfg.ObserverChainDepth != 0 {
-		upstream = sh.oHosts[j-1].Addr
+		upstream = sh.hosts[len(sh.hosts)-1].Addr
 	}
-	ocfg := c.primaryConfig(host.Port, nil)
+	ocfg := c.config(host)
 	ocfg.Peer = upstream
 	obs, err := core.NewObserver(ocfg)
 	if err != nil {
 		return err
 	}
-	sh.oHosts = append(sh.oHosts, host)
-	sh.observers = append(sh.observers, obs)
+	sh.hosts = append(sh.hosts, host)
+	sh.reps = append(sh.reps, obs)
 	obs.Subscribe(100 * time.Millisecond)
 	c.logf("shard %d: observer %s subscribes to %v", sh.index, host.Name, upstream)
 	return nil
@@ -274,7 +298,7 @@ func (c *Cluster) attachObserver(sh *Shard, j int) error {
 // wireBackup attaches the monitor hooks and a fresh failure detector to
 // the shard's backup replica.
 func (c *Cluster) wireBackup(sh *Shard) error {
-	b, site := sh.backup, sh.bHost.Name
+	b, site := sh.reps[1], sh.site()
 	b.OnApply = func(_ uint32, name string, _ uint32, _ uint64, version, at time.Time) {
 		c.mon.RecordUpdate(site, name, version, at)
 	}
@@ -315,7 +339,7 @@ func (c *Cluster) wireBackup(sh *Shard) error {
 		c.mon.Resume(site, name)
 		c.mon.SetBound(site, name, c.clk.Now(), bound)
 	}
-	det, err := failover.NewDetector(c.clk, c.cfg.Detector, b.SendPing, func() {
+	det, err := failover.NewDetector(sh.hosts[1].Clk, c.cfg.Detector, b.SendPing, func() {
 		c.onPrimaryDead(sh)
 	})
 	if err != nil {
@@ -327,51 +351,41 @@ func (c *Cluster) wireBackup(sh *Shard) error {
 	return nil
 }
 
-// onPrimaryDead is the shard's backup detector verdict: promote the
-// backup in place (Section 4.4), fencing the dead primary's epoch. The
-// name-service arbitration mirrors the chaos harness — if the directory
-// already records a successor, this replica yields instead of promoting.
-// Other shards are untouched: their detectors, schedules and temporal
-// accounting never observe the failure.
+// onPrimaryDead is the shard's backup detector verdict, ruled on by
+// failover.Takeover: promote the backup in place (Section 4.4), fencing
+// the dead primary's epoch, or yield if the directory already records a
+// successor. Other shards are untouched: their detectors, schedules and
+// temporal accounting never observe the failure.
 func (c *Cluster) onPrimaryDead(sh *Shard) {
 	c.logf("shard %d: detector declares primary dead", sh.index)
-	if addr, epoch, ok := c.ns.Lookup(sh.service); ok && addr != sh.peer {
-		c.logf("shard %d: %v already superseded by %v (epoch %d); yielding",
-			sh.index, sh.peer, addr, epoch)
-		sh.backup.Stop()
-		sh.backup = nil
-		sh.det = nil
-		return
-	}
-	// The promoted replica stops being a backup site: capture its image
-	// list before promotion so the monitor stops charging staleness to a
-	// site that no longer hosts an image.
-	specs := sh.backup.Specs()
-	p, err := failover.Promote(sh.backup, failover.PromoteOptions{
+	p, err := failover.Takeover(sh.reps[1], failover.PromoteOptions{
 		Service:  sh.service,
-		SelfAddr: sh.bHost.Addr,
+		SelfAddr: sh.hosts[1].Addr,
 		Names:    c.ns,
 		OnPlaceholderDrop: func(ids []uint32) {
 			c.logf("shard %d: promotion dropped %d spec-less placeholder object(s) %v",
 				sh.index, len(ids), ids)
 		},
-		ActivateClient: func(p *core.Primary) {
-			sh.primary = p
-			sh.pHost = sh.bHost
-		},
 	})
+	if errors.Is(err, failover.ErrSuperseded) {
+		c.logf("shard %d: %v", sh.index, err)
+		sh.reps[1].Stop()
+		sh.det = nil
+		return
+	}
 	if err != nil {
 		c.logf("shard %d: promotion failed: %v", sh.index, err)
 		return
 	}
+	// The promoted replica stops being a backup site: the monitor stops
+	// charging staleness to a site that no longer hosts an image.
 	now := c.clk.Now()
-	for _, spec := range specs {
-		c.mon.Suspend(sh.bHost.Name, spec.Name, now)
+	for _, spec := range p.Specs() {
+		c.mon.Suspend(sh.site(), spec.Name, now)
 	}
-	sh.backup = nil
 	sh.det = nil
 	sh.promotions++
-	c.logf("shard %d: %s promoted to primary, epoch %d", sh.index, sh.pHost.Name, p.Epoch())
+	c.logf("shard %d: %s promoted to primary, epoch %d", sh.index, sh.hosts[1].Name, p.Epoch())
 }
 
 // targets returns the shards as a placement slice (index-aligned).
@@ -400,9 +414,9 @@ func (c *Cluster) Place(spec core.ObjectSpec) (int, core.Decision, error) {
 	}
 	sh := c.shards[idx]
 	c.router.Assign(spec.Name, idx)
-	if sh.backup != nil {
-		if _, ok := c.mon.ExternalReport(sh.bHost.Name, spec.Name); !ok {
-			c.mon.TrackExternal(sh.bHost.Name, spec.Name, spec.Constraint.DeltaB)
+	if sh.Backup() != nil {
+		if _, ok := c.mon.ExternalReport(sh.site(), spec.Name); !ok {
+			c.mon.TrackExternal(sh.site(), spec.Name, spec.Constraint.DeltaB)
 		}
 	}
 	c.logf("place %q -> shard %d (r=%v, util %.3f)", spec.Name, idx, d.UpdatePeriod, sh.Utilization())
@@ -429,20 +443,21 @@ func (c *Cluster) Write(name string, data []byte, done func(time.Duration, error
 	if err != nil {
 		return err
 	}
-	if sh.primary == nil || !sh.primary.Running() {
+	p := sh.serving()
+	if p == nil {
 		return fmt.Errorf("shard: shard %d has no serving primary for %q", sh.index, name)
 	}
-	sh.primary.ClientWrite(name, data, done)
+	p.ClientWrite(name, data, done)
 	return nil
 }
 
 // Read returns the owning shard primary's current value.
 func (c *Cluster) Read(name string) (data []byte, version time.Time, ok bool) {
 	sh, err := c.owner(name)
-	if err != nil || sh.primary == nil || !sh.primary.Running() {
+	if err != nil || sh.serving() == nil {
 		return nil, time.Time{}, false
 	}
-	return sh.primary.Value(name)
+	return sh.Primary().Value(name)
 }
 
 // Certificate returns the owning shard's current image with its
@@ -461,10 +476,10 @@ func (c *Cluster) Certificate(name string) (core.Certificate, bool) {
 	if cert, ok := sh.ObserverCertificate(name); ok {
 		return cert, true
 	}
-	if sh.primary == nil || !sh.primary.Running() {
+	if sh.serving() == nil {
 		return core.Certificate{}, false
 	}
-	return sh.primary.Certificate(name)
+	return sh.Primary().Certificate(name)
 }
 
 // ObserverCertificate serves a read from the shard's observer tier: the
@@ -474,8 +489,8 @@ func (c *Cluster) Certificate(name string) (core.Certificate, bool) {
 func (sh *Shard) ObserverCertificate(name string) (core.Certificate, bool) {
 	var best core.Certificate
 	found := false
-	for _, obs := range sh.observers {
-		if obs == nil || !obs.Running() {
+	for _, obs := range sh.Observers() {
+		if !obs.Running() {
 			continue
 		}
 		cert, ok := obs.Certificate(name)
@@ -490,7 +505,7 @@ func (sh *Shard) ObserverCertificate(name string) (core.Certificate, bool) {
 }
 
 // Observers exposes the shard's observer replicas, chain-ordered.
-func (sh *Shard) Observers() []*core.Observer { return sh.observers }
+func (sh *Shard) Observers() []*core.Replica { return sh.reps[2:] }
 
 // Health is one shard's overload-governor ladder state, the
 // admission-aware backpressure signal a front tier sheds on.
@@ -514,11 +529,11 @@ func (c *Cluster) Health(i int) Health {
 	if i < 0 || i >= len(c.shards) {
 		return Health{}
 	}
-	sh := c.shards[i]
-	if sh.primary == nil || !sh.primary.Running() {
+	p := c.shards[i].serving()
+	if p == nil {
 		return Health{Degraded: 1, Shed: 1}
 	}
-	gs := sh.primary.GovernorStats()
+	gs := p.GovernorStats()
 	return Health{Degraded: gs.Degraded, Shed: gs.Shed}
 }
 
@@ -533,11 +548,11 @@ func (c *Cluster) Remove(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := sh.primary.RemoveObject(name); err != nil {
+	if err := sh.Primary().RemoveObject(name); err != nil {
 		return err
 	}
-	if sh.backup != nil {
-		c.mon.Suspend(sh.bHost.Name, name, c.clk.Now())
+	if sh.Backup() != nil {
+		c.mon.Suspend(sh.site(), name, c.clk.Now())
 	}
 	c.router.Forget(name)
 	c.logf("remove %q from shard %d", name, sh.index)
@@ -563,34 +578,34 @@ func (c *Cluster) Migrate(name string, dst int) error {
 	if dst == sh.index {
 		return nil
 	}
-	dh := c.shards[dst]
-	spec, ok := sh.primary.Spec(name)
+	dh, src := c.shards[dst], sh.Primary()
+	spec, ok := src.Spec(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotPlaced, name)
 	}
-	value, version, hasData := sh.primary.Value(name)
+	value, version, hasData := src.Value(name)
 	if d := dh.Admit(spec); !d.Accepted {
 		return fmt.Errorf("shard: destination %d rejected %q: %s", dst, name, d.Reason)
 	}
 	if hasData {
-		if err := dh.primary.SeedObject(name, value, version); err != nil {
+		if err := dh.Primary().SeedObject(name, value, version); err != nil {
 			return fmt.Errorf("shard: seed %q on shard %d: %w", name, dst, err)
 		}
 	}
-	if dh.backup != nil {
-		if _, ok := c.mon.ExternalReport(dh.bHost.Name, spec.Name); !ok {
-			c.mon.TrackExternal(dh.bHost.Name, spec.Name, spec.Constraint.DeltaB)
+	if dh.Backup() != nil {
+		if _, ok := c.mon.ExternalReport(dh.site(), spec.Name); !ok {
+			c.mon.TrackExternal(dh.site(), spec.Name, spec.Constraint.DeltaB)
 		}
 		// Push registrations and state to the destination backup through
 		// the join exchange; its OnJoinAccept hook marks the image
 		// catching-up until an update lands within δ_i^B.
-		dh.primary.ResyncPeers()
+		dh.Primary().ResyncPeers()
 	}
-	if err := sh.primary.RemoveObject(name); err != nil {
+	if err := src.RemoveObject(name); err != nil {
 		return fmt.Errorf("shard: revoke %q on shard %d: %w", name, sh.index, err)
 	}
-	if sh.backup != nil {
-		c.mon.Suspend(sh.bHost.Name, name, c.clk.Now())
+	if sh.Backup() != nil {
+		c.mon.Suspend(sh.site(), name, c.clk.Now())
 	}
 	c.router.Assign(name, dst)
 	c.logf("migrate %q: shard %d -> shard %d", name, sh.index, dst)
@@ -601,11 +616,10 @@ func (c *Cluster) Migrate(name string, dst int) error {
 // notices and drives the promotion.
 func (c *Cluster) CrashPrimary(i int) {
 	sh := c.shards[i]
-	if sh.primary != nil {
-		sh.primary.Stop()
-	}
-	sh.pHost.EP.SetDown(true)
-	c.logf("shard %d: %s is down", i, sh.pHost.Name)
+	h := sh.hosts[sh.primaryIndex()]
+	sh.Primary().Stop()
+	h.EP.SetDown(true)
+	c.logf("shard %d: %s is down", i, h.Name)
 }
 
 // WriteEvery starts a periodic client writer for one object; each fire
@@ -618,8 +632,8 @@ func (c *Cluster) WriteEvery(name string, period time.Duration) {
 		if !ok {
 			return
 		}
-		p := c.shards[idx].primary
-		if p == nil || !p.Running() {
+		p := c.shards[idx].serving()
+		if p == nil {
 			return
 		}
 		c.writeCounts[name]++
@@ -687,20 +701,21 @@ type Status struct {
 func (c *Cluster) Statuses() []Status {
 	out := make([]Status, len(c.shards))
 	for i, sh := range c.shards {
+		h := sh.hosts[sh.primaryIndex()]
 		s := Status{
 			Index:       i,
 			Service:     sh.service,
-			PrimaryHost: sh.pHost.Name,
-			PrimaryAddr: sh.pHost.Addr,
+			PrimaryHost: h.Name,
+			PrimaryAddr: h.Addr,
 			Promotions:  sh.promotions,
-			Observers:   len(sh.observers),
+			Observers:   len(sh.Observers()),
 		}
-		if sh.primary != nil && sh.primary.Running() {
-			s.Epoch = sh.primary.Epoch()
-			s.Objects = sh.primary.Objects()
-			s.Utilization = sh.primary.Utilization()
-			s.BackupAlive = sh.primary.BackupAlive()
-			gs := sh.primary.GovernorStats()
+		if p := sh.serving(); p != nil {
+			s.Epoch = p.Epoch()
+			s.Objects = p.Objects()
+			s.Utilization = p.Utilization()
+			s.BackupAlive = p.BackupAlive()
+			gs := p.GovernorStats()
 			s.Degraded, s.Shed = gs.Degraded, gs.Shed
 		}
 		out[i] = s
@@ -725,7 +740,7 @@ func (c *Cluster) Network() *netsim.Network { return c.fabric.Net }
 func (c *Cluster) Monitor() *temporal.Monitor { return c.mon }
 
 // BackupSite returns shard i's monitor site name.
-func (c *Cluster) BackupSite(i int) string { return c.shards[i].bHost.Name }
+func (c *Cluster) BackupSite(i int) string { return c.shards[i].site() }
 
 // RunFor advances virtual time.
 func (c *Cluster) RunFor(d time.Duration) { c.clk.RunFor(d) }
@@ -756,15 +771,8 @@ func (c *Cluster) Stop() {
 			sh.det.Stop()
 			sh.det = nil
 		}
-		for _, obs := range sh.observers {
-			obs.Stop()
-		}
-		if sh.backup != nil {
-			sh.backup.Stop()
-			sh.backup = nil
-		}
-		if sh.primary != nil {
-			sh.primary.Stop()
+		for _, r := range sh.reps {
+			r.Stop()
 		}
 	}
 }

@@ -57,10 +57,13 @@ type Host struct {
 	Port *xkernel.PortProtocol
 	// Addr is the address RTPB listens on: Name on the well-known port.
 	Addr xkernel.Addr
+	// Clk is the host's timebase over the fabric clock, transparent
+	// until a clock fault perturbs it. Whatever runs on the host reads it.
+	Clk *clock.SkewedClock
 }
 
-// Host attaches a machine named name: an endpoint and the uport → driver
-// stack over it.
+// Host attaches a machine named name: an endpoint, the uport → driver
+// stack over it, and the host's clock.
 func (f *Fabric) Host(name string) (*Host, error) {
 	ep, err := f.Net.Endpoint(name)
 	if err != nil {
@@ -70,5 +73,6 @@ func (f *Fabric) Host(name string) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Host{Name: name, EP: ep, Port: port, Addr: xkernel.JoinHostPort(name, wire.Port)}, nil
+	return &Host{Name: name, EP: ep, Port: port, Addr: xkernel.JoinHostPort(name, wire.Port),
+		Clk: clock.NewSkewed(f.Clock)}, nil
 }

@@ -28,7 +28,7 @@ type Client struct {
 
 // NewClient starts a periodic writer: every period it writes a size-byte
 // payload (stamped with the write counter) to the named object.
-func NewClient(clk clock.Clock, p *core.Primary, object string, offset, period time.Duration, size int) *Client {
+func NewClient(clk clock.Clock, p *core.Replica, object string, offset, period time.Duration, size int) *Client {
 	c := &Client{}
 	if size < 8 {
 		size = 8

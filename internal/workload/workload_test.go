@@ -13,7 +13,7 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
-func testPrimary(t *testing.T) (*clock.SimClock, *core.Primary) {
+func testPrimary(t *testing.T) (*clock.SimClock, *core.Replica) {
 	t.Helper()
 	f, hs, err := topo.Build(1, netsim.LinkParams{}, "primary")
 	if err != nil {

@@ -59,10 +59,10 @@ type (
 	Role = core.Role
 	// Primary is a Replica serving the primary role (alias retained for
 	// the paper's vocabulary).
-	Primary = core.Primary
+	Primary = core.Replica
 	// Backup is a Replica serving the backup role (alias retained for
 	// the paper's vocabulary).
-	Backup = core.Backup
+	Backup = core.Replica
 	// CostModel maps protocol operations to CPU time.
 	CostModel = core.CostModel
 	// SchedulingMode selects normal or compressed update scheduling.
