@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"rtpb/internal/clock"
 	"rtpb/internal/netsim"
+	"rtpb/internal/xkernel"
 )
 
 func TestWriteThroughTransmitsPerClientWrite(t *testing.T) {
@@ -81,5 +83,49 @@ func TestSchedulingModeStrings(t *testing.T) {
 	}
 	if SchedulingMode(77).String() != "SchedulingMode(77)" {
 		t.Fatalf("unknown mode String() = %q", SchedulingMode(77).String())
+	}
+}
+
+// discardTransport is a network that loses everything: what a sender does
+// per datagram, without a receiver's share.
+type discardTransport struct{}
+
+func (discardTransport) Send(string, []byte) error                     { return nil }
+func (discardTransport) SetReceiver(func(from string, payload []byte)) {}
+func (discardTransport) LocalAddr() string                             { return "primary" }
+func (discardTransport) Close() error                                  { return nil }
+
+// One compressed-mode pump step on the modelled processor: the send itself
+// and the submission of the next. A regression here shows as allocations
+// per send, which the pump multiplies by its rate.
+func TestPumpStepAllocs(t *testing.T) {
+	clk := clock.NewSim()
+	port, err := xkernel.NewStack(discardTransport{}, clk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPrimary(Config{Clock: clk, Port: port, Peer: "backup:7000", Ell: ms(1), Scheduling: ScheduleCompressed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec("x", ms(40), ms(50), ms(400))
+	if d := p.Register(s); !d.Accepted {
+		t.Fatal(d.Reason)
+	}
+	p.ClientWrite("x", make([]byte, s.Size), nil)
+	sends := 0
+	p.OnSend = func(uint32, string, uint64, time.Time) { sends++ }
+	step := DefaultCosts().sendCost(s.Size)
+	clk.RunFor(ms(10))
+	sends = 0
+	const steps = 1000
+	allocs := testing.AllocsPerRun(steps, func() { clk.RunFor(step) })
+	if sends < steps {
+		t.Fatalf("%d pump sends in %d steps", sends, steps)
+	}
+	// The pump's closure, the modelled processor's closure and event, and
+	// the message NewMessage copies the encoding into (two).
+	if allocs > 5 {
+		t.Fatalf("a pump step allocates %v times, pinned at 5", allocs)
 	}
 }

@@ -493,23 +493,11 @@ func (p *Replica) flushBatch(entries []batchEntry) {
 		if len(live) == 0 {
 			continue
 		}
-		o.seq++
-		o.lastSentSeq = o.seq
-		o.lastSentVersion = o.version
-		o.lastSentAt = p.clk.Now()
-		p.updMsg = wire.Update{
-			Epoch:    p.epoch,
-			ObjectID: o.id,
-			Seq:      o.seq,
-			Version:  o.version.UnixNano(),
-			Payload:  o.value,
-		}
-		start := len(p.encBuf)
-		p.encBuf = wire.AppendEncode(p.encBuf, &p.updMsg)
+		enc := p.stampUpdate(o)
 		for _, pr := range live {
 			// AppendEncoded copies immediately, so a later growth of
 			// encBuf cannot invalidate what the builders hold.
-			pr.frame.AppendEncoded(p.encBuf[start:])
+			pr.frame.AppendEncoded(enc)
 		}
 		fired = append(fired, e)
 	}
@@ -529,26 +517,27 @@ func (p *Replica) flushBatch(entries []batchEntry) {
 // state to every live backup; it must run after the CPU cost has been
 // paid.
 func (p *Replica) sendUpdateNow(o *object) {
-	p.sendUpdateTo(o, p.peers)
-}
-
-// sendUpdateTo emits the update to the given peers (skipping any that
-// died since queuing); it must run after the CPU cost has been paid.
-func (p *Replica) sendUpdateTo(o *object, targets []*replicaPeer) {
-	if !p.running || p.role != RolePrimary || !o.hasData {
+	if !p.running || p.role != RolePrimary || !o.hasData || !p.anyPeerAlive() {
 		// A queued send whose replica demoted while it waited must not
 		// fire: bumping o.seq here would corrupt the backup-role fence.
 		return
 	}
-	live := targets[:0:0]
-	for _, pr := range targets {
+	p.encBuf = p.encBuf[:0]
+	enc := p.stampUpdate(o)
+	for _, pr := range p.peers {
 		if pr.alive {
-			live = append(live, pr)
+			// NewMessage copies, so encBuf is free again once Push returns.
+			_ = pr.sess.Push(xkernel.NewMessage(enc))
 		}
 	}
-	if len(live) == 0 {
-		return
+	if p.OnSend != nil {
+		p.OnSend(o.id, o.spec.Name, o.seq, o.version)
 	}
+}
+
+// stampUpdate numbers the object's next update, records it as the last
+// one sent and appends its encoding to encBuf, which it returns.
+func (p *Replica) stampUpdate(o *object) []byte {
 	o.seq++
 	o.lastSentSeq = o.seq
 	o.lastSentVersion = o.version
@@ -560,15 +549,9 @@ func (p *Replica) sendUpdateTo(o *object, targets []*replicaPeer) {
 		Version:  o.version.UnixNano(),
 		Payload:  o.value,
 	}
-	// Append-encode into the reused buffer; NewMessage copies, so the
-	// buffer is free again as soon as the pushes return.
-	p.encBuf = wire.AppendEncode(p.encBuf[:0], &p.updMsg)
-	for _, pr := range live {
-		_ = pr.sess.Push(xkernel.NewMessage(p.encBuf))
-	}
-	if p.OnSend != nil {
-		p.OnSend(o.id, o.spec.Name, o.seq, o.version)
-	}
+	start := len(p.encBuf)
+	p.encBuf = wire.AppendEncode(p.encBuf, &p.updMsg)
+	return p.encBuf[start:]
 }
 
 // maybeStartPump starts the compressed-scheduling pump if it should run:

@@ -156,7 +156,7 @@ type Replica struct {
 	// still queued from the previous release (coalesced sends) since the
 	// governor's last sample.
 	deadlineMisses int
-	// encBuf is the batched flush path's reused encode buffer; updMsg the
+	// encBuf is the send paths' reused encode buffer; updMsg the
 	// reused Update value. Together with the per-peer frame builders they
 	// keep the steady-state update path allocation-free.
 	encBuf []byte

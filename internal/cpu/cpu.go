@@ -16,7 +16,8 @@
 // time it measured and the queue it holds. The declared costs are kept as
 // a budget, the time a modelled processor would have needed for the same
 // work. The live processor may run up to maxLead ahead of that one and no
-// further, and the Idle class runs only while that one would be idle.
+// further, and the Idle class runs only while that one would be idle, at
+// its declared rate whatever the granularity of the host's timers.
 // Admitted load stays far inside the budget and is never held back; load
 // beyond what the model can carry is served at the model's rate, the same
 // on every host and from one minute to the next, and not at whatever rate
@@ -39,12 +40,12 @@ const (
 	Low
 	// Idle is for work that resubmits itself for as long as the processor
 	// lets it (the compressed-scheduling pump). A modelled processor
-	// queues it with Low. A live one runs it only when no High or Low
-	// work is queued and the modelled processor would be idle, so
-	// successive Idle items start no closer together than their declared
-	// cost: the pump takes no more of the processor than the admission
-	// test charged it for, and the resource is free between two of its
-	// items.
+	// queues it with Low. A live one runs it, one item per turn, only when
+	// no High or Low work is queued and the modelled processor would be
+	// idle. Item k of a chain starts no earlier than k declared costs after
+	// the first: the pump takes no more of the processor than admission
+	// charged it for, and budget a late turn lost is reclaimed (up to
+	// maxLead) while budget from a pause between chains is not.
 	Idle
 )
 
@@ -65,6 +66,7 @@ type Resource struct {
 
 	// live only
 	modelFree time.Time    // when a modelled processor would be done with the work run so far
+	chained   bool         // the last Idle item resubmitted: the next one continues its chain
 	wake      *clock.Event // the scheduled turn, if any, and its instant
 	wakeAt    time.Time
 }
@@ -201,8 +203,13 @@ func (r *Resource) turn() {
 	end := r.clk.Now()
 	if r.high.len()+r.low.len() == 0 && r.idle.len() > 0 && !end.Before(r.modelFree) {
 		w := r.idle.pop()
-		r.charge(end, w.cost)
+		from := end
+		if r.chained { // a late turn keeps the budget it spent, up to maxLead
+			from = end.Add(-maxLead)
+		}
+		r.charge(from, w.cost)
 		w.run()
+		r.chained = r.idle.len() > 0
 		end = r.clk.Now()
 	}
 	r.busy += end.Sub(start)
@@ -210,10 +217,10 @@ func (r *Resource) turn() {
 }
 
 // charge books cost on the modelled processor, which takes the work up
-// now or when it is done with what it already has.
-func (r *Resource) charge(now time.Time, cost time.Duration) {
-	if r.modelFree.Before(now) {
-		r.modelFree = now
+// at from or when it is done with what it already has.
+func (r *Resource) charge(from time.Time, cost time.Duration) {
+	if r.modelFree.Before(from) {
+		r.modelFree = from
 	}
 	r.modelFree = r.modelFree.Add(cost)
 }

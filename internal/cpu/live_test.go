@@ -126,9 +126,9 @@ func TestLiveBusyTimeIsMeasuredNotDeclared(t *testing.T) {
 	}
 }
 
-// Idle items start no closer together than their declared cost, and the
-// resource is free in between: a Low item submitted during the gap runs
-// before the next Idle item without pushing it back.
+// Item k of an Idle chain starts no earlier than k declared costs after
+// the first, and the resource is free in between: a Low item submitted
+// during the gap runs before the next Idle item.
 func TestLiveIdleIsPacedAndYields(t *testing.T) {
 	clk := clock.NewReal()
 	defer clk.Stop()
@@ -167,13 +167,79 @@ func TestLiveIdleIsPacedAndYields(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	for i := 1; i < n; i++ {
-		// The resource stamps an item's start just before calling it and
-		// the item stamps itself just after; a millisecond covers that.
-		if d := starts[i].Sub(starts[i-1]); d < gap-ms(1) {
-			t.Fatalf("idle items %d and %d started %v apart, want >= %v", i-1, i, d, gap)
+	checkPaced(t, starts, gap)
+}
+
+// checkPaced fails unless item k started at least k·cost after item 0.
+// The resource stamps an item's start just before calling it and the item
+// stamps itself just after; a millisecond covers that.
+func checkPaced(t *testing.T, starts []time.Time, cost time.Duration) {
+	t.Helper()
+	for k := 1; k < len(starts); k++ {
+		if d, want := starts[k].Sub(starts[0]), time.Duration(k)*cost; d < want-ms(1) {
+			t.Fatalf("idle item %d started %v after the first, want >= %v", k, d, want)
 		}
 	}
+}
+
+// idleChain starts an Idle chain of the given cost on the loop and
+// returns its items' start times once an item starts at or after until
+// (or, with until zero, after n items).
+func idleChain(t *testing.T, clk *clock.RealClock, r *Resource, cost time.Duration, n int, until time.Duration) []time.Time {
+	t.Helper()
+	var starts []time.Time
+	done := make(chan struct{})
+	var step func()
+	step = func() {
+		starts = append(starts, time.Now())
+		if len(starts) == n || until > 0 && time.Since(starts[0]) >= until {
+			close(done)
+			return
+		}
+		r.Submit(Idle, cost, step)
+	}
+	clk.Post(func() { r.Submit(Idle, cost, step) })
+	await(t, done, "the idle chain")
+	onLoop(t, clk, func() {})
+	return starts
+}
+
+// A turn that comes late does not cost the chain its budget: after the
+// loop is held for three items' worth, the chain catches up, one item per
+// turn, and over the window it runs as many items as the budget allows,
+// no more.
+func TestLiveIdleReclaimsLateTurn(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const cost, window = 10 * time.Millisecond, 400 * time.Millisecond
+	go func() {
+		time.Sleep(window / 2)
+		clk.Post(func() { time.Sleep(3 * cost) })
+	}()
+	starts := idleChain(t, clk, r, cost, 0, window)
+	checkPaced(t, starts, cost)
+	in := 0
+	for _, s := range starts {
+		if s.Sub(starts[0]) < window {
+			in++
+		}
+	}
+	if want := int(window / cost); in < want-2 || in > want+1 {
+		t.Fatalf("%d idle items started within %v, want %d..%d", in, window, want-2, want+1)
+	}
+}
+
+// Budget from a pause is not carried: a chain that restarts after more
+// than maxLead without Idle work does not burst.
+func TestLiveIdleRestartDoesNotBurst(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const cost = 20 * time.Millisecond
+	idleChain(t, clk, r, cost, 2, 0)
+	time.Sleep(maxLead + 5*cost)
+	checkPaced(t, idleChain(t, clk, r, cost, 2, 0), cost)
 }
 
 // Declared cost is a budget: work runs at hardware speed until it is
