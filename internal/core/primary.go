@@ -568,7 +568,7 @@ func (p *Replica) maybeStartPump() {
 // following transmission — the "schedule as many updates as the resources
 // allow" discipline of compressed scheduling. It runs in the processor's
 // idle class: queued with the writes on the modelled processor, and on a
-// live one paced by the send cost admission charged it, yielding to them.
+// live one paced by what its sends measure, yielding to them.
 func (p *Replica) pumpStep() {
 	if !p.running || p.role != RolePrimary || !p.anyPeerAlive() || p.cfg.Scheduling != ScheduleCompressed {
 		p.pumpActive = false

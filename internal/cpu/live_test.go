@@ -126,33 +126,35 @@ func TestLiveBusyTimeIsMeasuredNotDeclared(t *testing.T) {
 	}
 }
 
-// Item k of an Idle chain starts no earlier than k declared costs after
-// the first, and the resource is free in between: a Low item submitted
-// during the gap runs before the next Idle item.
+// Item k of an Idle chain starts no earlier than the first item's start
+// plus the charges of the items before it, and the resource is free in
+// between: a Low item submitted during the gap runs before the next Idle
+// item.
 func TestLiveIdleIsPacedAndYields(t *testing.T) {
 	clk := clock.NewReal()
 	defer clk.Stop()
 	r := New(clk)
-	const gap = 150 * time.Millisecond
-	const n = 3
+	// Charged idleFactor·w, a gap of 120 ms, not the declared second.
+	const cost, w, n = time.Second, 15 * time.Millisecond, 3
 	var order []string
-	var starts []time.Time
+	var items []idleItem
 	first := make(chan struct{})
 	done := make(chan struct{})
 	var pump func()
 	pump = func() {
 		order = append(order, "idle")
-		starts = append(starts, time.Now())
-		switch len(starts) {
-		case 1:
+		items = append(items, idleItem{start: time.Now(), cost: cost})
+		if len(items) == 1 {
 			close(first)
-		case n:
+		}
+		items[len(items)-1].took = spin(w)
+		if len(items) == n {
 			close(done)
 			return
 		}
-		r.Submit(Idle, gap, pump)
+		r.Submit(Idle, cost, pump)
 	}
-	clk.Post(func() { r.Submit(Idle, gap, pump) })
+	clk.Post(func() { r.Submit(Idle, cost, pump) })
 	await(t, first, "the first idle item")
 	lowRan := make(chan struct{})
 	clk.Post(func() {
@@ -167,32 +169,56 @@ func TestLiveIdleIsPacedAndYields(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	checkPaced(t, starts, gap)
+	checkPaced(t, items)
 }
 
-// checkPaced fails unless item k started at least k·cost after item 0.
-// The resource stamps an item's start just before calling it and the item
+// spin holds the loop for w and reports how long it held it.
+func spin(w time.Duration) time.Duration {
+	t0 := time.Now()
+	for time.Since(t0) < w {
+	}
+	return time.Since(t0)
+}
+
+// idleItem is what an Idle item saw of itself: when it started, the cost
+// it was submitted with and how long it held the loop.
+type idleItem struct {
+	start      time.Time
+	cost, took time.Duration
+}
+
+// charge is the least the resource charged the item. It measures an item
+// from just before calling it to just after, never less than the item
+// measures itself.
+func (it idleItem) charge() time.Duration { return min(it.cost, idleFactor*it.took) }
+
+// checkPaced fails unless every item of an Idle chain started no earlier
+// than the first one's start plus the charges of the items before it. The
+// resource stamps an item's start just before calling it and the item
 // stamps itself just after; a millisecond covers that.
-func checkPaced(t *testing.T, starts []time.Time, cost time.Duration) {
+func checkPaced(t *testing.T, items []idleItem) {
 	t.Helper()
-	for k := 1; k < len(starts); k++ {
-		if d, want := starts[k].Sub(starts[0]), time.Duration(k)*cost; d < want-ms(1) {
-			t.Fatalf("idle item %d started %v after the first, want >= %v", k, d, want)
+	var charged time.Duration
+	for k := 1; k < len(items); k++ {
+		charged += items[k-1].charge()
+		if d := items[k].start.Sub(items[0].start); d < charged-ms(1) {
+			t.Fatalf("idle item %d started %v after the first, want >= %v", k, d, charged)
 		}
 	}
 }
 
-// idleChain starts an Idle chain of the given cost on the loop and
-// returns its items' start times once an item starts at or after until
-// (or, with until zero, after n items).
-func idleChain(t *testing.T, clk *clock.RealClock, r *Resource, cost time.Duration, n int, until time.Duration) []time.Time {
+// idleChain starts an Idle chain of the given cost on the loop, each item
+// holding the loop for w, and returns its items once one starts at or
+// after until (or, with until zero, after n items).
+func idleChain(t *testing.T, clk *clock.RealClock, r *Resource, cost, w time.Duration, n int, until time.Duration) []idleItem {
 	t.Helper()
-	var starts []time.Time
+	var items []idleItem
 	done := make(chan struct{})
 	var step func()
 	step = func() {
-		starts = append(starts, time.Now())
-		if len(starts) == n || until > 0 && time.Since(starts[0]) >= until {
+		start := time.Now()
+		items = append(items, idleItem{start: start, cost: cost, took: spin(w)})
+		if len(items) == n || until > 0 && start.Sub(items[0].start) >= until {
 			close(done)
 			return
 		}
@@ -201,32 +227,33 @@ func idleChain(t *testing.T, clk *clock.RealClock, r *Resource, cost time.Durati
 	clk.Post(func() { r.Submit(Idle, cost, step) })
 	await(t, done, "the idle chain")
 	onLoop(t, clk, func() {})
-	return starts
+	return items
 }
 
 // A turn that comes late does not cost the chain its budget: after the
-// loop is held for three items' worth, the chain catches up, one item per
-// turn, and over the window it runs as many items as the budget allows,
-// no more.
+// loop is held for five items' charges, the chain catches up, one item per
+// turn, and ends the window no further behind its charges than a timer's
+// lateness.
 func TestLiveIdleReclaimsLateTurn(t *testing.T) {
 	clk := clock.NewReal()
 	defer clk.Stop()
 	r := New(clk)
-	const cost, window = 10 * time.Millisecond, 400 * time.Millisecond
+	const cost, w, window = time.Second, time.Millisecond, 400 * time.Millisecond
+	const hold = 5 * idleFactor * w
 	go func() {
 		time.Sleep(window / 2)
-		clk.Post(func() { time.Sleep(3 * cost) })
+		clk.Post(func() { time.Sleep(hold) })
 	}()
-	starts := idleChain(t, clk, r, cost, 0, window)
-	checkPaced(t, starts, cost)
-	in := 0
-	for _, s := range starts {
-		if s.Sub(starts[0]) < window {
-			in++
-		}
+	items := idleChain(t, clk, r, cost, w, 0, window)
+	checkPaced(t, items)
+	last := len(items) - 1
+	var charged time.Duration
+	for _, it := range items[:last] {
+		charged += it.charge()
 	}
-	if want := int(window / cost); in < want-2 || in > want+1 {
-		t.Fatalf("%d idle items started within %v, want %d..%d", in, window, want-2, want+1)
+	// Lost, the lag would be the hold plus every timer's lateness.
+	if lag := items[last].start.Sub(items[0].start) - charged; lag > hold/2 {
+		t.Fatalf("idle item %d started %v behind its chain's charges, want <= %v", last, lag, hold/2)
 	}
 }
 
@@ -236,10 +263,25 @@ func TestLiveIdleRestartDoesNotBurst(t *testing.T) {
 	clk := clock.NewReal()
 	defer clk.Stop()
 	r := New(clk)
-	const cost = 20 * time.Millisecond
-	idleChain(t, clk, r, cost, 2, 0)
-	time.Sleep(maxLead + 5*cost)
-	checkPaced(t, idleChain(t, clk, r, cost, 2, 0), cost)
+	const cost, w = time.Second, 2 * time.Millisecond
+	idleChain(t, clk, r, cost, w, 2, 0)
+	time.Sleep(maxLead + 5*idleFactor*w)
+	checkPaced(t, idleChain(t, clk, r, cost, w, 3, 0))
+}
+
+// An item is charged at most its declared cost: one that holds the loop
+// for longer than cost/idleFactor is charged cost, so its successor starts
+// cost later, not idleFactor times its run time later.
+func TestLiveIdleChargeIsCapped(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const cost, w, n = 20 * time.Millisecond, 15 * time.Millisecond, 4
+	items := idleChain(t, clk, r, cost, w, n, 0)
+	checkPaced(t, items)
+	if d, uncapped := items[n-1].start.Sub(items[0].start), (n-1)*idleFactor*w; d >= uncapped/2 {
+		t.Fatalf("idle item %d started %v after the first, want < %v: charged idleFactor·w, not cost", n-1, d, uncapped/2)
+	}
 }
 
 // Declared cost is a budget: work runs at hardware speed until it is

@@ -61,9 +61,9 @@ func (n *liveNode) start(t *testing.T, role core.Role, peer *liveNode, mode rtpb
 // TestLiveCompressedPump runs the compressed-scheduling pump where nothing
 // sleeps a modelled cost any more: a primary and a backup on two RealClock
 // loops over loopback UDP. The pump must leave the loop to the writes,
-// must send no more often than the send cost admission charged it allows,
-// and must not keep the node from stopping. Counts and completion only;
-// no latency is judged.
+// must hold the primary's processor for no more than the share its
+// measured charge allows, and must not keep the node from stopping.
+// Processor time and completion only; no latency is judged.
 func TestLiveCompressedPump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live pair on loopback UDP")
@@ -140,15 +140,21 @@ func TestLiveCompressedPump(t *testing.T) {
 	// the benchmark's generator post them, a millisecond apart so that the
 	// pump runs for a while between them.
 	begin := time.Now()
+	busyAt := func() time.Duration {
+		return onLoop(primary.clk, func() time.Duration { return primary.rep.CPU().BusyTime() })
+	}
+	busy0 := busyAt()
 	last := make([][]byte, objects)
 	completed, failed := 0, 0
+	var writesTook time.Duration // each write runs within its latency
 	allDone := make(chan struct{})
 	for w := 0; w < writes; w++ {
 		i := w % objects
 		value := bytes.Repeat([]byte{byte(w)}, size)
 		last[i] = value
 		primary.clk.Post(func() {
-			primary.rep.ClientWrite(name(i), value, func(_ time.Duration, err error) {
+			primary.rep.ClientWrite(name(i), value, func(lat time.Duration, err error) {
+				writesTook += lat
 				if err != nil {
 					failed++
 				}
@@ -184,13 +190,18 @@ func TestLiveCompressedPump(t *testing.T) {
 			t.Fatal("backup did not converge on the last values written")
 		}
 	}
+	time.Sleep(100 * time.Millisecond) // the pump alone, re-sending what the backup holds
 	sent := onLoop(primary.clk, func() int { return sends })
+	busy := busyAt() - busy0
 	window := time.Since(begin)
 
-	costs := core.DefaultCosts()
-	sendCost := costs.UpdateSend + size*costs.PerByte
-	if budget := int(window/sendCost) + 10; sent <= 0 || sent > budget {
-		t.Fatalf("%d sends in %v, want 1..%d (one per send cost of %v)", sent, window, budget, sendCost)
+	// internal/cpu charges an Idle item idleFactor times the time it took
+	// and lets a chain reclaim at most maxLead, so over the window the pump
+	// holds the processor for at most (window + maxLead)/idleFactor.
+	const maxLead, idleFactor, slack = 100 * time.Millisecond, 8, 10 * time.Millisecond
+	t.Logf("%d sends in %v; processor busy %v, the writes within %v", sent, window, busy, writesTook)
+	if bound := (window+maxLead)/idleFactor + writesTook + slack; sent <= 0 || busy > bound {
+		t.Fatalf("%d sends, processor busy %v in %v, want > 0 sends and busy <= %v", sent, busy, window, bound)
 	}
 	stop()
 }
