@@ -90,19 +90,14 @@ func (c CostModel) clientCost(size int) time.Duration {
 	return c.ClientOp + time.Duration(size)*c.PerByte
 }
 
-// sendCost reports the CPU cost of one update transmission of size bytes.
+// sendCost reports the CPU cost of one datagram carrying size bytes of
+// updates. The fixed UpdateSend component models per-datagram work
+// (syscall, header, scheduling) that a framed slot pays once, so batching
+// amortizes it and each further update costs its per-byte copy only — the
+// simulator's counterpart of the real stack's fewer-syscalls win. A
+// one-update slot costs exactly what the unbatched path did.
 func (c CostModel) sendCost(size int) time.Duration {
 	return c.UpdateSend + time.Duration(size)*c.PerByte
-}
-
-// marginalSendCost reports the CPU cost a framed batch pays for one
-// message beyond its first: the per-byte copy only. The fixed UpdateSend
-// component models per-datagram work (syscall, header, scheduling) that a
-// frame pays once per slot, so batching amortizes it — the simulator's
-// counterpart of the real stack's fewer-syscalls win. A one-message slot
-// therefore costs exactly sendCost, identical to the unbatched path.
-func (c CostModel) marginalSendCost(size int) time.Duration {
-	return time.Duration(size) * c.PerByte
 }
 
 // Config configures a Primary or Backup replica.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"rtpb/internal/clock"
 	"rtpb/internal/netsim"
+	"rtpb/internal/wire"
 	"rtpb/internal/xkernel"
 )
 
@@ -127,5 +129,127 @@ func TestPumpStepAllocs(t *testing.T) {
 	// the message NewMessage copies the encoding into (two).
 	if allocs > 5 {
 		t.Fatalf("a pump step allocates %v times, pinned at 5", allocs)
+	}
+}
+
+// recordTransport keeps a copy of every datagram sent, by destination host.
+type recordTransport struct{ sent map[string][][]byte }
+
+func (r *recordTransport) Send(to string, payload []byte) error {
+	r.sent[to] = append(r.sent[to], append([]byte(nil), payload...))
+	return nil
+}
+func (*recordTransport) SetReceiver(func(from string, payload []byte)) {}
+func (*recordTransport) LocalAddr() string                             { return "primary" }
+func (*recordTransport) Close() error                                  { return nil }
+
+// updatesIn decodes a recorded datagram past the port protocol's header:
+// the objects of the updates it carries, and whether it was a frame.
+func updatesIn(t *testing.T, dg []byte) (ids []uint32, framed bool) {
+	t.Helper()
+	m, err := wire.Decode(dg[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := []wire.Message{m}
+	if f, ok := m.(*wire.Frame); ok {
+		msgs, framed = f.Messages, true
+	}
+	for _, m := range msgs {
+		if u, ok := m.(*wire.Update); ok {
+			ids = append(ids, u.ObjectID)
+		}
+	}
+	return ids, framed
+}
+
+// newPumpPrimary starts a compressed-mode primary over tr toward peers on
+// the modelled processor, with objects 64 B objects written once.
+func newPumpPrimary(t *testing.T, tr xkernel.Transport, objects int, peers ...xkernel.Addr) (*Replica, *clock.SimClock) {
+	t.Helper()
+	clk := clock.NewSim()
+	port, err := xkernel.NewStack(tr, clk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPrimary(Config{Clock: clk, Port: port, Peers: peers, Ell: ms(1), Scheduling: ScheduleCompressed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < objects; i++ {
+		s := spec(fmt.Sprintf("o%d", i), ms(40), ms(50), ms(400))
+		if d := p.Register(s); !d.Accepted {
+			t.Fatal(d.Reason)
+		}
+		p.ClientWrite(s.Name, make([]byte, s.Size), nil)
+	}
+	return p, clk
+}
+
+// On the modelled processor the pump sends one bare update per step, the
+// discipline Figure 12's compressed series is measured under.
+func TestModelledPumpSendsBareUpdates(t *testing.T) {
+	rec := &recordTransport{sent: map[string][][]byte{}}
+	_, clk := newPumpPrimary(t, rec, 3, "backup:7000")
+	clk.RunFor(ms(50))
+	updates := 0
+	for _, dg := range rec.sent["backup"] {
+		ids, framed := updatesIn(t, dg)
+		if framed {
+			t.Fatalf("a modelled pump datagram is a frame of %d updates", len(ids))
+		}
+		updates += len(ids)
+	}
+	if updates < 100 {
+		t.Fatalf("%d pump updates in 50 ms of 400 µs sends", updates)
+	}
+}
+
+// A framed pump step whose first peer dies between Submit and flush: the
+// survivor receives each update exactly once, the dead peer none. Entries
+// sharing one targets array would frame every update after the first
+// twice to the survivor, because flushBatch filters targets in place.
+func TestFramedPumpSkipsPeerDeadBeforeFlush(t *testing.T) {
+	rec := &recordTransport{sent: map[string][][]byte{}}
+	p, clk := newPumpPrimary(t, rec, 3, "b1:7000", "b2:7000")
+	clk.RunFor(ms(5))
+	s := p.collectPump(16) // what a live step submits
+	if len(s.entries) != 3 {
+		t.Fatalf("a step collected %d of 3 objects", len(s.entries))
+	}
+	p.SetPeerAlive("b1:7000", false)
+	clear(rec.sent)
+	p.flushBatch(s.entries)
+	if n := len(rec.sent["b1"]); n != 0 {
+		t.Fatalf("the dead peer received %d datagrams", n)
+	}
+	if n := len(rec.sent["b2"]); n != 1 {
+		t.Fatalf("the live peer received %d datagrams, want one frame", n)
+	}
+	ids, framed := updatesIn(t, rec.sent["b2"][0])
+	seen := map[uint32]int{}
+	for _, id := range ids {
+		seen[id]++
+	}
+	if !framed || len(ids) != 3 || len(seen) != 3 {
+		t.Fatalf("the live peer's datagram carries objects %v (framed %v), want three once each", ids, framed)
+	}
+}
+
+// A framed pump step of 16 objects reuses its slot, targets and encode
+// buffer: what it allocates is the datagram NewMessage copies (two), the
+// same as a one-update step, so nothing per object.
+func TestFramedPumpStepAllocs(t *testing.T) {
+	p, clk := newPumpPrimary(t, discardTransport{}, 16, "backup:7000")
+	clk.RunFor(ms(5))
+	sends := 0
+	p.OnSend = func(uint32, string, uint64, time.Time) { sends++ }
+	const steps = 100
+	allocs := testing.AllocsPerRun(steps, func() { p.flushBatch(p.collectPump(16).entries) })
+	if sends != 16*(steps+1) {
+		t.Fatalf("%d sends in %d framed steps of 16", sends, steps+1)
+	}
+	if allocs > 2 {
+		t.Fatalf("a framed pump step of 16 allocates %v times, pinned at 2", allocs)
 	}
 }

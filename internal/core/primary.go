@@ -342,16 +342,14 @@ func (p *Replica) transmit(o *object, prio cpu.Priority) {
 		o.highPending = true
 		p.proc.Submit(cpu.High, p.cfg.Costs.sendCost(len(o.value)), func() {
 			o.highPending = false
-			p.sendUpdateNow(o)
+			p.sendNow(o)
 		})
 		return
 	}
 	if p.cfg.SendQueueLimit == UnboundedSendQueue {
 		// Legacy unbounded buffering: every release queues its own CPU
 		// work (the paper's prototype, and the Figure 7 overload mode).
-		p.proc.Submit(cpu.Low, p.cfg.Costs.sendCost(len(o.value)), func() {
-			p.sendUpdateNow(o)
-		})
+		p.proc.Submit(cpu.Low, p.cfg.Costs.sendCost(len(o.value)), func() { p.sendNow(o) })
 		return
 	}
 	queuedNew, attempted := false, false
@@ -392,6 +390,33 @@ type batchEntry struct {
 	targets []*replicaPeer
 }
 
+// slot is a transmission slot being collected: its entries, the slab their
+// targets are cut from, and their payload bytes, whose sendCost is the
+// slot's declared cost.
+type slot struct {
+	entries []batchEntry
+	peers   []*replicaPeer
+	bytes   int
+}
+
+// add appends o's entry, targeting the peers appended to the slab since
+// from: a capped sub-slice, because flushBatch filters targets in place.
+func (s *slot) add(o *object, from int) {
+	s.entries = append(s.entries, batchEntry{o: o, targets: s.peers[from:len(s.peers):len(s.peers)]})
+	s.bytes += len(o.value)
+}
+
+// addLive appends o's entry targeting every live peer.
+func (s *slot) addLive(o *object, peers []*replicaPeer) {
+	from := len(s.peers)
+	for _, pr := range peers {
+		if pr.alive {
+			s.peers = append(s.peers, pr)
+		}
+	}
+	s.add(o, from)
+}
+
 // drainStep collects one transmission slot's batch — up to FrameBatch
 // pending objects across the live peers' queues, in FIFO order — pays the
 // batch's combined CPU send cost once, flushes one framed datagram per
@@ -404,13 +429,13 @@ func (p *Replica) drainStep() {
 		p.drainActive = false
 		return
 	}
-	entries, cost := p.collectBatch()
-	if len(entries) == 0 {
+	s := p.collectBatch()
+	if len(s.entries) == 0 {
 		p.drainActive = false
 		return
 	}
-	p.proc.Submit(cpu.Low, cost, func() {
-		p.flushBatch(entries)
+	p.proc.Submit(cpu.Low, p.cfg.Costs.sendCost(s.bytes), func() {
+		p.flushBatch(s.entries)
 		p.drainStep()
 	})
 }
@@ -420,9 +445,8 @@ func (p *Replica) drainStep() {
 // removed from every queue that held it, so each slot transmits at most
 // one update per object — the frame-level mirror of the send queue's
 // coalescing invariant.
-func (p *Replica) collectBatch() (entries []batchEntry, cost time.Duration) {
-	bytes := 0
-	for len(entries) < p.cfg.FrameBatch {
+func (p *Replica) collectBatch() (s slot) {
+	for len(s.entries) < p.cfg.FrameBatch {
 		var id uint32
 		found := false
 		for _, pr := range p.peers {
@@ -437,28 +461,21 @@ func (p *Replica) collectBatch() (entries []batchEntry, cost time.Duration) {
 		if !found {
 			break
 		}
-		if o, ok := p.adm.objects[id]; ok && len(entries) > 0 && bytes+len(o.value) > frameBytes {
+		o, ok := p.adm.objects[id]
+		if ok && len(s.entries) > 0 && s.bytes+len(o.value) > frameBytes {
 			break // over the frame byte budget: the next slot takes it
 		}
-		var targets []*replicaPeer
+		from := len(s.peers)
 		for _, pr := range p.peers {
 			if pr.queue.remove(id) && pr.alive {
-				targets = append(targets, pr)
+				s.peers = append(s.peers, pr)
 			}
 		}
-		o, ok := p.adm.objects[id]
-		if !ok || !o.hasData || len(targets) == 0 {
-			continue
+		if ok && o.hasData && len(s.peers) > from {
+			s.add(o, from)
 		}
-		if len(entries) == 0 {
-			cost = p.cfg.Costs.sendCost(len(o.value))
-		} else {
-			cost += p.cfg.Costs.marginalSendCost(len(o.value))
-		}
-		entries = append(entries, batchEntry{o: o, targets: targets})
-		bytes += len(o.value)
 	}
-	return entries, cost
+	return s
 }
 
 // flushBatch emits one transmission slot: each entry's current state is
@@ -513,26 +530,12 @@ func (p *Replica) flushBatch(entries []batchEntry) {
 	}
 }
 
-// sendUpdateNow emits the update datagram carrying the object's current
-// state to every live backup; it must run after the CPU cost has been
-// paid.
-func (p *Replica) sendUpdateNow(o *object) {
-	if !p.running || p.role != RolePrimary || !o.hasData || !p.anyPeerAlive() {
-		// A queued send whose replica demoted while it waited must not
-		// fire: bumping o.seq here would corrupt the backup-role fence.
-		return
-	}
-	p.encBuf = p.encBuf[:0]
-	enc := p.stampUpdate(o)
-	for _, pr := range p.peers {
-		if pr.alive {
-			// NewMessage copies, so encBuf is free again once Push returns.
-			_ = pr.sess.Push(xkernel.NewMessage(enc))
-		}
-	}
-	if p.OnSend != nil {
-		p.OnSend(o.id, o.spec.Name, o.seq, o.version)
-	}
+// sendNow sends o's current state to every live backup in a slot of its
+// own, which goes out unframed; it must run after the CPU cost is paid.
+func (p *Replica) sendNow(o *object) {
+	var s slot
+	s.addLive(o, p.peers)
+	p.flushBatch(s.entries)
 }
 
 // stampUpdate numbers the object's next update, records it as the last
@@ -564,39 +567,50 @@ func (p *Replica) maybeStartPump() {
 	p.pumpStep()
 }
 
-// pumpStep transmits the next object in round-robin order and chains the
-// following transmission — the "schedule as many updates as the resources
-// allow" discipline of compressed scheduling. It runs in the processor's
-// idle class: queued with the writes on the modelled processor, and on a
-// live one paced by what its sends measure, yielding to them.
+// pumpStep transmits the next objects in round-robin order and chains the
+// following step — the "schedule as many updates as the resources allow"
+// discipline of compressed scheduling. It runs in the processor's idle
+// class: queued with the writes on the modelled processor, and on a live
+// one paced by what its sends measure (almost all one syscall, so a live
+// step frames up to FrameBatch objects). A modelled step sends one:
+// Figure 12's compressed series drops to zero at every window if framed.
 func (p *Replica) pumpStep() {
 	if !p.running || p.role != RolePrimary || !p.anyPeerAlive() || p.cfg.Scheduling != ScheduleCompressed {
 		p.pumpActive = false
 		return
 	}
-	o := p.nextPumpObject()
-	if o == nil {
+	width := 1
+	if p.proc.Live() {
+		width = p.cfg.FrameBatch
+	}
+	s := p.collectPump(width)
+	if len(s.entries) == 0 {
 		p.pumpActive = false
 		return
 	}
-	p.proc.Submit(cpu.Idle, p.cfg.Costs.sendCost(len(o.value)), func() {
-		p.sendUpdateNow(o)
+	p.proc.Submit(cpu.Idle, p.cfg.Costs.sendCost(s.bytes), func() {
+		p.flushBatch(s.entries)
 		p.pumpStep()
 	})
 }
 
-func (p *Replica) nextPumpObject() *object {
-	for tries := 0; tries < len(p.pumpOrder); tries++ {
+// collectPump refills the pump's reused slot with up to width objects in
+// round-robin order, each at most once, bound for every live peer.
+func (p *Replica) collectPump(width int) *slot {
+	s := &p.pump
+	s.entries, s.peers, s.bytes = s.entries[:0], s.peers[:0], 0
+	for tries := 0; tries < len(p.pumpOrder) && len(s.entries) < width; tries++ {
 		id := p.pumpOrder[p.pumpNext%len(p.pumpOrder)]
-		p.pumpNext++
-		if p.gov != nil && p.gov.shed(id) {
-			continue
+		o, ok := p.adm.objects[id]
+		if ok && len(s.entries) > 0 && s.bytes+len(o.value) > frameBytes {
+			break // over the frame byte budget: the next step starts here
 		}
-		if o, ok := p.adm.objects[id]; ok && o.hasData {
-			return o
+		p.pumpNext++
+		if ok && o.hasData && (p.gov == nil || !p.gov.shed(id)) {
+			s.addLive(o, p.peers)
 		}
 	}
-	return nil
+	return s
 }
 
 // SetPeerAlive informs the primary of one backup's liveness (driven by a

@@ -146,6 +146,7 @@ type Replica struct {
 	pumpActive bool
 	pumpOrder  []uint32
 	pumpNext   int
+	pump       slot // reused: one pump step is outstanding at a time
 
 	// gov is the overload governor (nil when disabled or demoted).
 	gov *governor

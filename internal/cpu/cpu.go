@@ -232,6 +232,9 @@ func (r *Resource) charge(from time.Time, cost time.Duration) {
 	r.modelFree = r.modelFree.Add(cost)
 }
 
+// Live reports whether this is the live processor, driven by a RealClock.
+func (r *Resource) Live() bool { return r.live }
+
 // QueueLen reports the number of queued (not yet started) work items.
 func (r *Resource) QueueLen() int { return r.high.len() + r.low.len() + r.idle.len() }
 
