@@ -19,6 +19,11 @@ import (
 // keeps rescheduling itself with Schedule(0) therefore runs once per turn,
 // with every Post and the stop check in between.
 //
+// Between turns the loop sleeps until a Post, a Schedule or Stop wakes it,
+// or a one-shot timer armed for the earliest pending event does. On Linux
+// that is a timerfd, late by tens of µs; a time.Timer (elsewhere, or with
+// no timerfd to be had) rounds every wait under 1 ms up to 1 ms.
+//
 // RealClock is also how a component learns that time is real: the
 // processor resource (internal/cpu) runs work at hardware speed on a
 // *RealClock and models it on any other Clock.
@@ -29,6 +34,8 @@ type RealClock struct {
 	posted  []func()
 	seq     uint64
 	wake    chan struct{}
+	arm     func(time.Duration) // sets the wake timer, which kicks wake
+	release func()              // stops the wake timer for good
 	stop    chan struct{}
 	done    chan struct{}
 }
@@ -41,6 +48,7 @@ func NewReal() *RealClock {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	r.arm, r.release = newWaker(r.kick)
 	go r.loop()
 	return r
 }
@@ -112,8 +120,7 @@ func (r *RealClock) kick() {
 
 func (r *RealClock) loop() {
 	defer close(r.done)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	defer r.release()
 	var posted []func() // last turn's buffer, swapped with r.posted
 	for {
 		select {
@@ -156,7 +163,8 @@ func (r *RealClock) loop() {
 		}
 
 		// Sleep until the next event, a post, or shutdown; with work
-		// already waiting, take the next turn without arming the timer.
+		// already waiting, take the next turn without arming the timer (one
+		// armed before may still fire: a spare turn is harmless).
 		r.mu.Lock()
 		wait := time.Hour
 		if len(r.posted) > 0 {
@@ -168,18 +176,18 @@ func (r *RealClock) loop() {
 		if wait <= 0 {
 			continue
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
+		r.arm(wait)
 		select {
 		case <-r.stop:
 			return
 		case <-r.wake:
-		case <-timer.C:
 		}
 	}
+}
+
+// newTimerWaker returns a wake timer on a time.Timer: arm(d) has it call
+// fire once, d later, replacing any expiry set before; release stops it.
+func newTimerWaker(fire func()) (arm func(time.Duration), release func()) {
+	t := time.AfterFunc(time.Hour, fire)
+	return func(d time.Duration) { t.Reset(d) }, func() { t.Stop() }
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 // The resource under RealClock: work runs at hardware speed on the clock
 // loop, accounted, and held to the modelled processor's budget. Every wait
 // below is for an event, and every timing assertion is a lower bound or an
-// order.
+// order but one: TestLiveIdleStartsOnTime bounds a median lateness.
 
 const liveTimeout = 5 * time.Second
 
@@ -228,6 +229,40 @@ func idleChain(t *testing.T, clk *clock.RealClock, r *Resource, cost, w time.Dur
 	await(t, done, "the idle chain")
 	onLoop(t, clk, func() {})
 	return items
+}
+
+// An Idle item also starts no later than the clock's release lets it:
+// with items that spin 20 µs, each due ~160 µs after the one before, the
+// median item starts within 250 µs of its due time, the first item's start
+// plus the charges of the items before it as the resource booked them. A
+// timer rounded up to the poller's millisecond sleeps past that and the
+// chain catches up in bursts.
+func TestLiveIdleStartsOnTime(t *testing.T) {
+	clk := clock.NewReal()
+	defer clk.Stop()
+	r := New(clk)
+	const cost, w, n = time.Second, 20 * time.Microsecond, 200
+	late := make([]time.Duration, 0, n)
+	done := make(chan struct{})
+	var step func()
+	step = func() {
+		if due := r.modelFree; r.chained { // the chain's first item has no charges before it
+			late = append(late, time.Since(due))
+		}
+		if spin(w); len(late) == n {
+			close(done)
+			return
+		}
+		r.Submit(Idle, cost, step)
+	}
+	clk.Post(func() { r.Submit(Idle, cost, step) })
+	await(t, done, "the idle chain")
+	onLoop(t, clk, func() {})
+	slices.Sort(late)
+	t.Logf("lateness p50 %v, p99 %v", late[n/2], late[n*99/100])
+	if p50 := late[n/2]; p50 >= 250*time.Microsecond {
+		t.Fatalf("idle items started %v (median) after their due time, want < 250µs", p50)
+	}
 }
 
 // A turn that comes late does not cost the chain its budget: after the
