@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"rtpb/internal/chaos"
@@ -158,10 +155,10 @@ func clocksyncSweep(seed int64) ([]clocksyncPoint, error) {
 			sc.Seed = seed
 			res, err := chaos.Run(sc)
 			if err != nil {
-				return nil, fmt.Errorf("clocksync sweep %s: %w", sc.Name, err)
+				return nil, fmt.Errorf("%s: %w", sc.Name, err)
 			}
 			if len(res.Violations) > 0 {
-				return nil, fmt.Errorf("clocksync sweep %s seed %d: %d violation(s): %s",
+				return nil, fmt.Errorf("%s seed %d: %d violation(s): %s",
 					sc.Name, sc.Seed, len(res.Violations), res.Violations[0])
 			}
 			ms := float64(res.BoundViolation.Microseconds()) / 1000
@@ -175,86 +172,35 @@ func clocksyncSweep(seed int64) ([]clocksyncPoint, error) {
 		}
 		if p.SyncViolationMs > 0 {
 			return nil, fmt.Errorf(
-				"clocksync sweep: corrected arm charged %.1fms of violation at %v skew; offset correction is no longer absorbing the skew",
+				"corrected arm charged %.1fms of violation at %v skew; offset correction is no longer absorbing the skew",
 				p.SyncViolationMs, skew)
 		}
 		if skew >= clocksyncRawViolationSkew && p.RawViolationMs == 0 {
 			return nil, fmt.Errorf(
-				"clocksync sweep: uncorrected arm shows no violation at %v skew; the sweep no longer demonstrates the hazard",
+				"uncorrected arm shows no violation at %v skew; the sweep no longer demonstrates the hazard",
 				skew)
 		}
 		if n := len(points); n > 0 && p.Admitted > points[n-1].Admitted {
 			return nil, fmt.Errorf(
-				"clocksync sweep: admitted capacity rose from %d to %d as SkewMargin grew to %v",
+				"admitted capacity rose from %d to %d as SkewMargin grew to %v",
 				points[n-1].Admitted, p.Admitted, skew)
 		}
 		points = append(points, p)
 	}
 	if points[0].Admitted != len(ladder) {
-		return nil, fmt.Errorf("clocksync sweep: only %d/%d ladder objects admitted at zero margin",
+		return nil, fmt.Errorf("only %d/%d ladder objects admitted at zero margin",
 			points[0].Admitted, len(ladder))
 	}
 	return points, nil
 }
 
-// runClocksyncCmd implements the "clocksync" subcommand: print the
-// skew-tolerance sweep (enforcing the zero-silent-violations gate), and
-// with -json merge it into the benchmark report file.
-func runClocksyncCmd(args []string) error {
-	fs := flag.NewFlagSet("rtpbench clocksync", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed for loss and jitter")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "merge the sweep into the JSON benchmark report")
-	jsonPath := fs.String("json.out", "BENCH_rtpb.json", "path of the -json report")
-	if err := fs.Parse(args); err != nil {
-		return err
+func (p clocksyncPoint) cells(csv bool) []string {
+	if csv {
+		return []string{fmt.Sprintf("%.0f", p.SkewMs), fmt.Sprint(p.Admitted), fmt.Sprint(p.Offered),
+			fmt.Sprintf("%.3f", p.SyncViolationMs), fmt.Sprintf("%.3f", p.SyncUnverifiableMs),
+			fmt.Sprintf("%.3f", p.SyncThetaMs), fmt.Sprintf("%.3f", p.RawViolationMs)}
 	}
-	points, err := clocksyncSweep(*seed)
-	if err != nil {
-		return err
-	}
-	if *csv {
-		fmt.Println("skew_ms,admitted,offered,sync_violation_ms,sync_unverifiable_ms,sync_theta_ms,raw_violation_ms")
-		for _, p := range points {
-			fmt.Printf("%.0f,%d,%d,%.3f,%.3f,%.3f,%.3f\n",
-				p.SkewMs, p.Admitted, p.Offered, p.SyncViolationMs,
-				p.SyncUnverifiableMs, p.SyncThetaMs, p.RawViolationMs)
-		}
-	} else {
-		fmt.Println("clock-skew tolerance: admitted capacity (SkewMargin over a 12-rung δB ladder) and verified bounds (backup booted skewed, correction on/off)")
-		fmt.Printf("%-8s %-10s %-11s %-11s %-9s %s\n",
-			"skew", "admitted", "sync-viol", "sync-gray", "sync-θ", "raw-viol")
-		for _, p := range points {
-			fmt.Printf("%-8s %-10s %-11s %-11s %-9s %s\n",
-				fmt.Sprintf("%.0fms", p.SkewMs),
-				fmt.Sprintf("%d/%d", p.Admitted, p.Offered),
-				fmt.Sprintf("%.3fms", p.SyncViolationMs),
-				fmt.Sprintf("%.1fms", p.SyncUnverifiableMs),
-				fmt.Sprintf("%.2fms", p.SyncThetaMs),
-				fmt.Sprintf("%.1fms", p.RawViolationMs))
-		}
-	}
-	if !*jsonOut {
-		return nil
-	}
-	var report benchReport
-	if data, err := os.ReadFile(*jsonPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parse %s: %w", *jsonPath, err)
-		}
-	}
-	if report.Seed == 0 {
-		report.Seed = *seed
-	}
-	report.ClockSync = points
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d clocksync sweep points)\n", *jsonPath, len(points))
-	return nil
+	return []string{fmt.Sprintf("%.0fms", p.SkewMs), fmt.Sprintf("%d/%d", p.Admitted, p.Offered),
+		fmt.Sprintf("%.3fms", p.SyncViolationMs), fmt.Sprintf("%.1fms", p.SyncUnverifiableMs),
+		fmt.Sprintf("%.2fms", p.SyncThetaMs), fmt.Sprintf("%.1fms", p.RawViolationMs)}
 }

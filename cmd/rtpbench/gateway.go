@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -206,60 +203,8 @@ func percentile(sample []time.Duration, q float64) time.Duration {
 
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runGatewayCmd implements the "gateway" subcommand: print the front-tier
-// fan-out sweep, and with -json merge it into the benchmark report file.
-func runGatewayCmd(args []string) error {
-	fs := flag.NewFlagSet("rtpbench gateway", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed for loss and jitter")
-	duration := fs.Duration("duration", 2*time.Second, "virtual measurement interval per cell")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "merge the sweep into the JSON benchmark report")
-	jsonPath := fs.String("json.out", "BENCH_rtpb.json", "path of the -json report")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	points, err := gatewaySweep(*seed, *duration)
-	if err != nil {
-		return err
-	}
-	if *csv {
-		fmt.Println("sessions,groups,broadcasts,fanout_msgs_per_sec,p99_age_ms,max_age_ms,bound_violations,cert_reads_per_tick")
-		for _, p := range points {
-			fmt.Printf("%d,%d,%d,%.1f,%.3f,%.3f,%d,%.1f\n",
-				p.Sessions, p.Groups, p.Broadcasts, p.FanOutPerSec,
-				p.P99AgeMs, p.MaxAgeMs, p.BoundViolations, p.CertReadsPerTick)
-		}
-	} else {
-		fmt.Println("gateway broadcast fan-out vs subscriber scale (2 shards, 2 objects/group)")
-		fmt.Printf("%-9s %-7s %-11s %-14s %-11s %-11s %-11s %s\n",
-			"sessions", "groups", "broadcasts", "fanout msg/s", "p99 age ms", "max age ms", "violations", "reads/tick")
-		for _, p := range points {
-			fmt.Printf("%-9d %-7d %-11d %-14.1f %-11.3f %-11.3f %-11d %.1f\n",
-				p.Sessions, p.Groups, p.Broadcasts, p.FanOutPerSec,
-				p.P99AgeMs, p.MaxAgeMs, p.BoundViolations, p.CertReadsPerTick)
-		}
-	}
-	if !*jsonOut {
-		return nil
-	}
-	var report benchReport
-	if data, err := os.ReadFile(*jsonPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parse %s: %w", *jsonPath, err)
-		}
-	}
-	if report.Seed == 0 {
-		report.Seed = *seed
-	}
-	report.Gateway = points
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d gateway cells, %v virtual each)\n", *jsonPath, len(points), *duration)
-	return nil
+func (p gatewayPoint) cells(bool) []string {
+	return []string{fmt.Sprint(p.Sessions), fmt.Sprint(p.Groups), fmt.Sprint(p.Broadcasts),
+		fmt.Sprintf("%.1f", p.FanOutPerSec), fmt.Sprintf("%.3f", p.P99AgeMs), fmt.Sprintf("%.3f", p.MaxAgeMs),
+		fmt.Sprint(p.BoundViolations), fmt.Sprintf("%.1f", p.CertReadsPerTick)}
 }

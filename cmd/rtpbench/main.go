@@ -9,36 +9,25 @@
 //	rtpbench -csv               # CSV output
 //	rtpbench -duration 30s      # longer measurement interval per point
 //	rtpbench -seed 7            # different random seed
-//	rtpbench -json              # resilience benchmark matrix -> BENCH_rtpb.json
+//	rtpbench -json              # every sweep -> BENCH_rtpb.json
 //
 //	rtpbench chaos -list        # list the scenario catalogue
 //	rtpbench chaos              # run every quick scenario
 //	rtpbench chaos -full        # include the long soak scenarios
 //	rtpbench chaos -scenario split-brain-fencing -seed 3 -v
 //
-//	rtpbench shard              # capacity-vs-shard-count sweep
-//	rtpbench shard -json        # merge the sweep into BENCH_rtpb.json
+//	rtpbench shard              # one sweep of the model report, table output
+//	rtpbench shard -csv         # CSV output
+//	rtpbench shard -json        # replace the sweep's block in BENCH_rtpb.json
 //
-//	rtpbench takeover           # in-place promotion latency vs object count
-//	rtpbench takeover -json     # merge the sweep into BENCH_rtpb.json
-//
-//	rtpbench wire               # wire hot-path sweep: objects × batch size
-//	rtpbench wire -json         # merge the sweep into BENCH_rtpb.json
-//
-//	rtpbench rejoin             # disk-vs-network rejoin transfer sweep
-//	rtpbench rejoin -json       # merge the sweep into BENCH_rtpb.json
-//
-//	rtpbench clocksync          # skew tolerance: admitted capacity + verified bounds vs clock skew
-//	rtpbench clocksync -json    # merge the sweep into BENCH_rtpb.json
-//
-//	rtpbench gateway            # front-tier fan-out sweep: sessions × groups
-//	rtpbench gateway -json      # merge the sweep into BENCH_rtpb.json
-//
-//	rtpbench observers          # observer-tier read offload: tier size × chain depth
-//	rtpbench observers -json    # merge the sweep into BENCH_rtpb.json
+// The sweeps are points (the resilience matrix), rejoin (repair cycle and
+// disk-vs-network transfer), shard (capacity vs shard count), clocksync
+// (skew tolerance), gateway (front-tier fan-out) and observers (observer
+// read offload); "rtpbench -json" runs them all and writes every block.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -52,23 +41,12 @@ import (
 func main() {
 	args := os.Args[1:]
 	var err error
-	if len(args) > 0 && args[0] == "chaos" {
+	switch {
+	case len(args) > 0 && args[0] == "chaos":
 		err = runChaos(args[1:])
-	} else if len(args) > 0 && args[0] == "shard" {
-		err = runShardCmd(args[1:])
-	} else if len(args) > 0 && args[0] == "takeover" {
-		err = runTakeoverCmd(args[1:])
-	} else if len(args) > 0 && args[0] == "wire" {
-		err = runWireCmd(args[1:])
-	} else if len(args) > 0 && args[0] == "rejoin" {
-		err = runRejoinCmd(args[1:])
-	} else if len(args) > 0 && args[0] == "clocksync" {
-		err = runClocksyncCmd(args[1:])
-	} else if len(args) > 0 && args[0] == "gateway" {
-		err = runGatewayCmd(args[1:])
-	} else if len(args) > 0 && args[0] == "observers" {
-		err = runObserversCmd(args[1:])
-	} else {
+	case len(args) > 0 && findSweep(args[0]) != nil:
+		err = runSweep(findSweep(args[0]), args[1:])
+	default:
 		err = run(args)
 	}
 	if err != nil {
@@ -77,11 +55,48 @@ func main() {
 	}
 }
 
+// scenario is one entry of the three chaos catalogues behind one run func.
+type scenario struct {
+	name, tag, description string
+	seed                   int64 // committed seed (0 runs as 1)
+	full                   bool  // long soak: catalogue runs skip it without -full
+	run                    func() (*chaos.Result, error)
+}
+
+// scenarios lists the plain, shard and gateway catalogues in that order;
+// a nonzero seed overrides each committed one when it runs.
+func scenarios(seed int64) []scenario {
+	var all []scenario
+	for _, sc := range chaos.Catalogue() {
+		tag := "quick"
+		if sc.Full {
+			tag = "full "
+		}
+		all = append(all, scenario{sc.Name, tag, sc.Description, sc.Seed, sc.Full, func() (*chaos.Result, error) {
+			sc.Seed = cmp.Or(seed, sc.Seed)
+			return chaos.Run(sc)
+		}})
+	}
+	for _, sc := range chaos.ShardCatalogue() {
+		all = append(all, scenario{sc.Name, "shard", sc.Description, sc.Seed, false, func() (*chaos.Result, error) {
+			sc.Seed = cmp.Or(seed, sc.Seed)
+			return chaos.RunShard(sc)
+		}})
+	}
+	for _, sc := range chaos.GatewayCatalogue() {
+		all = append(all, scenario{sc.Name, "gway ", sc.Description, sc.Seed, false, func() (*chaos.Result, error) {
+			sc.Seed = cmp.Or(seed, sc.Seed)
+			return chaos.RunGateway(sc)
+		}})
+	}
+	return all
+}
+
 // runChaos implements the "chaos" subcommand: list or execute the
 // fault-injection catalogue and exit non-zero on any invariant violation.
 func runChaos(args []string) error {
 	fs := flag.NewFlagSet("rtpbench chaos", flag.ContinueOnError)
-	scenario := fs.String("scenario", "", "run a single scenario by name (default: the whole catalogue)")
+	name := fs.String("scenario", "", "run a single scenario by name (default: the whole catalogue)")
 	seed := fs.Int64("seed", 0, "override the scenario's committed seed (0 keeps it)")
 	list := fs.Bool("list", false, "list the catalogue and exit")
 	verbose := fs.Bool("v", false, "print each scenario's virtual-timestamped event log")
@@ -89,63 +104,29 @@ func runChaos(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
+	all := scenarios(*seed)
 	if *list {
-		for _, sc := range chaos.Catalogue() {
-			tag := "quick"
-			if sc.Full {
-				tag = "full "
-			}
-			effSeed := sc.Seed
-			if effSeed == 0 {
-				effSeed = 1
-			}
-			fmt.Printf("%-26s %s seed=%-3d %s\n", sc.Name, tag, effSeed, sc.Description)
-		}
-		for _, sc := range chaos.ShardCatalogue() {
-			effSeed := sc.Seed
-			if effSeed == 0 {
-				effSeed = 1
-			}
-			fmt.Printf("%-26s %s seed=%-3d %s\n", sc.Name, "shard", effSeed, sc.Description)
-		}
-		for _, sc := range chaos.GatewayCatalogue() {
-			effSeed := sc.Seed
-			if effSeed == 0 {
-				effSeed = 1
-			}
-			fmt.Printf("%-26s %s seed=%-3d %s\n", sc.Name, "gway ", effSeed, sc.Description)
+		for _, sc := range all {
+			fmt.Printf("%-26s %s seed=%-3d %s\n", sc.name, sc.tag, cmp.Or(sc.seed, 1), sc.description)
 		}
 		return nil
 	}
 
-	var scenarios []chaos.Scenario
-	var shardScenarios []chaos.ShardScenario
-	var gatewayScenarios []chaos.GatewayScenario
-	if *scenario != "" {
-		if sc, ok := chaos.Find(*scenario); ok {
-			scenarios = []chaos.Scenario{sc}
-		} else if ssc, ok := chaos.FindShard(*scenario); ok {
-			shardScenarios = []chaos.ShardScenario{ssc}
-		} else if gsc, ok := chaos.FindGateway(*scenario); ok {
-			gatewayScenarios = []chaos.GatewayScenario{gsc}
-		} else {
-			return fmt.Errorf("no such scenario %q (rtpbench chaos -list)", *scenario)
+	var picked []scenario
+	for _, sc := range all {
+		if *name == "" && (!sc.full || *full) || sc.name == *name {
+			picked = append(picked, sc)
 		}
-	} else {
-		for _, sc := range chaos.Catalogue() {
-			if sc.Full && !*full {
-				continue
-			}
-			scenarios = append(scenarios, sc)
-		}
-		shardScenarios = chaos.ShardCatalogue()
-		gatewayScenarios = chaos.GatewayCatalogue()
 	}
-
-	failed, total := 0, 0
-	report := func(res *chaos.Result) {
-		total++
+	if *name != "" && len(picked) == 0 {
+		return fmt.Errorf("no such scenario %q (rtpbench chaos -list)", *name)
+	}
+	failed := 0
+	for _, sc := range picked {
+		res, err := sc.run()
+		if err != nil {
+			return fmt.Errorf("scenario %q: %w", sc.name, err)
+		}
 		status := "PASS"
 		if res.Failed() {
 			status = "FAIL"
@@ -162,57 +143,25 @@ func runChaos(args []string) error {
 			}
 		}
 	}
-	for _, sc := range scenarios {
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		res, err := chaos.Run(sc)
-		if err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		report(res)
-	}
-	for _, sc := range shardScenarios {
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		res, err := chaos.RunShard(sc)
-		if err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		report(res)
-	}
-	for _, sc := range gatewayScenarios {
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		res, err := chaos.RunGateway(sc)
-		if err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		report(res)
-	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d scenarios failed", failed, total)
+		return fmt.Errorf("%d of %d scenarios failed", failed, len(picked))
 	}
 	return nil
 }
 
+// run implements the bare command: print the figures, or with -json run
+// every sweep and write the whole model report.
 func run(args []string) error {
-	fs := flag.NewFlagSet("rtpbench", flag.ContinueOnError)
+	fs, o := newFlags("rtpbench", 0, "virtual measurement interval per data point (0: 10s per figure point, or with -json each sweep's own default)")
 	figure := fs.Int("figure", 0, "figure number to regenerate (6-12, 13 = live phase variance, 14 = active-vs-passive comparison); 0 means all")
-	seed := fs.Int64("seed", 1, "random seed for loss and jitter")
-	duration := fs.Duration("duration", 10*time.Second, "virtual measurement interval per data point")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	plot := fs.Bool("plot", false, "render an ASCII chart under each table")
-	jsonOut := fs.Bool("json", false, "run the resilience benchmark matrix and write a JSON report instead of figures")
-	jsonPath := fs.String("json.out", "BENCH_rtpb.json", "path for the -json report")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *jsonOut {
-		return runBench(*jsonPath, *seed, *duration)
+	if *o.json {
+		return runReport(*o.jsonPath, *o.seed, *o.duration)
 	}
+	duration := cmp.Or(*o.duration, 10*time.Second)
 
 	type gen func(int64, time.Duration) (*trace.Figure, error)
 	gens := map[int]gen{
@@ -234,7 +183,7 @@ func run(args []string) error {
 
 	var figures []*trace.Figure
 	if *figure == 0 {
-		all, err := experiments.Figures(*seed, *duration)
+		all, err := experiments.Figures(*o.seed, duration)
 		if err != nil {
 			return err
 		}
@@ -244,7 +193,7 @@ func run(args []string) error {
 		if !ok {
 			return fmt.Errorf("no such figure %d (want 6-14)", *figure)
 		}
-		f, err := g(*seed, *duration)
+		f, err := g(*o.seed, duration)
 		if err != nil {
 			return err
 		}
@@ -255,7 +204,7 @@ func run(args []string) error {
 		if i > 0 {
 			fmt.Println()
 		}
-		if *csv {
+		if *o.csv {
 			fmt.Printf("# %s: %s\n%s", f.Name, f.Title, f.CSV())
 		} else {
 			fmt.Print(f.Render())

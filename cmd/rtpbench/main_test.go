@@ -18,27 +18,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestTakeoverSweepIsInPlace(t *testing.T) {
-	// A small sweep exercises the whole measurement path: replicate,
-	// crash, time the promotion. Every point must come back from a
-	// first takeover (epoch 2) with a positive latency.
-	points, err := takeoverSweep(1, 1, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	for _, p := range points {
-		if p.Epoch != 2 {
-			t.Fatalf("n=%d promoted to epoch %d, want 2", p.Objects, p.Epoch)
-		}
-		if p.PromoteMicros <= 0 {
-			t.Fatalf("n=%d promotion cost %v, want > 0", p.Objects, p.PromoteMicros)
-		}
-	}
-}
-
 func TestClocksyncSweepSeparatesArms(t *testing.T) {
 	// The sweep's own gates (zero corrected violations, uncorrected
 	// violations at the top skew, monotone admission) run inside

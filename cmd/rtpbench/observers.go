@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"rtpb/internal/clock"
@@ -202,60 +199,8 @@ func observersSweep(seed int64, duration time.Duration) ([]observerPoint, error)
 	return points, nil
 }
 
-// runObserversCmd implements the "observers" subcommand: print the
-// read-offload sweep, and with -json merge it into the benchmark report.
-func runObserversCmd(args []string) error {
-	fs := flag.NewFlagSet("rtpbench observers", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed for loss and jitter")
-	duration := fs.Duration("duration", 2*time.Second, "virtual measurement interval per cell")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "merge the sweep into the JSON benchmark report")
-	jsonPath := fs.String("json.out", "BENCH_rtpb.json", "path of the -json report")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	points, err := observersSweep(*seed, *duration)
-	if err != nil {
-		return err
-	}
-	if *csv {
-		fmt.Println("observers,chain_depth,reads_per_sec,scaling_vs_primary_only,observer_share,p99_age_ms,max_age_ms,max_served_depth,honesty_violations")
-		for _, p := range points {
-			fmt.Printf("%d,%d,%.1f,%.2f,%.3f,%.3f,%.3f,%d,%d\n",
-				p.Observers, p.ChainDepth, p.ReadsPerSec, p.Scaling,
-				p.ObserverShare, p.P99AgeMs, p.MaxAgeMs, p.MaxServedDepth, p.HonestyViolations)
-		}
-	} else {
-		fmt.Println("observer-tier read offload vs tier size and chain depth (1 shard, 4 objects)")
-		fmt.Printf("%-10s %-7s %-12s %-9s %-10s %-11s %-11s %-11s %s\n",
-			"observers", "depth", "reads/s", "scaling", "obs share", "p99 age ms", "max age ms", "max depth", "violations")
-		for _, p := range points {
-			fmt.Printf("%-10d %-7d %-12.1f %-9.2f %-10.3f %-11.3f %-11.3f %-11d %d\n",
-				p.Observers, p.ChainDepth, p.ReadsPerSec, p.Scaling,
-				p.ObserverShare, p.P99AgeMs, p.MaxAgeMs, p.MaxServedDepth, p.HonestyViolations)
-		}
-	}
-	if !*jsonOut {
-		return nil
-	}
-	var report benchReport
-	if data, err := os.ReadFile(*jsonPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parse %s: %w", *jsonPath, err)
-		}
-	}
-	if report.Seed == 0 {
-		report.Seed = *seed
-	}
-	report.Observers = points
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d observer cells, %v virtual each)\n", *jsonPath, len(points), *duration)
-	return nil
+func (p observerPoint) cells(bool) []string {
+	return []string{fmt.Sprint(p.Observers), fmt.Sprint(p.ChainDepth), fmt.Sprintf("%.1f", p.ReadsPerSec),
+		fmt.Sprintf("%.2f", p.Scaling), fmt.Sprintf("%.3f", p.ObserverShare), fmt.Sprintf("%.3f", p.P99AgeMs),
+		fmt.Sprintf("%.3f", p.MaxAgeMs), fmt.Sprint(p.MaxServedDepth), fmt.Sprint(p.HonestyViolations)}
 }

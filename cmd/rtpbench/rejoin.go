@@ -1,13 +1,42 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 
 	"rtpb/internal/chaos"
 )
+
+// rejoinPoint is one crash-failover-rejoin run at one loss rate: a full
+// repair cycle (crash, promotion, directory-driven rejoin, chunked
+// catch-up) or one arm of the disk-vs-network transfer matrix.
+type rejoinPoint struct {
+	// Name labels the configuration.
+	Name string `json:"name"`
+	// Loss is the message-loss probability on every link.
+	Loss float64 `json:"loss"`
+	// CatchUpMs is the time from the rejoin fault's injection to the
+	// rejoined replica's final object passing catch-up.
+	CatchUpMs float64 `json:"catch_up_ms"`
+	// Promotions and FinalEpoch record the failover the rejoin followed.
+	Promotions int    `json:"promotions"`
+	FinalEpoch uint32 `json:"final_epoch"`
+	// Violations counts invariant failures (0 in a healthy run).
+	Violations int `json:"violations"`
+	// Mode marks the transfer-matrix entries ("disk" or "network");
+	// empty for the repair-cycle points.
+	Mode string `json:"mode,omitempty"`
+	// TransferMs is the matrix's measured quantity: the anti-entropy
+	// window from JoinAccept to the final state chunk. Directory polling
+	// and failover latency — identical across modes — are excluded.
+	TransferMs float64 `json:"transfer_ms,omitempty"`
+	// SpeedupVsNetwork is, on disk-mode entries, the network-mode
+	// transfer time at the same loss divided by this entry's; the repo
+	// gates it at 10x for loss >= 10%.
+	SpeedupVsNetwork float64 `json:"speedup_vs_network,omitempty"`
+	// RestoredObjects counts values the disk-mode restart seeded from
+	// its durable store before joining.
+	RestoredObjects int `json:"restored_objects,omitempty"`
+}
 
 // rejoinLosses is the disk-vs-network sweep's loss axis.
 var rejoinLosses = []float64{0, 0.05, 0.10, 0.20}
@@ -22,15 +51,40 @@ const (
 	rejoinGateLoss    = 0.10
 )
 
-// rejoinSweep measures the disk-vs-network rejoin transfer matrix: the
-// chaos.RejoinSweep scenario (wide mostly-quiescent state, crashed
-// primary returning to a promoted successor) in both modes at each loss
-// rate, all on the virtual clock. Disk-mode entries carry the speedup
-// over the network entry at the same loss, and the sweep fails if the
-// gate is missed. A scenario violation also fails the sweep: a transfer
-// time from a run that broke an invariant is not a measurement.
+// rejoinSweep measures rejoin on the virtual clock in two parts. First
+// the full repair cycle: the crash-failover-rejoin scenario at each loss
+// rate, timing how long the rejoined replica takes to catch up. Then the
+// disk-vs-network transfer matrix: the chaos.RejoinSweep scenario (wide
+// mostly-quiescent state, crashed primary returning to a promoted
+// successor) in both modes at each loss rate. Disk-mode entries carry the
+// speedup over the network entry at the same loss, and the sweep fails if
+// the gate is missed. A transfer-matrix violation also fails the sweep: a
+// transfer time from a run that broke an invariant is not a measurement.
 func rejoinSweep(seed int64) ([]rejoinPoint, error) {
 	var points []rejoinPoint
+	for _, cfg := range []struct {
+		name string
+		loss float64
+	}{
+		{"rejoin-clean", 0},
+		{"rejoin-loss-10", 0.10},
+		{"rejoin-loss-25", 0.25},
+	} {
+		sc := chaos.RejoinBench(cfg.loss)
+		sc.Seed = seed
+		res, err := chaos.Run(sc)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", cfg.name, err)
+		}
+		points = append(points, rejoinPoint{
+			Name:       cfg.name,
+			Loss:       cfg.loss,
+			CatchUpMs:  msOf(res.RejoinCatchUp),
+			Promotions: res.Promotions,
+			FinalEpoch: res.FinalEpoch,
+			Violations: len(res.Violations),
+		})
+	}
 	networkMs := make(map[float64]float64)
 	for _, loss := range rejoinLosses {
 		for _, disk := range []bool{false, true} {
@@ -38,10 +92,10 @@ func rejoinSweep(seed int64) ([]rejoinPoint, error) {
 			sc.Seed = seed
 			res, err := chaos.Run(sc)
 			if err != nil {
-				return nil, fmt.Errorf("rejoin sweep %s: %w", sc.Name, err)
+				return nil, fmt.Errorf("%s: %w", sc.Name, err)
 			}
 			if len(res.Violations) > 0 {
-				return nil, fmt.Errorf("rejoin sweep %s seed %d: %d violation(s): %s",
+				return nil, fmt.Errorf("%s seed %d: %d violation(s): %s",
 					sc.Name, sc.Seed, len(res.Violations), res.Violations[0])
 			}
 			mode := "network"
@@ -65,7 +119,7 @@ func rejoinSweep(seed int64) ([]rejoinPoint, error) {
 				}
 				if loss >= rejoinGateLoss && p.SpeedupVsNetwork < rejoinSpeedupGate {
 					return nil, fmt.Errorf(
-						"rejoin sweep: disk transfer %.1fms is only %.1fx faster than network %.1fms at %.0f%% loss (gate: %.0fx)",
+						"disk transfer %.1fms is only %.1fx faster than network %.1fms at %.0f%% loss (gate: %.0fx)",
 						p.TransferMs, p.SpeedupVsNetwork, networkMs[loss], loss*100, rejoinSpeedupGate)
 				}
 			} else {
@@ -77,75 +131,20 @@ func rejoinSweep(seed int64) ([]rejoinPoint, error) {
 	return points, nil
 }
 
-// runRejoinCmd implements the "rejoin" subcommand: print the
-// disk-vs-network rejoin transfer sweep (enforcing the speedup gate),
-// and with -json merge it into the benchmark report file alongside the
-// full-repair-cycle points.
-func runRejoinCmd(args []string) error {
-	fs := flag.NewFlagSet("rtpbench rejoin", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed for loss and jitter")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "merge the sweep into the JSON benchmark report")
-	jsonPath := fs.String("json.out", "BENCH_rtpb.json", "path of the -json report")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	points, err := rejoinSweep(*seed)
-	if err != nil {
-		return err
-	}
-	if *csv {
-		fmt.Println("loss,mode,transfer_ms,catch_up_ms,restored_objects,speedup_vs_network")
-		for _, p := range points {
-			fmt.Printf("%.2f,%s,%.3f,%.1f,%d,%.1f\n",
-				p.Loss, p.Mode, p.TransferMs, p.CatchUpMs, p.RestoredObjects, p.SpeedupVsNetwork)
-		}
-	} else {
-		fmt.Println("rejoin transfer: disk-fast restart vs full network anti-entropy (100 objects, 4 hot)")
-		fmt.Printf("%-6s %-9s %-12s %-12s %-9s %s\n",
-			"loss", "mode", "transfer", "catch-up", "restored", "speedup")
-		for _, p := range points {
-			speedup := "-"
-			if p.SpeedupVsNetwork > 0 {
-				speedup = fmt.Sprintf("%.1fx", p.SpeedupVsNetwork)
-			}
-			fmt.Printf("%-6.2f %-9s %-12s %-12s %-9d %s\n",
-				p.Loss, p.Mode,
-				fmt.Sprintf("%.3fms", p.TransferMs),
-				fmt.Sprintf("%.1fms", p.CatchUpMs),
-				p.RestoredObjects, speedup)
-		}
-	}
-	if !*jsonOut {
+// cells prints the transfer matrix; the repair-cycle points are in the
+// report only.
+func (p rejoinPoint) cells(csv bool) []string {
+	switch {
+	case p.Mode == "":
 		return nil
+	case csv:
+		return []string{fmt.Sprintf("%.2f", p.Loss), p.Mode, fmt.Sprintf("%.3f", p.TransferMs),
+			fmt.Sprintf("%.1f", p.CatchUpMs), fmt.Sprint(p.RestoredObjects), fmt.Sprintf("%.1f", p.SpeedupVsNetwork)}
 	}
-	// Merge into the existing report without clobbering the other sweeps:
-	// the full-repair-cycle points (no Mode) stay, the previous
-	// disk-vs-network entries are replaced.
-	var report benchReport
-	if data, err := os.ReadFile(*jsonPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parse %s: %w", *jsonPath, err)
-		}
+	speedup := "-"
+	if p.SpeedupVsNetwork > 0 {
+		speedup = fmt.Sprintf("%.1fx", p.SpeedupVsNetwork)
 	}
-	if report.Seed == 0 {
-		report.Seed = *seed
-	}
-	kept := report.Rejoin[:0]
-	for _, p := range report.Rejoin {
-		if p.Mode == "" {
-			kept = append(kept, p)
-		}
-	}
-	report.Rejoin = append(kept, points...)
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d rejoin sweep points)\n", *jsonPath, len(points))
-	return nil
+	return []string{fmt.Sprintf("%.2f", p.Loss), p.Mode, fmt.Sprintf("%.3fms", p.TransferMs),
+		fmt.Sprintf("%.1fms", p.CatchUpMs), fmt.Sprint(p.RestoredObjects), speedup}
 }

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"rtpb/internal/core"
@@ -78,58 +75,7 @@ func shardSweep(seed int64, duration time.Duration) ([]shardPoint, error) {
 	return points, nil
 }
 
-// runShardCmd implements the "shard" subcommand: print the
-// capacity-vs-shard-count sweep, and with -json merge it into the
-// benchmark report file.
-func runShardCmd(args []string) error {
-	fs := flag.NewFlagSet("rtpbench shard", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed for loss and jitter")
-	duration := fs.Duration("duration", 2*time.Second, "virtual measurement interval per shard count")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "merge the sweep into the JSON benchmark report")
-	jsonPath := fs.String("json.out", "BENCH_rtpb.json", "path of the -json report")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	points, err := shardSweep(*seed, *duration)
-	if err != nil {
-		return err
-	}
-	if *csv {
-		fmt.Println("shards,offered,admitted,writes_per_sec,mean_utilization")
-		for _, p := range points {
-			fmt.Printf("%d,%d,%d,%.1f,%.3f\n", p.Shards, p.Offered, p.Admitted, p.WritesPerSec, p.MeanUtilization)
-		}
-	} else {
-		fmt.Println("capacity vs shard count (admission-aware placement, identical object set)")
-		fmt.Printf("%-7s %-8s %-9s %-14s %s\n", "shards", "offered", "admitted", "writes/sec", "mean util")
-		for _, p := range points {
-			fmt.Printf("%-7d %-8d %-9d %-14.1f %.3f\n", p.Shards, p.Offered, p.Admitted, p.WritesPerSec, p.MeanUtilization)
-		}
-	}
-	if !*jsonOut {
-		return nil
-	}
-	// Merge into the existing report rather than clobbering the other
-	// sweeps; a missing file starts a fresh report.
-	var report benchReport
-	if data, err := os.ReadFile(*jsonPath); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("parse %s: %w", *jsonPath, err)
-		}
-	}
-	if report.Seed == 0 {
-		report.Seed = *seed
-	}
-	report.Shard = points
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d shard counts, %v virtual each)\n", *jsonPath, len(points), *duration)
-	return nil
+func (p shardPoint) cells(bool) []string {
+	return []string{fmt.Sprint(p.Shards), fmt.Sprint(p.Offered), fmt.Sprint(p.Admitted),
+		fmt.Sprintf("%.1f", p.WritesPerSec), fmt.Sprintf("%.3f", p.MeanUtilization)}
 }

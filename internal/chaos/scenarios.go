@@ -290,8 +290,8 @@ func Catalogue() []Scenario {
 			// This scenario exercises the per-update overload ladder, so
 			// frame coalescing is pinned off: batching amortizes the fixed
 			// send cost ~6x here, which would absorb the hog before the
-			// governor ever saw contention (the batched path's win is
-			// measured by `rtpbench wire`, not re-litigated here).
+			// governor ever saw contention (the batched path's win is measured
+			// by the benchmark's wire.* layer metrics, not re-litigated here).
 			FrameBatch:  1,
 			WritePeriod: ms(80),
 			Governor: core.GovernorConfig{
