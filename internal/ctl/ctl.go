@@ -20,7 +20,7 @@
 //	  accumulated from the serving primary; depth the issuing replica's
 //	  hop count from it)
 //	STATUS
-//	  → OK role=<primary|backup> objects=<n> utilization=<u> epoch=<e>
+//	  → OK role=<primary|backup|observer> objects=<n> utilization=<u> epoch=<e>
 //	    backupAlive=<bool> transitions=<n>
 //	REPAIR
 //	  → OK synced=<n> peers=<m> [| <addr> alive=<bool> syncing=<bool>
@@ -47,11 +47,17 @@
 //	  → OK sync=on valid=true offset=<d> theta=<d> rtt=<d> age=<d>
 //	    accepted=<n> rejected=<n>
 //
-// Durations use Go syntax (40ms, 1s).
+// Durations use Go syntax (40ms, 1s). Verbs are case-insensitive; a
+// verb's extra arguments are ignored where its synopsis names none, a
+// wrong argument count is answered "ERR usage: <synopsis>", and a verb
+// outside the server's table "ERR unknown command <VERB>".
 //
-// ShardServer speaks the same line protocol for a sharded cluster,
-// adding PLACE/ROUTE/SHARDS/MIGRATE and routing WRITE/READ to the
-// owning shard's current primary (see shard.go).
+// These are the verbs NewServer serves for one replica. One Server type
+// serves every surface with a verb table its constructor installs:
+// NewShardServer serves a sharded cluster, adding PLACE/ROUTE/SHARDS/
+// MIGRATE and routing WRITE/READ to the owning shard's current primary
+// (see shard.go); NewGatewayServer serves the gateway's session and group
+// verbs (see gateway.go).
 package ctl
 
 import (
@@ -70,67 +76,38 @@ import (
 	"rtpb/internal/xkernel"
 )
 
-// Server exposes a Primary on a TCP control socket. Commands are posted
-// onto the replica's clock executor, preserving the protocol's serial
-// execution model.
-type Server struct {
-	*lineServer
-	primary *core.Replica
-}
-
-// NewServer starts the control listener on addr ("host:port", ":0" for
-// ephemeral).
+// NewServer starts the control listener for one replica on addr
+// ("host:port", ":0" for ephemeral), serving the replica verbs above.
+// Commands are posted onto the replica's clock executor, preserving the
+// protocol's serial execution model.
 func NewServer(clk clock.Clock, primary *core.Replica, addr string) (*Server, error) {
-	s := &Server{primary: primary}
-	ls, err := newLineServer(clk, addr, s.handle)
-	if err != nil {
-		return nil, err
-	}
-	s.lineServer = ls
-	return s, nil
+	s := replicaVerbs{primary}
+	return listen(clk, addr, map[string]verb{
+		"REGISTER": registerVerb("REGISTER", s.admit),
+		"RELATE":   {usage: "RELATE <nameI> <nameJ> <deltaIJ>", args: 3, run: answer(s.relate)},
+		"WRITE": writeVerb(func(name string, value []byte, done func(time.Duration, error)) error {
+			primary.ClientWrite(name, value, done)
+			return nil
+		}),
+		"READ":      readVerb(primary.Certificate),
+		"STATUS":    {run: answer(s.status)},
+		"REPAIR":    {run: answer(s.repair)},
+		"OBSERVERS": {run: answer(s.observers)},
+		"RECRUIT":   {usage: "RECRUIT <addr>", args: 1, run: answer(s.recruit)},
+		"LOGSTAT":   {run: answer(s.logstat)},
+		"SNAPSHOT":  {run: answer(s.snapshot)},
+		"CLOCK":     {run: answer(s.clockStatus)},
+	})
 }
 
-// handle executes a command on the executor; reply must be called exactly
-// once (possibly later, for WRITE).
-func (s *Server) handle(line string, reply func(string)) {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
-	case "REGISTER":
-		reply(register("REGISTER", fields[1:], s.admit))
-	case "RELATE":
-		reply(s.relate(fields[1:]))
-	case "WRITE":
-		write(fields[1:], reply, func(name string, value []byte, done func(time.Duration, error)) error {
-			s.primary.ClientWrite(name, value, done)
-			return nil
-		})
-	case "READ":
-		reply(read(fields[1:], s.primary.Certificate))
-	case "STATUS":
-		reply(fmt.Sprintf("OK role=%s objects=%d utilization=%.4f epoch=%d backupAlive=%v transitions=%d",
-			s.primary.Role(), s.primary.Objects(), s.primary.Utilization(), s.primary.Epoch(),
-			s.primary.BackupAlive(), s.primary.Transitions()))
-	case "REPAIR":
-		reply(s.repair())
-	case "OBSERVERS":
-		reply(s.observers())
-	case "RECRUIT":
-		reply(s.recruit(fields[1:]))
-	case "LOGSTAT":
-		reply(s.logstat())
-	case "SNAPSHOT":
-		reply(s.snapshot())
-	case "CLOCK":
-		reply(s.clockStatus())
-	default:
-		reply("ERR unknown command " + cmd)
-	}
+// replicaVerbs are the verbs NewServer serves on one replica.
+type replicaVerbs struct {
+	primary *core.Replica
 }
 
 // admit is REGISTER's admission on the one pair, which has no shard
 // index; a rejection's error is its reason.
-func (s *Server) admit(spec core.ObjectSpec) (int, core.Decision, error) {
+func (s replicaVerbs) admit(spec core.ObjectSpec) (int, core.Decision, error) {
 	d := s.primary.Register(spec)
 	if !d.Accepted {
 		return -1, d, errors.New(d.Reason)
@@ -138,10 +115,7 @@ func (s *Server) admit(spec core.ObjectSpec) (int, core.Decision, error) {
 	return -1, d, nil
 }
 
-func (s *Server) relate(args []string) string {
-	if len(args) != 3 {
-		return "ERR usage: RELATE <nameI> <nameJ> <deltaIJ>"
-	}
+func (s replicaVerbs) relate(args []string) string {
 	delta, err := time.ParseDuration(args[2])
 	if err != nil {
 		return "ERR bad duration: " + err.Error()
@@ -155,9 +129,15 @@ func (s *Server) relate(args []string) string {
 	return "OK"
 }
 
+func (s replicaVerbs) status([]string) string {
+	return fmt.Sprintf("OK role=%s objects=%d utilization=%.4f epoch=%d backupAlive=%v transitions=%d",
+		s.primary.Role(), s.primary.Objects(), s.primary.Utilization(), s.primary.Epoch(),
+		s.primary.BackupAlive(), s.primary.Transitions())
+}
+
 // repair reports the primary's view of the repair cycle: the effective
 // replication degree and each attached peer's anti-entropy progress.
-func (s *Server) repair() string {
+func (s replicaVerbs) repair([]string) string {
 	states := s.primary.PeerStates()
 	var b strings.Builder
 	fmt.Fprintf(&b, "OK synced=%d peers=%d", s.primary.SyncedPeers(), len(states))
@@ -174,7 +154,7 @@ func (s *Server) repair() string {
 // replica, plus the replica's own chain position (hop distance from the
 // serving primary and the accumulated clock uncertainty it stamps on
 // certificates — 0 and 0s on a serving primary).
-func (s *Server) observers() string {
+func (s replicaVerbs) observers([]string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "OK observers=%d depth=%d theta=%v",
 		s.primary.ObserverPeers(), s.primary.ChainDepth(), s.primary.ChainTheta())
@@ -191,7 +171,7 @@ func (s *Server) observers() string {
 // counts, the portion pruning will reclaim, writer throughput — plus
 // where this replica's state came from on its last start (disk-fast
 // rejoin versus a full network transfer).
-func (s *Server) logstat() string {
+func (s replicaVerbs) logstat([]string) string {
 	st, ok := s.primary.DurableStats()
 	if !ok {
 		return "ERR durable persistence not enabled"
@@ -205,7 +185,7 @@ func (s *Server) logstat() string {
 // snapshot forces a durable snapshot now, waits for the writer to
 // commit it, and reports the resulting inventory (including the prune
 // the snapshot unlocked).
-func (s *Server) snapshot() string {
+func (s replicaVerbs) snapshot([]string) string {
 	st, ok := s.primary.ForceDurableSnapshot()
 	if !ok {
 		return "ERR durable persistence not enabled"
@@ -219,7 +199,7 @@ func (s *Server) snapshot() string {
 // explicit error bound θ. A primary that never probed (clock sync rides
 // the backup-side heartbeat exchange) reports sync=on valid=false until
 // it has been a backup with a completed probe.
-func (s *Server) clockStatus() string {
+func (s replicaVerbs) clockStatus([]string) string {
 	rep, ok := s.primary.ClockSyncReport()
 	if !ok {
 		return "OK sync=off"
@@ -234,96 +214,89 @@ func (s *Server) clockStatus() string {
 // recruit attaches a new backup peer; the join exchange (spec replay,
 // digest, chunked state) runs asynchronously and REPAIR reports its
 // progress.
-func (s *Server) recruit(args []string) string {
-	if len(args) != 1 {
-		return "ERR usage: RECRUIT <addr>"
-	}
+func (s replicaVerbs) recruit(args []string) string {
 	if err := s.primary.AddPeer(xkernel.Addr(args[0])); err != nil {
 		return "ERR " + err.Error()
 	}
 	return "OK " + args[0]
 }
 
-// register parses a REGISTER or PLACE line (usage names the verb in the
-// usage error) and renders admit's decision on it. admit reports a
-// rejection with an error: the REJECT line carries the decision's reason,
-// else the error's, and the suggested δ_B. A shard index below 0 renders
-// the single pair's OK line, without the shard.
-func register(usage string, args []string, admit func(core.ObjectSpec) (shard int, d core.Decision, err error)) string {
-	if len(args) != 5 {
-		return "ERR usage: " + usage + " <name> <size> <period> <deltaP> <deltaB>"
-	}
-	size, err := strconv.Atoi(args[1])
-	if err != nil {
-		return "ERR bad size: " + err.Error()
-	}
-	var durs [3]time.Duration
-	for i, a := range args[2:] {
-		d, err := time.ParseDuration(a)
+// registerVerb is REGISTER, or PLACE on a cluster or gateway (name
+// names the verb in its usage), rendering admit's decision on the spec.
+// admit reports a rejection with an error: the REJECT line carries the
+// decision's reason, else the error's, and the suggested δ_B. A shard
+// index below 0 renders the single pair's OK line, without the shard.
+func registerVerb(name string, admit func(core.ObjectSpec) (shard int, d core.Decision, err error)) verb {
+	return verb{usage: name + " <name> <size> <period> <deltaP> <deltaB>", args: 5, run: answer(func(args []string) string {
+		size, err := strconv.Atoi(args[1])
 		if err != nil {
-			return "ERR bad duration: " + err.Error()
+			return "ERR bad size: " + err.Error()
 		}
-		durs[i] = d
-	}
-	idx, d, err := admit(core.ObjectSpec{
-		Name:         args[0],
-		Size:         size,
-		UpdatePeriod: durs[0],
-		Constraint:   temporal.ExternalConstraint{DeltaP: durs[1], DeltaB: durs[2]},
-	})
-	if err != nil {
-		reason := d.Reason
-		if reason == "" {
-			reason = err.Error()
+		var durs [3]time.Duration
+		for i, a := range args[2:] {
+			d, err := time.ParseDuration(a)
+			if err != nil {
+				return "ERR bad duration: " + err.Error()
+			}
+			durs[i] = d
 		}
-		if d.SuggestedDeltaB > 0 {
-			return fmt.Sprintf("REJECT %s | suggest %v", reason, d.SuggestedDeltaB)
+		idx, d, err := admit(core.ObjectSpec{
+			Name:         args[0],
+			Size:         size,
+			UpdatePeriod: durs[0],
+			Constraint:   temporal.ExternalConstraint{DeltaP: durs[1], DeltaB: durs[2]},
+		})
+		if err != nil {
+			reason := d.Reason
+			if reason == "" {
+				reason = err.Error()
+			}
+			if d.SuggestedDeltaB > 0 {
+				return fmt.Sprintf("REJECT %s | suggest %v", reason, d.SuggestedDeltaB)
+			}
+			return "REJECT " + reason
 		}
-		return "REJECT " + reason
-	}
-	if idx < 0 {
-		return fmt.Sprintf("OK %d %v", d.ObjectID, d.UpdatePeriod)
-	}
-	return fmt.Sprintf("OK shard %d %d %v", idx, d.ObjectID, d.UpdatePeriod)
+		if idx < 0 {
+			return fmt.Sprintf("OK %d %v", d.ObjectID, d.UpdatePeriod)
+		}
+		return fmt.Sprintf("OK shard %d %d %v", idx, d.ObjectID, d.UpdatePeriod)
+	})}
 }
 
-// write decodes a WRITE line and submits it. reply is called exactly once:
-// with the submission's error, or later with the write's outcome.
-func write(args []string, reply func(string), submit func(name string, value []byte, done func(time.Duration, error)) error) {
-	if len(args) != 2 {
-		reply("ERR usage: WRITE <name> <base64-value>")
-		return
-	}
-	value, err := base64.StdEncoding.DecodeString(args[1])
-	if err != nil {
-		reply("ERR bad base64: " + err.Error())
-		return
-	}
-	err = submit(args[0], value, func(lat time.Duration, err error) {
+// writeVerb is WRITE: it decodes the value and submits it, replying with
+// the submission's error, or later with the write's outcome.
+func writeVerb(submit func(name string, value []byte, done func(time.Duration, error)) error) verb {
+	return verb{usage: "WRITE <name> <base64-value>", args: 2, run: func(_ *lineConn, args []string, reply func(string)) {
+		value, err := base64.StdEncoding.DecodeString(args[1])
 		if err != nil {
-			reply("ERR " + err.Error())
+			reply("ERR bad base64: " + err.Error())
 			return
 		}
-		reply(fmt.Sprintf("OK %v", lat))
-	})
-	if err != nil {
-		reply("ERR " + err.Error())
-	}
+		err = submit(args[0], value, func(lat time.Duration, err error) {
+			if err != nil {
+				reply("ERR " + err.Error())
+				return
+			}
+			reply(fmt.Sprintf("OK %v", lat))
+		})
+		if err != nil {
+			reply("ERR " + err.Error())
+		}
+	}}
 }
 
-// read renders the READ reply for the certificate lookup serves. The
+// readVerb is READ, rendering the certificate lookup serves. The
 // certificate suffix is core.Certificate's own rendering, so every serving
 // surface reports the same age/δ_B/mode/θ/depth fields.
-func read(args []string, lookup func(name string) (core.Certificate, bool)) string {
-	if len(args) != 1 {
-		return "ERR usage: READ <name>"
-	}
-	cert, ok := lookup(args[0])
-	if !ok {
-		return "ERR not found"
-	}
-	return fmt.Sprintf("OK %s %s %s", base64.StdEncoding.EncodeToString(cert.Value),
-		cert.Version.Format(time.RFC3339Nano), cert.Fields())
+func readVerb(lookup func(name string) (core.Certificate, bool)) verb {
+	return verb{usage: "READ <name>", args: 1, run: answer(func(args []string) string {
+		cert, ok := lookup(args[0])
+		if !ok {
+			return "ERR not found"
+		}
+		return fmt.Sprintf("OK %s %s %s", base64.StdEncoding.EncodeToString(cert.Value),
+			cert.Version.Format(time.RFC3339Nano), cert.Fields())
+	})}
 }
 
 // Client is a minimal control-protocol client used by cmd/rtpbctl and the

@@ -10,8 +10,8 @@ import (
 	"rtpb/internal/gateway"
 )
 
-// GatewayServer exposes a gateway on the shared line protocol — the
-// third consumer of the lineServer transport. Each TCP connection is
+// NewGatewayServer starts a gateway control listener on addr. The
+// gateway must share the given clock (its pump). Each TCP connection is
 // (lazily, on first SUB) one gateway session; broadcast frames arrive as
 // asynchronous EVENT lines on the same connection:
 //
@@ -19,7 +19,7 @@ import (
 //	  → OK <group> members=<n> | ERR shedding... (admission-aware: a
 //	    shedding backend refuses the session)
 //	UNSUB <group>
-//	  → OK <group>
+//	  → OK <group> | ERR no session
 //	BIND <group> <object> [<object>...]
 //	  → OK <group> objects=<n>   (declares the group's broadcast set)
 //	GROUPS
@@ -30,24 +30,41 @@ import (
 //	    droppedShed=<n> broadcasts=<b>
 //	PLACE <name> <size> <period> <deltaP> <deltaB>
 //	  → OK shard <i> <id> <updatePeriod> | REJECT <reason...> (a
-//	    rejection arms the gateway's placement shed hold)
+//	    rejection arms the gateway's placement shed hold; REGISTER is
+//	    an alias)
 //	WRITE <name> <base64-value>
 //	  → OK <latency> | ERR ...   (never shed by the gateway)
 //	READ <name>
 //	  → OK <base64-value> <version-rfc3339nano> age=<dur> delta=<dur>
-//	    mode=<m> | ERR not found
+//	    mode=<m> theta=<dur> depth=<n> | ERR not found
 //
 // Push frames (no reply expected; one per bound object per broadcast
 // tick to each subscribed connection):
 //
 //	EVENT <group> <object> <seq> <base64-value> <version-rfc3339nano>
-//	  age=<dur> delta=<dur> mode=<m>
+//	  age=<dur> delta=<dur> mode=<m> theta=<dur> depth=<n>
 //
 // A connection whose TCP send path backlogs sheds EVENT lines at the
 // push bound; the gateway's freshest-wins coalescing then re-delivers
 // only the newest image once the connection drains.
-type GatewayServer struct {
-	*lineServer
+func NewGatewayServer(clk clock.Clock, gw *gateway.Gateway, addr string) (*Server, error) {
+	s := &gatewayVerbs{clk: clk, gw: gw, sessions: make(map[*lineConn]*gateway.Session)}
+	place := registerVerb("PLACE", gw.Place)
+	return listen(clk, addr, map[string]verb{
+		"SUB":      {usage: "SUB <group>", args: 1, run: s.sub},
+		"UNSUB":    {usage: "UNSUB <group>", args: 1, run: s.unsub},
+		"BIND":     {usage: "BIND <group> <object> [<object>...]", args: 2, atLeast: true, run: answer(s.bind)},
+		"GROUPS":   {run: answer(s.groups)},
+		"SESSIONS": {run: answer(s.sessionsStatus)},
+		"PLACE":    place,
+		"REGISTER": place,
+		"WRITE":    writeVerb(gw.Write),
+		"READ":     readVerb(gw.Read),
+	})
+}
+
+// gatewayVerbs are the verbs NewGatewayServer serves on a gateway.
+type gatewayVerbs struct {
 	clk clock.Clock
 	gw  *gateway.Gateway
 
@@ -56,46 +73,9 @@ type GatewayServer struct {
 	sessions map[*lineConn]*gateway.Session
 }
 
-// NewGatewayServer starts a gateway control listener on addr. The
-// gateway must share the given clock (its pump).
-func NewGatewayServer(clk clock.Clock, gw *gateway.Gateway, addr string) (*GatewayServer, error) {
-	s := &GatewayServer{clk: clk, gw: gw, sessions: make(map[*lineConn]*gateway.Session)}
-	ls, err := newLineConnServer(clk, addr, s.handle)
-	if err != nil {
-		return nil, err
-	}
-	s.lineServer = ls
-	return s, nil
-}
-
-func (s *GatewayServer) handle(c *lineConn, line string, reply func(string)) {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
-	case "SUB":
-		reply(s.sub(c, fields[1:]))
-	case "UNSUB":
-		reply(s.unsub(c, fields[1:]))
-	case "BIND":
-		reply(s.bind(fields[1:]))
-	case "GROUPS":
-		reply(s.groups())
-	case "SESSIONS":
-		reply(s.sessionsStatus())
-	case "PLACE", "REGISTER":
-		reply(register("PLACE", fields[1:], s.gw.Place))
-	case "WRITE":
-		write(fields[1:], reply, s.gw.Write)
-	case "READ":
-		reply(read(fields[1:], s.gw.Read))
-	default:
-		reply("ERR unknown command " + cmd)
-	}
-}
-
 // session returns the connection's gateway session, admitting one on
 // first use. Admission can be refused: that is the gateway shedding.
-func (s *GatewayServer) session(c *lineConn) (*gateway.Session, error) {
+func (s *gatewayVerbs) session(c *lineConn) (*gateway.Session, error) {
 	if sess, ok := s.sessions[c]; ok {
 		return sess, nil
 	}
@@ -115,42 +95,34 @@ func (s *GatewayServer) session(c *lineConn) (*gateway.Session, error) {
 	return sess, nil
 }
 
-func (s *GatewayServer) sub(c *lineConn, args []string) string {
-	if len(args) != 1 {
-		return "ERR usage: SUB <group>"
-	}
+func (s *gatewayVerbs) sub(c *lineConn, args []string, reply func(string)) {
 	sess, err := s.session(c)
+	if err == nil {
+		err = s.gw.Subscribe(sess, args[0])
+	}
 	if err != nil {
-		return "ERR " + err.Error()
+		reply("ERR " + err.Error())
+		return
 	}
-	if err := s.gw.Subscribe(sess, args[0]); err != nil {
-		return "ERR " + err.Error()
-	}
-	grp := s.gw.Bind(args[0])
-	return fmt.Sprintf("OK %s members=%d", args[0], grp.Members())
+	reply(fmt.Sprintf("OK %s members=%d", args[0], s.gw.Bind(args[0]).Members()))
 }
 
-func (s *GatewayServer) unsub(c *lineConn, args []string) string {
-	if len(args) != 1 {
-		return "ERR usage: UNSUB <group>"
-	}
+func (s *gatewayVerbs) unsub(c *lineConn, args []string, reply func(string)) {
 	sess, ok := s.sessions[c]
 	if !ok {
-		return "ERR no session"
+		reply("ERR no session")
+		return
 	}
 	s.gw.Unsubscribe(sess, args[0])
-	return "OK " + args[0]
+	reply("OK " + args[0])
 }
 
-func (s *GatewayServer) bind(args []string) string {
-	if len(args) < 2 {
-		return "ERR usage: BIND <group> <object> [<object>...]"
-	}
+func (s *gatewayVerbs) bind(args []string) string {
 	grp := s.gw.Bind(args[0], args[1:]...)
 	return fmt.Sprintf("OK %s objects=%d", args[0], len(grp.Objects()))
 }
 
-func (s *GatewayServer) groups() string {
+func (s *gatewayVerbs) groups([]string) string {
 	groups := s.gw.Groups()
 	var b strings.Builder
 	fmt.Fprintf(&b, "OK groups=%d", len(groups))
@@ -162,7 +134,7 @@ func (s *GatewayServer) groups() string {
 	return b.String()
 }
 
-func (s *GatewayServer) sessionsStatus() string {
+func (s *gatewayVerbs) sessionsStatus([]string) string {
 	st := s.gw.Stats()
 	return fmt.Sprintf("OK sessions=%d peak=%d connects=%d rejected=%d closed=%d mode=%s delivered=%d coalesced=%d droppedShed=%d broadcasts=%d",
 		st.Sessions, st.PeakSessions, st.Connects, st.Rejected, st.Closed,
@@ -176,7 +148,7 @@ type connSink struct {
 	conn *lineConn
 }
 
-func (k *connSink) Deliver(f Frame) error {
+func (k *connSink) Deliver(f gateway.Frame) error {
 	return k.conn.Push(fmt.Sprintf("EVENT %s %s %d %s %s %s",
 		f.Group, f.Object, f.Seq,
 		base64.StdEncoding.EncodeToString(f.Cert.Value),
@@ -184,6 +156,3 @@ func (k *connSink) Deliver(f Frame) error {
 }
 
 func (k *connSink) Close() {}
-
-// Frame re-exports the gateway frame type for sink implementations.
-type Frame = gateway.Frame

@@ -9,8 +9,9 @@ import (
 	"rtpb/internal/shard"
 )
 
-// ShardServer exposes a sharded cluster on the same line protocol the
-// single-pair Server speaks, with the routing surface on top:
+// NewShardServer starts the control listener for a sharded cluster on
+// addr. It speaks the line protocol of the single-pair NewServer, with
+// the routing surface on top:
 //
 //	PLACE <name> <size> <period> <deltaP> <deltaB>
 //	  → OK shard <i> <id> <updatePeriod>   on admission somewhere
@@ -30,53 +31,30 @@ import (
 //	  → OK <latency>, forwarded to the owning shard's current primary
 //	READ <name>
 //	  → OK <base64-value> <version-rfc3339nano> age=<dur> delta=<dur>
-//	    mode=<m> | ERR not found
+//	    mode=<m> theta=<dur> depth=<n> | ERR not found
 //
 // WRITE and READ re-resolve the owning shard on every call, so clients
 // keep a single control connection across per-shard failovers.
-type ShardServer struct {
-	*lineServer
+func NewShardServer(clk clock.Clock, cluster *shard.Cluster, addr string) (*Server, error) {
+	s := clusterVerbs{cluster}
+	place := registerVerb("PLACE", cluster.Place)
+	return listen(clk, addr, map[string]verb{
+		"PLACE":    place,
+		"REGISTER": place,
+		"ROUTE":    {usage: "ROUTE <name>", args: 1, run: answer(s.route)},
+		"SHARDS":   {run: answer(s.shards)},
+		"MIGRATE":  {usage: "MIGRATE <name> <shard>", args: 2, run: answer(s.migrate)},
+		"WRITE":    writeVerb(cluster.Write),
+		"READ":     readVerb(cluster.Certificate),
+	})
+}
+
+// clusterVerbs are the verbs NewShardServer adds for a cluster.
+type clusterVerbs struct {
 	cluster *shard.Cluster
 }
 
-// NewShardServer starts the cluster control listener on addr.
-func NewShardServer(clk clock.Clock, cluster *shard.Cluster, addr string) (*ShardServer, error) {
-	s := &ShardServer{cluster: cluster}
-	ls, err := newLineServer(clk, addr, s.handle)
-	if err != nil {
-		return nil, err
-	}
-	s.lineServer = ls
-	return s, nil
-}
-
-// handle executes a command on the executor; reply must be called
-// exactly once (possibly later, for WRITE).
-func (s *ShardServer) handle(line string, reply func(string)) {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
-	case "PLACE", "REGISTER":
-		reply(register("PLACE", fields[1:], s.cluster.Place))
-	case "ROUTE":
-		reply(s.route(fields[1:]))
-	case "SHARDS":
-		reply(s.shards())
-	case "MIGRATE":
-		reply(s.migrate(fields[1:]))
-	case "WRITE":
-		write(fields[1:], reply, s.cluster.Write)
-	case "READ":
-		reply(read(fields[1:], s.cluster.Certificate))
-	default:
-		reply("ERR unknown command " + cmd)
-	}
-}
-
-func (s *ShardServer) route(args []string) string {
-	if len(args) != 1 {
-		return "ERR usage: ROUTE <name>"
-	}
+func (s clusterVerbs) route(args []string) string {
 	idx, ok := s.cluster.Route(args[0])
 	if !ok {
 		return "ERR not placed"
@@ -85,7 +63,7 @@ func (s *ShardServer) route(args []string) string {
 	return fmt.Sprintf("OK shard %d primary %s epoch %d", idx, st.PrimaryAddr, st.Epoch)
 }
 
-func (s *ShardServer) shards() string {
+func (s clusterVerbs) shards([]string) string {
 	var b strings.Builder
 	statuses := s.cluster.Statuses()
 	fmt.Fprintf(&b, "OK shards=%d", len(statuses))
@@ -97,10 +75,7 @@ func (s *ShardServer) shards() string {
 	return b.String()
 }
 
-func (s *ShardServer) migrate(args []string) string {
-	if len(args) != 2 {
-		return "ERR usage: MIGRATE <name> <shard>"
-	}
+func (s clusterVerbs) migrate(args []string) string {
 	dst, err := strconv.Atoi(args[1])
 	if err != nil {
 		return "ERR bad shard index: " + err.Error()

@@ -12,9 +12,9 @@ import (
 // startShardCluster builds a simulated 2-shard cluster and its control
 // server. The cluster runs on a virtual clock, which is single-threaded
 // by design, so the tests drive the verb handler directly (the TCP
-// transport is the same lineServer the single-pair Server tests cover)
-// and advance virtual time in between.
-func startShardCluster(t *testing.T) (*shard.Cluster, *ShardServer) {
+// transport is the one the single-pair tests cover) and advance virtual
+// time in between.
+func startShardCluster(t *testing.T) (*shard.Cluster, *Server) {
 	t.Helper()
 	cluster, err := shard.NewCluster(shard.Config{Shards: 2, Seed: 1})
 	if err != nil {
@@ -33,11 +33,11 @@ func startShardCluster(t *testing.T) (*shard.Cluster, *ShardServer) {
 }
 
 // do runs one command synchronously on the handler.
-func do(t *testing.T, srv *ShardServer, line string) string {
+func do(t *testing.T, srv *Server, line string) string {
 	t.Helper()
 	var out string
 	called := false
-	srv.handle(line, func(r string) { out, called = r, true })
+	srv.handle(nil, line, func(r string) { out, called = r, true })
 	if !called {
 		t.Fatalf("%q: no synchronous reply", line)
 	}
@@ -77,7 +77,7 @@ func TestShardServerPlaceRouteShards(t *testing.T) {
 	// once virtual time covers the round trip.
 	payload := base64.StdEncoding.EncodeToString([]byte("v1"))
 	var writeReply string
-	srv.handle("WRITE counter "+payload, func(r string) { writeReply = r })
+	srv.handle(nil, "WRITE counter "+payload, func(r string) { writeReply = r })
 	cluster.RunFor(100 * time.Millisecond)
 	if !strings.HasPrefix(writeReply, "OK ") {
 		t.Fatalf("WRITE: %q", writeReply)
@@ -95,7 +95,7 @@ func TestShardServerMigrate(t *testing.T) {
 
 	do(t, srv, "PLACE mig 64 20ms 20ms 120ms")
 	payload := base64.StdEncoding.EncodeToString([]byte("before"))
-	srv.handle("WRITE mig "+payload, func(string) {})
+	srv.handle(nil, "WRITE mig "+payload, func(string) {})
 	cluster.RunFor(100 * time.Millisecond)
 
 	if reply := do(t, srv, "MIGRATE mig 1"); reply != "OK mig shard 1" {
