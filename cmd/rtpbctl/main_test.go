@@ -41,6 +41,25 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestUsageNamesEverySubcommand keeps the bare-rtpbctl usage error in
+// step with the subcommand table.
+func TestUsageNamesEverySubcommand(t *testing.T) {
+	err := run(nil)
+	if err == nil {
+		t.Fatal("expected a usage error")
+	}
+	msg := err.Error()
+	named := map[string]bool{}
+	for _, name := range strings.Split(msg[strings.Index(msg, "<")+1:strings.Index(msg, ">")], "|") {
+		named[name] = true
+	}
+	for name := range subcommands {
+		if !named[name] {
+			t.Errorf("usage %q does not name %q", msg, name)
+		}
+	}
+}
+
 func TestRunDialFailure(t *testing.T) {
 	// Port 1 on localhost is almost certainly closed; Dial must fail
 	// fast and surface the error.
@@ -50,9 +69,9 @@ func TestRunDialFailure(t *testing.T) {
 	}
 }
 
-// stubServer answers the cluster-level control verbs with canned replies,
-// standing in for a ShardServer (which runs on a virtual clock and so
-// can't be driven over real TCP from a test).
+// stubServer answers the table verbs with canned replies in the real
+// server's format, standing in for a cluster control server (which runs
+// on a virtual clock and so can't be driven over real TCP from a test).
 func stubServer(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -73,10 +92,12 @@ func stubServer(t *testing.T) string {
 					switch line := sc.Text(); {
 					case line == "SHARDS":
 						fmt.Fprintln(conn, "OK shards=2"+
-							" | 0 primary=shard0-p:7000 epoch=1 objects=2 utilization=0.4800 backupAlive=true promotions=0"+
-							" | 1 primary=shard1-b:7000 epoch=2 objects=1 utilization=0.2400 backupAlive=false promotions=1")
+							" | 0 primary=shard0-p:7000 epoch=1 objects=2 utilization=0.4800 backupAlive=true promotions=0 degraded=1 shed=0"+
+							" | 1 primary=shard1-b:7000 epoch=2 objects=1 utilization=0.2400 backupAlive=false promotions=1 degraded=0 shed=1")
 					case strings.HasPrefix(line, "ROUTE "):
 						fmt.Fprintln(conn, "OK shard 1 primary shard1-b:7000 epoch 2")
+					case line == "OBSERVERS":
+						fmt.Fprintln(conn, "OK observers=1 depth=0 theta=0s | obs:7000 alive=true syncing=false")
 					case line == "STATUS":
 						fmt.Fprintln(conn, "OK role=primary objects=2 utilization=0.4800 epoch=3 backupAlive=true transitions=2")
 					default:
@@ -116,17 +137,17 @@ func TestShardsTableRoundTrip(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("want header + 2 shard rows, got %d lines:\n%s", len(lines), out)
 	}
-	for _, want := range []string{"SHARD", "PRIMARY", "EPOCH", "UTILIZATION", "PROMOTIONS"} {
+	for _, want := range []string{"SHARD", "PRIMARY", "EPOCH", "UTILIZATION", "PROMOTIONS", "DEGRADED", "SHED"} {
 		if !strings.Contains(lines[0], want) {
 			t.Fatalf("header missing %q: %q", want, lines[0])
 		}
 	}
 	row0 := strings.Fields(lines[1])
-	if want := []string{"0", "shard0-p:7000", "1", "2", "0.4800", "true", "0"}; !equalSlices(row0, want) {
+	if want := []string{"0", "shard0-p:7000", "1", "2", "0.4800", "true", "0", "1", "0"}; !equalSlices(row0, want) {
 		t.Fatalf("row 0 = %v, want %v", row0, want)
 	}
 	row1 := strings.Fields(lines[2])
-	if want := []string{"1", "shard1-b:7000", "2", "1", "0.2400", "false", "1"}; !equalSlices(row1, want) {
+	if want := []string{"1", "shard1-b:7000", "2", "1", "0.2400", "false", "1", "0", "1"}; !equalSlices(row1, want) {
 		t.Fatalf("row 1 = %v, want %v", row1, want)
 	}
 }
@@ -146,6 +167,24 @@ func TestStatusTableRoundTrip(t *testing.T) {
 	row := strings.Fields(lines[1])
 	if want := []string{"primary", "2", "0.4800", "3", "true", "2"}; !equalSlices(row, want) {
 		t.Fatalf("status row = %v, want %v", row, want)
+	}
+}
+
+func TestObserversTableRoundTrip(t *testing.T) {
+	addr := stubServer(t)
+	out := capture(t, func() error { return run([]string{"-addr", addr, "observers"}) })
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	want := [][]string{
+		{"OBSERVERS", "DEPTH", "THETA"}, {"1", "0", "0s"},
+		{"OBSERVER", "ALIVE", "SYNCING"}, {"obs:7000", "true", "false"},
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("want %d lines, got %d:\n%s", len(want), len(lines), out)
+	}
+	for i, w := range want {
+		if got := strings.Fields(lines[i]); !equalSlices(got, w) {
+			t.Fatalf("line %d = %v, want %v", i, got, w)
+		}
 	}
 }
 
