@@ -15,13 +15,6 @@
 //	rtpbctl -addr 127.0.0.1:7777 clock               # clock-sync estimate and θ
 //	rtpbctl -addr 127.0.0.1:7777 bench alt 40ms 5s   # periodic writes
 //
-// Against a sharded cluster's control endpoint (ctl.NewShardServer)
-// the same register/write/read verbs route transparently, and two
-// cluster-level queries become available:
-//
-//	rtpbctl -addr 127.0.0.1:7777 shards              # per-shard status table
-//	rtpbctl -addr 127.0.0.1:7777 route alt           # which shard serves alt
-//
 // Against a gateway endpoint (ctl.NewGatewayServer, rtpbd
 // -gateway) write/read/register work the same, and the session/group
 // surface appears:
@@ -53,7 +46,7 @@ func main() {
 }
 
 // column is one column of a k=v table: its header and the reply key it
-// shows ("" for a segment's leading bare field, such as a shard index).
+// shows ("" for a segment's leading bare field, such as a peer address).
 type column struct{ header, key string }
 
 // subcommands is every rtpbctl verb: its word count with the verb (-n:
@@ -86,13 +79,6 @@ var subcommands = map[string]struct {
 	"snapshot": {n: 1, usage: "snapshot"},
 	"clock":    {n: 1, usage: "clock"},
 	"bench":    {n: 4, usage: "bench <name> <period> <duration>"},
-	// DEGRADED and SHED count objects the shard's overload governor
-	// holds below normal mode.
-	"shards": {n: 1, usage: "shards", rows: []column{
-		{"SHARD", ""}, {"PRIMARY", "primary"}, {"EPOCH", "epoch"}, {"OBJECTS", "objects"},
-		{"UTILIZATION", "utilization"}, {"BACKUP", "backupAlive"}, {"PROMOTIONS", "promotions"},
-		{"DEGRADED", "degraded"}, {"SHED", "shed"}}},
-	"route":    {n: 2, usage: "route <object>"},
 	"sub":      {n: 2, usage: "sub <group>"},
 	"groups":   {n: 1, usage: "groups"},
 	"sessions": {n: 1, usage: "sessions"},
@@ -111,7 +97,7 @@ func usage() error {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("rtpbctl", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:7777", "control address of an rtpbd replica, sharded cluster or gateway listener")
+	addr := fs.String("addr", "127.0.0.1:7777", "control address of an rtpbd replica or gateway listener")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -25,8 +25,6 @@ func TestRunUsageErrors(t *testing.T) {
 		{"bench arity", []string{"-addr", "127.0.0.1:1", "bench", "x"}, "usage: bench"},
 		{"recruit arity", []string{"-addr", "127.0.0.1:1", "recruit"}, "usage: recruit"},
 		{"repair arity", []string{"-addr", "127.0.0.1:1", "repair", "x"}, "usage: repair"},
-		{"shards arity", []string{"-addr", "127.0.0.1:1", "shards", "x"}, "usage: shards"},
-		{"route arity", []string{"-addr", "127.0.0.1:1", "route"}, "usage: route"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,8 +68,7 @@ func TestRunDialFailure(t *testing.T) {
 }
 
 // stubServer answers the table verbs with canned replies in the real
-// server's format, standing in for a cluster control server (which runs
-// on a virtual clock and so can't be driven over real TCP from a test).
+// server's format, standing in for a replica's control server.
 func stubServer(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -90,12 +87,6 @@ func stubServer(t *testing.T) string {
 				sc := bufio.NewScanner(conn)
 				for sc.Scan() {
 					switch line := sc.Text(); {
-					case line == "SHARDS":
-						fmt.Fprintln(conn, "OK shards=2"+
-							" | 0 primary=shard0-p:7000 epoch=1 objects=2 utilization=0.4800 backupAlive=true promotions=0 degraded=1 shed=0"+
-							" | 1 primary=shard1-b:7000 epoch=2 objects=1 utilization=0.2400 backupAlive=false promotions=1 degraded=0 shed=1")
-					case strings.HasPrefix(line, "ROUTE "):
-						fmt.Fprintln(conn, "OK shard 1 primary shard1-b:7000 epoch 2")
 					case line == "OBSERVERS":
 						fmt.Fprintln(conn, "OK observers=1 depth=0 theta=0s | obs:7000 alive=true syncing=false")
 					case line == "STATUS":
@@ -128,28 +119,6 @@ func capture(t *testing.T, f func() error) string {
 		t.Fatalf("run: %v (output %q)", ferr, out)
 	}
 	return string(out)
-}
-
-func TestShardsTableRoundTrip(t *testing.T) {
-	addr := stubServer(t)
-	out := capture(t, func() error { return run([]string{"-addr", addr, "shards"}) })
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 shard rows, got %d lines:\n%s", len(lines), out)
-	}
-	for _, want := range []string{"SHARD", "PRIMARY", "EPOCH", "UTILIZATION", "PROMOTIONS", "DEGRADED", "SHED"} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("header missing %q: %q", want, lines[0])
-		}
-	}
-	row0 := strings.Fields(lines[1])
-	if want := []string{"0", "shard0-p:7000", "1", "2", "0.4800", "true", "0", "1", "0"}; !equalSlices(row0, want) {
-		t.Fatalf("row 0 = %v, want %v", row0, want)
-	}
-	row1 := strings.Fields(lines[2])
-	if want := []string{"1", "shard1-b:7000", "2", "1", "0.2400", "false", "1", "0", "1"}; !equalSlices(row1, want) {
-		t.Fatalf("row 1 = %v, want %v", row1, want)
-	}
 }
 
 func TestStatusTableRoundTrip(t *testing.T) {
@@ -185,14 +154,6 @@ func TestObserversTableRoundTrip(t *testing.T) {
 		if got := strings.Fields(lines[i]); !equalSlices(got, w) {
 			t.Fatalf("line %d = %v, want %v", i, got, w)
 		}
-	}
-}
-
-func TestRouteRoundTrip(t *testing.T) {
-	addr := stubServer(t)
-	out := capture(t, func() error { return run([]string{"-addr", addr, "route", "alt"}) })
-	if want := "OK shard 1 primary shard1-b:7000 epoch 2\n"; out != want {
-		t.Fatalf("route output %q, want %q", out, want)
 	}
 }
 

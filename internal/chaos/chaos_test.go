@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -83,42 +84,35 @@ func TestChaosDeterminism(t *testing.T) {
 	} else if !*update {
 		t.Fatal(err)
 	}
-	var names []string
+	// Each run applies -seed over the scenario's committed seed.
+	type replay struct {
+		name string
+		run  func() (*Result, error)
+	}
+	var replays []replay
 	for _, sc := range Catalogue() {
 		if sc.Name != "endurance-soak" { // the nightly job's soak
-			names = append(names, sc.Name)
+			replays = append(replays, replay{sc.Name, func() (*Result, error) {
+				sc.Seed = cmp.Or(*seedFlag, sc.Seed)
+				return Run(sc)
+			}})
 		}
 	}
 	for _, sc := range ShardCatalogue() {
-		names = append(names, sc.Name)
+		replays = append(replays, replay{sc.Name, func() (*Result, error) {
+			sc.Seed = cmp.Or(*seedFlag, sc.Seed)
+			return RunShard(sc)
+		}})
 	}
 	for _, sc := range GatewayCatalogue() {
-		names = append(names, sc.Name)
+		replays = append(replays, replay{sc.Name, func() (*Result, error) {
+			sc.Seed = cmp.Or(*seedFlag, sc.Seed)
+			return RunGateway(sc)
+		}})
 	}
 	var got []string
-	for _, name := range names {
-		run := func() (*Result, error) {
-			if gsc, ok := FindGateway(name); ok {
-				if *seedFlag != 0 {
-					gsc.Seed = *seedFlag
-				}
-				return RunGateway(gsc)
-			}
-			if ssc, ok := FindShard(name); ok {
-				if *seedFlag != 0 {
-					ssc.Seed = *seedFlag
-				}
-				return RunShard(ssc)
-			}
-			sc, ok := Find(name)
-			if !ok {
-				t.Fatalf("scenario %q missing from catalogue", name)
-			}
-			if *seedFlag != 0 {
-				sc.Seed = *seedFlag
-			}
-			return Run(sc)
-		}
+	for _, r := range replays {
+		name, run := r.name, r.run
 		first, err := run()
 		if err != nil {
 			t.Fatalf("first run: %v", err)

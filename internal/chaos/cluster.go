@@ -750,7 +750,6 @@ func (h *Harness) startRejoiner(n *Node, st *durable.State) {
 		Service:   ServiceName,
 		Directory: h.ns,
 		Self:      n.Addr,
-		Announce:  true,
 		Start: func(primary xkernel.Addr, epoch uint32) (*core.Replica, error) {
 			if err := h.startShadow(n, core.RoleBackup, primary); err != nil {
 				return nil, err

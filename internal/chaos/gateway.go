@@ -91,16 +91,6 @@ func GatewayCatalogue() []GatewayScenario {
 	}
 }
 
-// FindGateway looks a gateway scenario up by name.
-func FindGateway(name string) (GatewayScenario, bool) {
-	for _, sc := range GatewayCatalogue() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return GatewayScenario{}, false
-}
-
 // chaosSink records per-session delivery for the scenario's streaming
 // invariants: sequence monotonicity per object (coalescing must never
 // deliver stale-after-fresh), with an injected backlog window on every

@@ -96,16 +96,6 @@ func ShardCatalogue() []ShardScenario {
 	}
 }
 
-// FindShard looks a sharded scenario up by name.
-func FindShard(name string) (ShardScenario, bool) {
-	for _, sc := range ShardCatalogue() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return ShardScenario{}, false
-}
-
 // RunShard executes a sharded scenario and evaluates its invariants.
 // Deterministic like Run: the same scenario and seed reproduce the
 // Result — including the event log — byte for byte.

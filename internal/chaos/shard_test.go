@@ -5,16 +5,24 @@ import (
 	"testing"
 )
 
+// shardPrimaryCrash is the shard catalogue's primary-crash scenario.
+func shardPrimaryCrash(t *testing.T) ShardScenario {
+	t.Helper()
+	for _, sc := range ShardCatalogue() {
+		if sc.Name == "shard-primary-crash" {
+			return sc
+		}
+	}
+	t.Fatal("scenario missing from catalogue")
+	return ShardScenario{}
+}
+
 // TestShardPrimaryCrash runs the sharded-cluster scenario and requires
 // a clean pass: the single-pair probe rejects the set, the four-shard
 // cluster admits it, the crashed group fails over, and no surviving
 // group's bound wavers.
 func TestShardPrimaryCrash(t *testing.T) {
-	sc, ok := FindShard("shard-primary-crash")
-	if !ok {
-		t.Fatal("scenario missing from catalogue")
-	}
-	res, err := RunShard(sc)
+	res, err := RunShard(shardPrimaryCrash(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +50,7 @@ func TestShardPrimaryCrash(t *testing.T) {
 // TestShardScenarioReplaysByteIdentical runs the scenario twice from
 // its committed seed and requires identical logs.
 func TestShardScenarioReplaysByteIdentical(t *testing.T) {
-	sc, _ := FindShard("shard-primary-crash")
+	sc := shardPrimaryCrash(t)
 	a, err := RunShard(sc)
 	if err != nil {
 		t.Fatal(err)

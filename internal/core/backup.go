@@ -275,37 +275,6 @@ func (b *Replica) State() []wire.StateEntry {
 	return out
 }
 
-// SnapshotEntry is one object's full state: the registered spec plus the
-// last replicated value. In-place promotion does not consume snapshots —
-// this remains for observers and external checkpointing.
-type SnapshotEntry struct {
-	// Spec is the object's registration.
-	Spec ObjectSpec
-	// Value is the last applied payload (nil if none arrived).
-	Value []byte
-	// Version is the value's timestamp.
-	Version time.Time
-	// HasData reports whether any update was ever applied.
-	HasData bool
-}
-
-// Snapshot captures every registered object's spec and replicated value.
-func (b *Replica) Snapshot() []SnapshotEntry {
-	out := make([]SnapshotEntry, 0, len(b.adm.byName))
-	for _, id := range b.adm.orderedIDs() {
-		o := b.adm.objects[id]
-		if o.spec.Name == "" {
-			continue
-		}
-		e := SnapshotEntry{Spec: o.spec, Version: o.version, HasData: o.hasData}
-		if o.hasData {
-			e.Value = append([]byte(nil), o.value...)
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // SeedObject installs replicated state into a primary's table directly —
 // an external checkpoint restore path (in-place promotion no longer needs
 // it; the table carries over).

@@ -233,10 +233,6 @@ type Replica struct {
 	// OnPeerSynced, when set, observes a peer completing its anti-entropy
 	// exchange: from this instant it counts toward quorums again.
 	OnPeerSynced func(addr xkernel.Addr, entries int)
-	// OnPeerSyncFailed, when set, observes a join exchange giving up on
-	// an unresponsive peer (the repair layer rotates to another
-	// candidate).
-	OnPeerSyncFailed func(addr xkernel.Addr)
 	// OnJoinRequest, when set, observes inbound rejoin requests with the
 	// joiner's last-observed epoch and self-reported address.
 	OnJoinRequest func(from xkernel.Addr, epoch uint32, addr string)

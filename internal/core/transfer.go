@@ -98,12 +98,8 @@ func (p *Replica) sendJoinAccept(pr *replicaPeer) {
 	}
 	if pr.joinAttempt >= maxRetries {
 		// The joiner never answered. Leave it marked syncing (it must not
-		// count toward quorums holding arbitrarily stale state) and let
-		// the repair layer rotate to another candidate or the joiner's own
-		// JoinRequest retry restart the exchange.
-		if p.OnPeerSyncFailed != nil {
-			p.OnPeerSyncFailed(pr.addr)
-		}
+		// count toward quorums holding arbitrarily stale state) and let the
+		// joiner's own JoinRequest retry restart the exchange.
 		return
 	}
 	acc := &wire.JoinAccept{Epoch: p.epoch}

@@ -53,11 +53,9 @@
 // outside the server's table "ERR unknown command <VERB>".
 //
 // These are the verbs NewServer serves for one replica. One Server type
-// serves every surface with a verb table its constructor installs:
-// NewShardServer serves a sharded cluster, adding PLACE/ROUTE/SHARDS/
-// MIGRATE and routing WRITE/READ to the owning shard's current primary
-// (see shard.go); NewGatewayServer serves the gateway's session and group
-// verbs (see gateway.go).
+// serves both surfaces with a verb table its constructor installs:
+// NewGatewayServer serves the gateway's session and group verbs (see
+// gateway.go).
 package ctl
 
 import (
@@ -221,7 +219,7 @@ func (s replicaVerbs) recruit(args []string) string {
 	return "OK " + args[0]
 }
 
-// registerVerb is REGISTER, or PLACE on a cluster or gateway (name
+// registerVerb is REGISTER, or PLACE on a gateway (name
 // names the verb in its usage), rendering admit's decision on the spec.
 // admit reports a rejection with an error: the REJECT line carries the
 // decision's reason, else the error's, and the suggested δ_B. A shard

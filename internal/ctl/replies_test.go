@@ -41,8 +41,8 @@ type surface struct {
 }
 
 // TestRepliesPinned drives every verb of each control surface — a
-// primary, its backup and an observer, a sharded cluster, and a gateway
-// over that cluster with a subscribed connection — through the verb
+// primary, its backup and an observer, and a gateway over a sharded
+// cluster with a subscribed connection — through the verb
 // handler on virtual clocks, malformed lines included, and compares the
 // transcript with testdata/replies.golden (-update rewrites it).
 func TestRepliesPinned(t *testing.T) {
@@ -94,7 +94,7 @@ func TestRepliesPinned(t *testing.T) {
 
 // surfaces builds the deployments and their scripts.
 func surfaces(t *testing.T) []surface {
-	return append(replicaSurfaces(t), clusterSurface(t), gatewaySurface(t))
+	return append(replicaSurfaces(t), gatewaySurface(t))
 }
 
 // replicaSurfaces serves a topo primary, its backup and an observer
@@ -207,60 +207,6 @@ func replicaSurfaces(t *testing.T) []surface {
 			"CLOCK",
 		}},
 	}
-}
-
-// clusterSurface serves a two-shard simulated cluster.
-func clusterSurface(t *testing.T) surface {
-	t.Helper()
-	cluster, err := shard.NewCluster(shard.Config{Shards: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewShardServer(cluster.Clock(), cluster, "127.0.0.1:0")
-	if err != nil {
-		cluster.Stop()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		cluster.Stop()
-	})
-	return surface{name: "cluster", clk: cluster.Clock(), srv: srv, script: []string{
-		"PLACE counter 64 20ms 20ms 120ms",
-		"REGISTER gauge 64 20ms 20ms 120ms",
-		"place lower 64 20ms 20ms 120ms",
-		"PLACE counter 64 20ms 20ms 120ms",
-		"PLACE hot 64 1ms 1ms 2ms",
-		"PLACE short 64",
-		"REGISTER short 64",
-		"PLACE x 64 20ms 20ms 120ms extra",
-		"PLACE x big 20ms 20ms 120ms",
-		"PLACE x 64 20ms 20ms bogus",
-		"ROUTE counter",
-		"ROUTE ghost",
-		"ROUTE",
-		"ROUTE counter extra",
-		"SHARDS",
-		"SHARDS x",
-		"WRITE counter " + b64,
-		"WRITE ghost " + b64,
-		"WRITE counter !!!",
-		"WRITE counter",
-		"READ counter",
-		"READ ghost",
-		"READ",
-		"MIGRATE counter 1",
-		"MIGRATE counter x",
-		"MIGRATE counter",
-		"MIGRATE ghost 1",
-		"MIGRATE counter 9",
-		"ROUTE counter",
-		"READ counter",
-		"STATUS",
-		"RELATE counter gauge 60ms",
-		"SUB cockpit",
-		"FROB",
-	}}
 }
 
 // gatewaySurface serves a gateway over a two-shard cluster. Every line

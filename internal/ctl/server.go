@@ -16,13 +16,12 @@ import (
 // line-oriented TCP listener that posts each command onto a clock
 // executor, looks its verb up in the server's verb table, checks the
 // argument count, and writes the reply back. The constructors differ
-// only in the table they install — replica verbs (NewServer), cluster
-// verbs (NewShardServer, shard.go) or gateway verbs (NewGatewayServer,
-// gateway.go). The gateway verbs need two things from the transport, so
-// every connection has them: a per-connection context (lineConn) a verb
-// can bind state to, and an asynchronous push channel for
-// server-initiated EVENT lines that must never block the executor (a
-// slow consumer sheds pushes, it does not stall the pump).
+// only in the table they install: replica verbs (NewServer) or gateway
+// verbs (NewGatewayServer, gateway.go). The gateway verbs need two things
+// from the transport, so every connection has them: a per-connection
+// context (lineConn) a verb can bind state to, and an asynchronous push
+// channel for server-initiated EVENT lines that must never block the
+// executor (a slow consumer sheds pushes, it does not stall the pump).
 
 // ErrPushBacklog reports a push dropped because the connection's
 // outbound buffer is full — the signal a gateway session uses to enter

@@ -1,15 +1,11 @@
 package failover
 
 import (
-	"os"
 	"testing"
 	"time"
 
 	"rtpb/internal/clock"
 )
-
-// osWriteFile is aliased for the corrupt-file test helper.
-var osWriteFile = os.WriteFile
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
@@ -184,54 +180,6 @@ func TestDetectorStopCancelsTimeout(t *testing.T) {
 	if dead {
 		t.Fatal("onDead fired after Stop")
 	}
-}
-
-func TestFileNameServicePersistsAcrossReopen(t *testing.T) {
-	path := t.TempDir() + "/names.json"
-	ns, err := OpenFileNameService(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := ns.Lookup("svc"); ok {
-		t.Fatal("fresh file has entries")
-	}
-	if err := ns.Set("svc", "primary:7000", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Set("svc", "backup:7000", 2); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen: the takeover survives the restart.
-	ns2, err := OpenFileNameService(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, epoch, ok := ns2.Lookup("svc")
-	if !ok || addr != "backup:7000" || epoch != 2 {
-		t.Fatalf("reopened entry = %v %d %v", addr, epoch, ok)
-	}
-	// Fencing still applies after reopen.
-	if err := ns2.Set("svc", "zombie:7000", 1); err != ErrStaleEpoch {
-		t.Fatalf("stale Set after reopen = %v, want ErrStaleEpoch", err)
-	}
-	// Same-epoch idempotent re-assert is allowed.
-	if err := ns2.Set("svc", "backup:7000", 2); err != nil {
-		t.Fatalf("idempotent Set = %v", err)
-	}
-}
-
-func TestFileNameServiceRejectsCorruptFile(t *testing.T) {
-	path := t.TempDir() + "/names.json"
-	if err := writeFile(path, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileNameService(path); err == nil {
-		t.Fatal("corrupt name file accepted")
-	}
-}
-
-func writeFile(path, content string) error {
-	return osWriteFile(path, []byte(content), 0o644)
 }
 
 func TestNameService(t *testing.T) {

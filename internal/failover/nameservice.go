@@ -2,7 +2,6 @@ package failover
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"rtpb/internal/xkernel"
@@ -23,9 +22,8 @@ type NameService struct {
 }
 
 type nameEntry struct {
-	addr       xkernel.Addr
-	epoch      uint32
-	candidates map[xkernel.Addr]bool
+	addr  xkernel.Addr
+	epoch uint32
 }
 
 // ErrStaleEpoch is returned by Set when a newer epoch is already recorded.
@@ -48,8 +46,7 @@ func (ns *NameService) Set(service string, addr xkernel.Addr, epoch uint32) erro
 			return ErrStaleEpoch
 		}
 	}
-	cur.addr, cur.epoch = addr, epoch
-	ns.entries[service] = cur
+	ns.entries[service] = nameEntry{addr, epoch}
 	return nil
 }
 
@@ -59,40 +56,4 @@ func (ns *NameService) Lookup(service string) (addr xkernel.Addr, epoch uint32, 
 	defer ns.mu.Unlock()
 	e, ok := ns.entries[service]
 	return e.addr, e.epoch, ok
-}
-
-// AddCandidate implements Candidates: records addr as a recruitable
-// replica for service.
-func (ns *NameService) AddCandidate(service string, addr xkernel.Addr) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	e := ns.entries[service]
-	if e.candidates == nil {
-		e.candidates = make(map[xkernel.Addr]bool)
-	}
-	e.candidates[addr] = true
-	ns.entries[service] = e
-}
-
-// RemoveCandidate implements Candidates.
-func (ns *NameService) RemoveCandidate(service string, addr xkernel.Addr) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if e, ok := ns.entries[service]; ok {
-		delete(e.candidates, addr)
-	}
-}
-
-// CandidateList implements Candidates: the registered recruitable
-// replicas for service, sorted for deterministic probing order.
-func (ns *NameService) CandidateList(service string) []xkernel.Addr {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	e := ns.entries[service]
-	out := make([]xkernel.Addr, 0, len(e.candidates))
-	for a := range e.candidates {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

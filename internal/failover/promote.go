@@ -16,9 +16,8 @@ type PromoteOptions struct {
 	// SelfAddr is the promoted replica's address ("host:port") recorded
 	// in the name service.
 	SelfAddr xkernel.Addr
-	// Names is the name service to update; optional. Use NameService in
-	// simulations or FileNameService for a persistent name file.
-	Names Directory
+	// Names is the name service to update; optional.
+	Names *NameService
 	// OnPlaceholderDrop, when set, observes the ids of spec-less
 	// placeholder objects the promotion had to discard (orphan updates
 	// whose registration never arrived — replicated bytes with no

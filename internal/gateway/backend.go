@@ -88,57 +88,3 @@ func (b ReplicaBackend) Place(spec core.ObjectSpec) (int, core.Decision, error) 
 	}
 	return 0, d, nil
 }
-
-// ObserverBackend fronts a write target with a read-only observer tier:
-// writes and placements forward to the inner backend (the primary or
-// cluster), while certificate reads are served by the least-stale
-// observer that can still prove its bound — falling back to the inner
-// backend when none can (attach-time catch-up, a partitioned chain, or
-// unconverged clock sync). The gateway's broadcast tick is the hot read
-// path, so this is where an observer tier turns into read scaling.
-type ObserverBackend struct {
-	// Inner is the authoritative backend: all writes, placements,
-	// routing and health go through it, and it is the read fallback.
-	Inner Backend
-	// Observers is the read tier, any chain arrangement.
-	Observers []*core.Replica
-}
-
-func (b ObserverBackend) Write(name string, data []byte, done func(time.Duration, error)) error {
-	return b.Inner.Write(name, data, done)
-}
-
-func (b ObserverBackend) Certificate(name string) (core.Certificate, bool) {
-	var best core.Certificate
-	found := false
-	for _, obs := range b.Observers {
-		if obs == nil || !obs.Running() {
-			continue
-		}
-		cert, ok := obs.Certificate(name)
-		if !ok || !cert.Fresh() {
-			continue
-		}
-		if !found || cert.Age+cert.Theta < best.Age+best.Theta {
-			best, found = cert, true
-		}
-	}
-	if found {
-		return best, true
-	}
-	return b.Inner.Certificate(name)
-}
-
-func (b ObserverBackend) Owner(name string) (int, bool) { return b.Inner.Owner(name) }
-
-func (b ObserverBackend) Shards() int { return b.Inner.Shards() }
-
-func (b ObserverBackend) Health(i int) shard.Health { return b.Inner.Health(i) }
-
-func (b ObserverBackend) Place(spec core.ObjectSpec) (int, core.Decision, error) {
-	if p, ok := b.Inner.(Placer); ok {
-		return p.Place(spec)
-	}
-	return -1, core.Decision{Reason: "backend does not place"},
-		fmt.Errorf("gateway: inner backend %T does not place", b.Inner)
-}

@@ -1,3 +1,8 @@
+// Package repair implements the rejoin protocol of a restarted replica
+// (Rejoiner): it waits in the failover directory — the paper's name
+// file — for a successor primary, demotes or starts a backup pointed at
+// it, and lets the chunked anti-entropy exchange in internal/core drive
+// the replica to parity.
 package repair
 
 import (
@@ -17,7 +22,7 @@ type RejoinerConfig struct {
 	// Service is the replicated service's directory entry.
 	Service string
 	// Directory is consulted for the current primary and epoch.
-	Directory failover.Directory
+	Directory *failover.NameService
 	// Self is this replica's own replication address. If the directory
 	// still records Self as the primary, there is no successor to rejoin
 	// and the loop keeps polling — a fenced old primary must never
@@ -52,10 +57,6 @@ type RejoinerConfig struct {
 	Restore func(b *core.Replica) (int, error)
 	// Interval is the poll/retry period; defaults to 250ms.
 	Interval time.Duration
-	// Announce registers Self in the directory's candidate list once the
-	// join completes, making the replica recruitable after a future
-	// failover.
-	Announce bool
 	// OnJoined, when set, fires once when the join exchange completes.
 	OnJoined func(b *core.Replica)
 }
@@ -192,11 +193,6 @@ func (r *Rejoiner) tick() {
 func (r *Rejoiner) finish() {
 	r.done = true
 	r.status.Joined = true
-	if r.cfg.Announce {
-		if c, ok := r.cfg.Directory.(failover.Candidates); ok {
-			c.AddCandidate(r.cfg.Service, r.cfg.Self)
-		}
-	}
 	if r.cfg.OnJoined != nil {
 		r.cfg.OnJoined(r.b)
 	}

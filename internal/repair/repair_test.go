@@ -14,7 +14,7 @@ import (
 )
 
 // fixture is a simulated fabric with one primary host and a set of
-// candidate hosts, each with its own protocol stack.
+// replica hosts, each with its own protocol stack.
 type fixture struct {
 	clk     *clock.SimClock
 	net     *netsim.Network
@@ -52,7 +52,7 @@ func newFixture(t *testing.T, hosts ...string) *fixture {
 	return f
 }
 
-// startBackup runs a backup replica on the named candidate host, pointed
+// startBackup runs a backup replica on the named host, pointed
 // at the primary.
 func (f *fixture) startBackup(t *testing.T, host string) *core.Replica {
 	t.Helper()
@@ -84,88 +84,6 @@ func (f *fixture) register(t *testing.T, name string, period time.Duration) {
 	}
 }
 
-func TestRecruiterRestoresDegree(t *testing.T) {
-	f := newFixture(t, "cand1")
-	f.register(t, "alpha", 20*time.Millisecond)
-	f.primary.ClientWrite("alpha", []byte("v1"), nil)
-	f.clk.RunFor(5 * time.Millisecond)
-
-	b := f.startBackup(t, "cand1")
-	f.ns.AddCandidate("svc", addrOf("cand1"))
-
-	r, err := NewRecruiter(f.primary, RecruiterConfig{
-		Clock:     f.clk,
-		Service:   "svc",
-		Directory: f.ns,
-		Self:      addrOf("primary"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	defer r.Stop()
-
-	if got := f.primary.SyncedPeers(); got != 0 {
-		t.Fatalf("synced peers before recruitment = %d, want 0", got)
-	}
-	f.clk.RunFor(2 * time.Second)
-
-	if got := f.primary.SyncedPeers(); got != 1 {
-		t.Fatalf("synced peers after recruitment = %d, want 1", got)
-	}
-	if st := r.Stats(); st.Probes != 1 || st.Recruited != 1 || st.Rotations != 0 {
-		t.Fatalf("stats = %+v, want one probe, one recruit, no rotation", st)
-	}
-	if _, _, ok := b.Value("alpha"); !ok {
-		t.Fatal("recruited backup never received alpha's state")
-	}
-	// The loop is quiescent at target degree: no further probes.
-	probes := r.Stats().Probes
-	f.clk.RunFor(2 * time.Second)
-	if r.Stats().Probes != probes {
-		t.Fatalf("recruiter kept probing at full degree: %d -> %d", probes, r.Stats().Probes)
-	}
-}
-
-func TestRecruiterRotatesPastDeadCandidate(t *testing.T) {
-	f := newFixture(t, "cand1", "cand2")
-	f.register(t, "alpha", 20*time.Millisecond)
-
-	// cand1 sorts first but is down; cand2 is live.
-	f.hosts["cand1"].EP.SetDown(true)
-	b2 := f.startBackup(t, "cand2")
-	_ = b2
-	f.ns.AddCandidate("svc", addrOf("cand1"))
-	f.ns.AddCandidate("svc", addrOf("cand2"))
-
-	var rotated []xkernel.Addr
-	r, err := NewRecruiter(f.primary, RecruiterConfig{
-		Clock:     f.clk,
-		Service:   "svc",
-		Directory: f.ns,
-		Self:      addrOf("primary"),
-		OnRotate:  func(a xkernel.Addr) { rotated = append(rotated, a) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	defer r.Stop()
-
-	f.clk.RunFor(10 * time.Second)
-
-	if got := f.primary.SyncedPeers(); got != 1 {
-		t.Fatalf("synced peers = %d, want 1 (cand2 recruited)", got)
-	}
-	if len(rotated) == 0 || rotated[0] != addrOf("cand1") {
-		t.Fatalf("rotations = %v, want cand1 dropped first", rotated)
-	}
-	states := f.primary.PeerStates()
-	if len(states) != 1 || states[0].Addr != addrOf("cand2") {
-		t.Fatalf("peer states = %+v, want only cand2 attached", states)
-	}
-}
-
 func TestRejoinerWaitsForSuccessorThenJoins(t *testing.T) {
 	f := newFixture(t, "cand1")
 	f.register(t, "alpha", 20*time.Millisecond)
@@ -184,7 +102,6 @@ func TestRejoinerWaitsForSuccessorThenJoins(t *testing.T) {
 		Service:   "svc",
 		Directory: ns,
 		Self:      addrOf("cand1"),
-		Announce:  true,
 		Start: func(primary xkernel.Addr, epoch uint32) (*core.Replica, error) {
 			started++
 			if primary != addrOf("primary") {
@@ -228,10 +145,6 @@ func TestRejoinerWaitsForSuccessorThenJoins(t *testing.T) {
 	}
 	if _, _, ok := rj.Backup().Value("alpha"); !ok {
 		t.Fatal("rejoined backup missing alpha's state")
-	}
-	cands := ns.CandidateList("svc")
-	if len(cands) != 1 || cands[0] != addrOf("cand1") {
-		t.Fatalf("candidates after join = %v, want self announced", cands)
 	}
 	if got := f.primary.SyncedPeers(); got != 1 {
 		t.Fatalf("primary synced peers = %d, want 1", got)

@@ -732,9 +732,6 @@ func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 // Clock exposes the cluster's virtual clock.
 func (c *Cluster) Clock() *clock.SimClock { return c.clk }
 
-// Network exposes the simulated fabric.
-func (c *Cluster) Network() *netsim.Network { return c.fabric.Net }
-
 // Monitor exposes the temporal-consistency monitor; backup sites are
 // named "shardI-b".
 func (c *Cluster) Monitor() *temporal.Monitor { return c.mon }

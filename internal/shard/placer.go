@@ -89,36 +89,3 @@ func (pl *Placer) Place(spec core.ObjectSpec, targets []Target) (int, core.Decis
 	}
 	return -1, last, fmt.Errorf("%w: %s", ErrClusterFull, reason)
 }
-
-// PlaceAll admits a batch of specs first-fit-decreasing: the specs are
-// sorted by decreasing estimated utilization demand (the heavy objects
-// place first, while every bin still has room) and then placed one by
-// one. It returns the chosen shard index per spec, -1 for specs no shard
-// could schedule, along with the count placed.
-func (pl *Placer) PlaceAll(specs []core.ObjectSpec, targets []Target) (indices []int, placed int) {
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	demand := make([]float64, len(specs))
-	if len(targets) > 0 {
-		base := targets[0].Utilization()
-		for i, spec := range specs {
-			if est, ok := targets[0].UtilizationWith(spec); ok {
-				demand[i] = est - base
-			}
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return demand[order[a]] > demand[order[b]] })
-	indices = make([]int, len(specs))
-	for i := range indices {
-		indices[i] = -1
-	}
-	for _, i := range order {
-		if idx, _, err := pl.Place(specs[i], targets); err == nil {
-			indices[i] = idx
-			placed++
-		}
-	}
-	return indices, placed
-}

@@ -108,67 +108,6 @@ func TestPlaceClusterFull(t *testing.T) {
 	}
 }
 
-// TestPlaceAllDecreasing checks the batch path sorts by estimated
-// demand before first-fit, and reports per-spec indices aligned with
-// the input order.
-func TestPlaceAllDecreasing(t *testing.T) {
-	// Two bins of capacity 1. Demands {0.6, 0.6, 0.4, 0.4} only pack as
-	// 2 bins if the heavy specs go first (0.6+0.4 twice); increasing
-	// order would open with 0.4+0.4 and strand a 0.6.
-	bins := []*fakeTarget{{cap: 1}, {cap: 1}}
-	targets := []Target{bins[0], bins[1]}
-	demands := []float64{0.4, 0.6, 0.4, 0.6}
-	specs := make([]core.ObjectSpec, len(demands))
-	for i := range demands {
-		specs[i] = spec(fmt.Sprintf("s%d", i))
-	}
-	// fakeTarget charges a fixed demand per bin, not per spec, so model
-	// per-spec demand with a wrapper.
-	wrapped := make([]Target, len(targets))
-	for i := range targets {
-		wrapped[i] = &perSpecTarget{bin: bins[i], demands: demands, specs: specs}
-	}
-	pl := &Placer{}
-	indices, placed := pl.PlaceAll(specs, wrapped)
-	if placed != len(specs) {
-		t.Fatalf("placed %d of %d: %v", placed, len(specs), indices)
-	}
-	for i, idx := range indices {
-		if idx < 0 {
-			t.Fatalf("spec %d unplaced: %v", i, indices)
-		}
-	}
-}
-
-// perSpecTarget adapts fakeTarget to per-spec demands keyed by name.
-type perSpecTarget struct {
-	bin     *fakeTarget
-	demands []float64
-	specs   []core.ObjectSpec
-}
-
-func (p *perSpecTarget) demandOf(s core.ObjectSpec) float64 {
-	for i := range p.specs {
-		if p.specs[i].Name == s.Name {
-			return p.demands[i]
-		}
-	}
-	return 0
-}
-
-func (p *perSpecTarget) Utilization() float64 { return p.bin.util }
-func (p *perSpecTarget) UtilizationWith(s core.ObjectSpec) (float64, bool) {
-	return p.bin.util + p.demandOf(s), true
-}
-func (p *perSpecTarget) Admit(s core.ObjectSpec) core.Decision {
-	d := p.demandOf(s)
-	if p.bin.util+d > p.bin.cap {
-		return core.Decision{Reason: "fake bin full"}
-	}
-	p.bin.util += d
-	return core.Decision{Accepted: true}
-}
-
 // TestRouter exercises the routing table.
 func TestRouter(t *testing.T) {
 	r := NewRouter()
@@ -178,11 +117,8 @@ func TestRouter(t *testing.T) {
 	if i, ok := r.Lookup("b"); !ok || i != 1 {
 		t.Fatalf("Lookup(b) = %d, %v", i, ok)
 	}
-	if got := r.Count(1); got != 2 {
-		t.Fatalf("Count(1) = %d", got)
-	}
-	if got := r.ObjectsOn(1); len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Fatalf("ObjectsOn(1) = %v", got)
+	if got := r.Objects(); len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Fatalf("Objects() = %v", got)
 	}
 	r.Assign("a", 1) // migration rebinds
 	if i, _ := r.Lookup("a"); i != 1 {

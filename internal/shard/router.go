@@ -38,28 +38,5 @@ func (r *Router) Objects() []string {
 	return out
 }
 
-// ObjectsOn returns the names routed to one shard, sorted.
-func (r *Router) ObjectsOn(shard int) []string {
-	var out []string
-	for name, s := range r.byObject {
-		if s == shard {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Count reports how many objects a shard owns.
-func (r *Router) Count(shard int) int {
-	n := 0
-	for _, s := range r.byObject {
-		if s == shard {
-			n++
-		}
-	}
-	return n
-}
-
 // Len reports the total number of routed objects.
 func (r *Router) Len() int { return len(r.byObject) }

@@ -68,6 +68,27 @@ func TestLemma1ImpliesTheorem1(t *testing.T) {
 	}
 }
 
+func TestLemma2ImpliesTheorem4(t *testing.T) {
+	// Lemma 2's sufficient condition (r ≤ (δB+e+e′−ℓ)/2 − p) implies
+	// Theorem 4's condition with the universal phase-variance bounds
+	// v = p − e and v′ = r − e′.
+	f := func(p16, r16, e16, e2, l16, d16 uint16) bool {
+		p := time.Duration(p16)*time.Millisecond + time.Millisecond
+		r := time.Duration(r16)*time.Millisecond + time.Millisecond
+		e := time.Duration(e16)%p + 1
+		ePrime := time.Duration(e2)%r + 1
+		ell := time.Duration(l16) * time.Microsecond
+		d := time.Duration(d16) * time.Millisecond
+		if !Lemma2Sufficient(r, p, e, ePrime, ell, d) {
+			return true // vacuous
+		}
+		return Theorem4(r, p, p-e, r-ePrime, ell, d)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTheorem1Boundary(t *testing.T) {
 	if !Theorem1(ms(40), ms(10), ms(50)) {
 		t.Fatal("p = δ − v rejected (condition is ≤)")

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 )
 
 // This file implements multi-message framing: one datagram carrying a
@@ -124,9 +123,8 @@ const framePrefixLen = headerLen + 2
 // message was appended — that message's bare encoding, so single-update
 // slots stay byte-identical to the unbatched wire format.
 //
-// Builders are not safe for concurrent use. Acquire one from the pool,
-// flush it, and release it (or keep a long-lived builder per peer and
-// Reset between datagrams).
+// Builders are not safe for concurrent use: keep a long-lived builder
+// per sender and Reset it between datagrams.
 type FrameBuilder struct {
 	buf   []byte
 	count int
@@ -137,26 +135,6 @@ func NewFrameBuilder() *FrameBuilder {
 	b := &FrameBuilder{buf: make([]byte, 0, 2048)}
 	b.Reset()
 	return b
-}
-
-var builderPool = sync.Pool{New: func() any { return NewFrameBuilder() }}
-
-// AcquireFrameBuilder takes a reset builder from the shared pool.
-func AcquireFrameBuilder() *FrameBuilder {
-	b := builderPool.Get().(*FrameBuilder)
-	b.Reset()
-	return b
-}
-
-// Release returns the builder to the pool. The builder (and any slice
-// Datagram returned) must not be used afterwards. Builders grown past a
-// megabyte are dropped instead, so one oversized batch cannot pin its
-// buffer in the pool forever.
-func (b *FrameBuilder) Release() {
-	if cap(b.buf) > 1<<20 {
-		return
-	}
-	builderPool.Put(b)
 }
 
 // Reset empties the builder, keeping its buffer.
@@ -196,7 +174,7 @@ func (b *FrameBuilder) Full() bool { return b.count >= MaxFrameMessages }
 // appended, the single message's bare encoding when one was (so a lone
 // update costs no frame overhead and stays compatible with the unframed
 // format), or the frame with its count patched in. The slice aliases the
-// builder's buffer and is valid until the next Reset or Release.
+// builder's buffer and is valid until the next Reset.
 func (b *FrameBuilder) Datagram() []byte {
 	switch b.count {
 	case 0:

@@ -145,8 +145,7 @@ func TestFrameBuilderDatagramShapes(t *testing.T) {
 func TestFrameBuilderAppendEncoded(t *testing.T) {
 	u := &Update{Epoch: 3, ObjectID: 9, Seq: 7, Version: 42, Payload: []byte("pv")}
 	enc := Encode(u)
-	b := AcquireFrameBuilder()
-	defer b.Release()
+	b := NewFrameBuilder()
 	b.AppendEncoded(enc)
 	b.AppendEncoded(enc)
 	msgs, err := DecodeFrame(b.Datagram())
@@ -222,8 +221,7 @@ func TestFrameCoalescingProperty(t *testing.T) {
 			latest[id] = payload // coalesce: newest state wins
 		}
 		// Drain: one frame carries the pending set, freshest state each.
-		b := AcquireFrameBuilder()
-		defer b.Release()
+		b := NewFrameBuilder()
 		var seq uint64
 		for _, id := range fifo {
 			seq++
@@ -252,21 +250,6 @@ func TestFrameCoalescingProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFrameBuilderReleaseDropsOversized(t *testing.T) {
-	b := AcquireFrameBuilder()
-	big := &Update{ObjectID: 1, Seq: 1, Payload: make([]byte, 1<<20)}
-	b.Append(big)
-	if b.Size() <= 1<<20 {
-		t.Fatalf("builder did not grow: %d", b.Size())
-	}
-	b.Release() // must drop, not pool, the megabyte buffer
-	fresh := AcquireFrameBuilder()
-	if cap(fresh.buf) > 1<<20 {
-		t.Fatal("oversized buffer returned to the pool")
-	}
-	fresh.Release()
 }
 
 func TestFrameMaxMessages(t *testing.T) {

@@ -27,11 +27,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		&RegisterReply{ObjectID: 3, Accepted: false, Reason: "utilization bound",
 			SuggestedDeltaB: 400 * time.Millisecond},
 		&Takeover{NewPrimary: "backup:7000", Epoch: 2},
-		&StateTransfer{Epoch: 2, Entries: []StateEntry{
-			{ObjectID: 1, Seq: 12, Version: 99, Payload: []byte{0xde, 0xad}},
-			{ObjectID: 2, Seq: 3, Version: 100, Payload: nil},
-		}},
-		&StateTransferAck{Epoch: 2, Objects: 2},
 		&Order{Seq: 5, ObjectID: 1, Version: 77, Payload: []byte("x")},
 		&OrderAck{Seq: 5},
 		&UpdateAck{ObjectID: 7, Seq: 41},
@@ -66,13 +61,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(Encode(m))
 	}
 	// Malformed seeds: truncations, bad magic, bad version, unknown kind,
-	// an oversize length prefix, trailing garbage.
+	// the retired kinds 8 and 9 with the bodies they used to carry, an
+	// oversize length prefix, trailing garbage.
 	f.Add([]byte{})
 	f.Add([]byte{0x52, 0xb0})
 	f.Add([]byte{0x52, 0xb0, 1})
 	f.Add([]byte{0x00, 0x00, 1, 3, 0, 0, 0, 0})
 	f.Add([]byte{0x52, 0xb0, 9, 3})
 	f.Add([]byte{0x52, 0xb0, 1, 0xee})
+	f.Add([]byte{0x52, 0xb0, 1, 8, 0, 0, 0, 2, 0, 0, 0, 0})
+	f.Add([]byte{0x52, 0xb0, 1, 9, 0, 0, 0, 2, 0, 0, 0, 2})
 	f.Add([]byte{0x52, 0xb0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0xff})
 	f.Add(append(Encode(&OrderAck{Seq: 1}), 0))
 	f.Add([]byte{0x52, 0xb0, 1, 3, 0, 0, 0, 1, 0, 0, 0, 1,

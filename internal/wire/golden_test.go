@@ -37,10 +37,6 @@ func goldenVectors() []struct {
 			Period: 40 * time.Millisecond, DeltaP: 50 * time.Millisecond,
 			DeltaB: 250 * time.Millisecond}},
 		{"retransmit_request", &RetransmitRequest{ObjectID: 7, LastSeq: 40}},
-		{"state_transfer", &StateTransfer{Epoch: 2, Entries: []StateEntry{
-			{ObjectID: 1, Seq: 12, Version: 99, Payload: []byte{0xde, 0xad}},
-			{ObjectID: 2, Seq: 3, Version: 100, Payload: nil},
-		}}},
 		{"frame_empty", &Frame{}},
 		{"frame_single", &Frame{Messages: []Message{
 			&Update{Epoch: 2, ObjectID: 7, Seq: 41, Version: 99, Payload: []byte("one")},

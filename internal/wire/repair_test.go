@@ -102,28 +102,6 @@ func TestRoundTripStateChunk(t *testing.T) {
 	}
 }
 
-// TestRoundTripStateTransferCarriesSpecs pins the regression that
-// motivated extending StateEntry: the legacy full-table transfer must
-// also deliver each object's spec, or a recruit that never saw the
-// registrations ends up with spec-less placeholders that a later
-// promotion silently drops.
-func TestRoundTripStateTransferCarriesSpecs(t *testing.T) {
-	in := &StateTransfer{
-		Epoch: 2,
-		Entries: []StateEntry{
-			{ObjectID: 9, Seq: 1, Version: 55, Name: "altitude", Size: 128,
-				Period: 40 * time.Millisecond, DeltaP: 50 * time.Millisecond,
-				DeltaB: 250 * time.Millisecond, Payload: []byte("9km")},
-		},
-	}
-	out := roundTrip(t, in).(*StateTransfer)
-	got := out.Entries[0]
-	if got.Name != "altitude" || got.Size != 128 || got.Period != 40*time.Millisecond ||
-		got.DeltaP != 50*time.Millisecond || got.DeltaB != 250*time.Millisecond {
-		t.Fatalf("spec fields lost: %+v", got)
-	}
-}
-
 func TestRoundTripStateChunkAck(t *testing.T) {
 	in := &StateChunkAck{Epoch: 6, Xfer: 2, Chunk: 3, Applied: 5}
 	out := roundTrip(t, in).(*StateChunkAck)

@@ -43,8 +43,11 @@ const (
 	KindPing
 	KindPingAck
 	KindTakeover
-	KindStateTransfer
-	KindStateTransferAck
+	// Kinds 8 and 9 (the retired monolithic state transfer) stay
+	// reserved so every later kind keeps its number; Decode rejects
+	// them as unknown.
+	_
+	_
 	// KindOrder and KindOrderAck belong to the active-replication
 	// comparison baseline (internal/active), not to RTPB itself: a
 	// sequencer totally orders writes and multicasts them; replicas
@@ -121,10 +124,6 @@ func (k Kind) String() string {
 		return "PingAck"
 	case KindTakeover:
 		return "Takeover"
-	case KindStateTransfer:
-		return "StateTransfer"
-	case KindStateTransferAck:
-		return "StateTransferAck"
 	case KindOrder:
 		return "Order"
 	case KindOrderAck:
@@ -185,8 +184,6 @@ var (
 	_ Message = (*Ping)(nil)
 	_ Message = (*PingAck)(nil)
 	_ Message = (*Takeover)(nil)
-	_ Message = (*StateTransfer)(nil)
-	_ Message = (*StateTransferAck)(nil)
 	_ Message = (*Order)(nil)
 	_ Message = (*OrderAck)(nil)
 	_ Message = (*UpdateAck)(nil)
@@ -248,10 +245,6 @@ func Decode(b []byte) (Message, error) {
 		m = &PingAck{}
 	case KindTakeover:
 		m = &Takeover{}
-	case KindStateTransfer:
-		m = &StateTransfer{}
-	case KindStateTransferAck:
-		m = &StateTransferAck{}
 	case KindOrder:
 		m = &Order{}
 	case KindOrderAck:
@@ -609,7 +602,7 @@ func (m *Takeover) decodeBody(r *reader) error {
 	return r.err
 }
 
-// StateEntry is one object's state inside a StateTransfer or StateChunk.
+// StateEntry is one object's state inside a StateChunk.
 // It carries the object's spec alongside its value: a receiver that has
 // never seen the object's registration (its Register was lost, or it
 // joined after admission) can still admit the object locally, so the
@@ -660,72 +653,6 @@ func decodeStateEntry(r *reader) StateEntry {
 		DeltaB:   r.duration(),
 		Payload:  r.bytes(),
 	}
-}
-
-// StateTransfer is the legacy monolithic state transfer (Section 4.4:
-// "supports the integration of a new backup"). It is decode-only: no
-// replica sends or handles it since the chunked exchange (StateChunk)
-// replaced it; the kind stays so golden vectors and fuzz corpora decode.
-type StateTransfer struct {
-	// Epoch is the sending primary's epoch.
-	Epoch uint32
-	// Entries is the full object table.
-	Entries []StateEntry
-}
-
-// WireKind implements Message.
-func (*StateTransfer) WireKind() Kind { return KindStateTransfer }
-
-func (m *StateTransfer) appendBody(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, m.Epoch)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		dst = appendStateEntry(dst, e)
-	}
-	return dst
-}
-
-func (m *StateTransfer) decodeBody(r *reader) error {
-	m.Epoch = r.uint32()
-	n := r.uint32()
-	if r.err != nil {
-		return r.err
-	}
-	if n > MaxPayload {
-		return ErrOversize
-	}
-	m.Entries = make([]StateEntry, 0, min(int(n), 1024))
-	for i := uint32(0); i < n; i++ {
-		e := decodeStateEntry(r)
-		if r.err != nil {
-			return r.err
-		}
-		m.Entries = append(m.Entries, e)
-	}
-	return r.err
-}
-
-// StateTransferAck confirms a StateTransfer was applied (decode-only,
-// like StateTransfer).
-type StateTransferAck struct {
-	// Epoch echoes the transfer's epoch.
-	Epoch uint32
-	// Objects is the number of entries applied.
-	Objects uint32
-}
-
-// WireKind implements Message.
-func (*StateTransferAck) WireKind() Kind { return KindStateTransferAck }
-
-func (m *StateTransferAck) appendBody(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, m.Epoch)
-	return binary.BigEndian.AppendUint32(dst, m.Objects)
-}
-
-func (m *StateTransferAck) decodeBody(r *reader) error {
-	m.Epoch = r.uint32()
-	m.Objects = r.uint32()
-	return r.err
 }
 
 // Order is the active-replication baseline's totally ordered write: the

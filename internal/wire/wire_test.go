@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -97,44 +98,6 @@ func TestRoundTripTakeover(t *testing.T) {
 	}
 }
 
-func TestRoundTripStateTransfer(t *testing.T) {
-	in := &StateTransfer{
-		Epoch: 2,
-		Entries: []StateEntry{
-			{ObjectID: 1, Seq: 10, Version: 111, Payload: []byte("a")},
-			{ObjectID: 2, Seq: 20, Version: 222, Payload: nil},
-			{ObjectID: 3, Seq: 30, Version: -333, Payload: bytes.Repeat([]byte{0xAB}, 300)},
-		},
-	}
-	out := roundTrip(t, in).(*StateTransfer)
-	if out.Epoch != in.Epoch || len(out.Entries) != len(in.Entries) {
-		t.Fatalf("structure mismatch: %+v", out)
-	}
-	for i := range in.Entries {
-		if in.Entries[i].ObjectID != out.Entries[i].ObjectID ||
-			in.Entries[i].Seq != out.Entries[i].Seq ||
-			in.Entries[i].Version != out.Entries[i].Version ||
-			!bytes.Equal(in.Entries[i].Payload, out.Entries[i].Payload) {
-			t.Fatalf("entry %d mismatch: %+v vs %+v", i, in.Entries[i], out.Entries[i])
-		}
-	}
-}
-
-func TestRoundTripStateTransferEmpty(t *testing.T) {
-	out := roundTrip(t, &StateTransfer{Epoch: 1}).(*StateTransfer)
-	if len(out.Entries) != 0 {
-		t.Fatalf("entries = %v, want none", out.Entries)
-	}
-}
-
-func TestRoundTripStateTransferAck(t *testing.T) {
-	in := &StateTransferAck{Epoch: 9, Objects: 17}
-	out := roundTrip(t, in).(*StateTransferAck)
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
-	}
-}
-
 func TestRoundTripOrderAndAck(t *testing.T) {
 	in := &Order{Seq: 42, ObjectID: 7, Version: -12345, Payload: []byte("ordered")}
 	out := roundTrip(t, in).(*Order)
@@ -171,11 +134,34 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownKind covers a kind never assigned and the two
+// retired ones: 8 and 9, the monolithic StateTransfer/StateTransferAck,
+// each with the body it used to carry. A frame carrying a retired kind
+// is dropped whole, not delivered minus the one message.
 func TestDecodeRejectsUnknownKind(t *testing.T) {
-	b := Encode(&Ping{Seq: 1, From: RolePrimary})
-	b[3] = 0xEE
-	if _, err := Decode(b); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("err = %v, want ErrUnknownKind", err)
+	header := func(k Kind) []byte {
+		return append(binary.BigEndian.AppendUint16(nil, Magic), Version, uint8(k))
+	}
+	unassigned := Encode(&Ping{Seq: 1, From: RolePrimary})
+	unassigned[3] = 0xEE
+	cases := map[string][]byte{
+		"unassigned": unassigned,
+		// Epoch 2, no entries.
+		"retired 8": append(header(8), 0, 0, 0, 2, 0, 0, 0, 0),
+		// Epoch 2, 2 objects applied.
+		"retired 9": append(header(9), 0, 0, 0, 2, 0, 0, 0, 2),
+	}
+	for name, b := range cases {
+		if _, err := Decode(b); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("%s: err = %v, want ErrUnknownKind", name, err)
+		}
+		f := NewFrameBuilder()
+		f.Append(&Ping{Seq: 1, From: RolePrimary})
+		f.AppendEncoded(b)
+		f.Append(&Update{ObjectID: 1, Seq: 1, Payload: []byte("x")})
+		if msgs, err := DecodeFrame(f.Datagram()); !errors.Is(err, ErrUnknownKind) || msgs != nil {
+			t.Errorf("%s in a frame: %d messages, err = %v, want none and ErrUnknownKind", name, len(msgs), err)
+		}
 	}
 }
 

@@ -90,14 +90,9 @@ type (
 	Detector = failover.Detector
 	// DetectorConfig tunes the failure detector.
 	DetectorConfig = failover.DetectorConfig
-	// NameService records which replica currently serves as primary
-	// (in memory; simulations).
+	// NameService records which replica currently serves as primary:
+	// the paper's "name file", held in memory.
 	NameService = failover.NameService
-	// FileNameService is a name service persisted to the paper's "name
-	// file" (real deployments).
-	FileNameService = failover.FileNameService
-	// Directory abstracts over the two name services.
-	Directory = failover.Directory
 	// PromoteOptions parameterizes a backup-to-primary promotion.
 	PromoteOptions = failover.PromoteOptions
 )
@@ -234,11 +229,6 @@ func NewMonitor() *ConsistencyMonitor { return temporal.NewMonitor() }
 
 // NewNameService returns an empty in-memory primary directory.
 func NewNameService() *NameService { return failover.NewNameService() }
-
-// OpenFileNameService loads (or creates) a persistent name file.
-func OpenFileNameService(path string) (*FileNameService, error) {
-	return failover.OpenFileNameService(path)
-}
 
 // NewDetector builds a heartbeat failure detector (see failover.NewDetector).
 func NewDetector(clk Clock, cfg DetectorConfig, send func() uint64, onDead func()) (*Detector, error) {
