@@ -39,8 +39,8 @@ var testOnlyFuncs = map[string]string{
 	"internal/temporal.Theorem6Backup":          "TestTheorem6",
 	// ROADMAP 3a promotes the histogram into the ledger.
 	"internal/trace.NewHistogram": "TestHistogramBuckets",
-	// The receive path decodes frames inline; DecodeFrame is the frame
-	// tests' and the frame fuzzer's entry point.
+	// The receive path keeps a wire.Decoder; DecodeFrame, one on a copy,
+	// is the frame tests' and the frame fuzzer's entry point.
 	"internal/wire.DecodeFrame": "FuzzDecodeFrame",
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"rtpb/internal/temporal"
 	"rtpb/internal/wire"
-	"rtpb/internal/xkernel"
 )
 
 // This file implements the backup role of the Replica state machine:
@@ -234,7 +233,7 @@ func (b *Replica) send(msg wire.Message) {
 	if b.sess == nil {
 		return
 	}
-	_ = b.sess.Push(xkernel.NewMessage(wire.Encode(msg)))
+	b.sendOn(b.sess, msg)
 }
 
 // Specs returns the registered object specs in object-id (admission)

@@ -106,10 +106,10 @@ func (p *Replica) transmitCritical(o *object, pa *pendingAck) {
 			AckRequested: true,
 			Payload:      pa.payload,
 		}
-		encoded := wire.Encode(msg)
+		p.encBuf = wire.AppendEncode(p.encBuf[:0], msg)
 		for addr := range pa.waiting {
 			if pr := p.peerByAddr(addr); pr != nil {
-				_ = pr.sess.Push(xkernel.NewMessage(encoded))
+				p.push(pr.sess, p.encBuf)
 			}
 		}
 		if p.OnSend != nil {

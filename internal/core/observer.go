@@ -37,7 +37,12 @@ func (r *Replica) Subscribe(interval time.Duration) {
 // demuxObserver handles inbound RTPB datagrams while observing. Traffic
 // from the upstream flows through the backup-role handlers — the same
 // fence/supersede/apply/catch-up path a backup runs — and is then
-// relayed downstream verbatim; traffic from downstream subscribers flows
+// broadcast to every live downstream subscriber verbatim: epoch,
+// sequence and version stamps ride unchanged. An observer never
+// renumbers the stream — relabeling would reset the supersedes order and
+// launder the staleness the version stamp honestly carries — and never
+// bumps the shared object table's sequence counters; that is the serving
+// primary's sole privilege. Traffic from downstream subscribers flows
 // through the primary-side join/anti-entropy handlers. The two role
 // halves compose: an observer is a shadow toward its upstream and a
 // fan-out node toward its own subscribers.
@@ -48,7 +53,7 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 		relay := r.wouldAcceptEpoch(t.Epoch)
 		r.handleRegister(t)
 		if relay {
-			r.relayDownstream(t)
+			r.broadcast(t)
 		}
 	case *wire.Update:
 		relay := r.wouldAcceptEpoch(t.Epoch)
@@ -59,16 +64,16 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 				// relay must not solicit downstream acks toward us.
 				fwd := *t
 				fwd.AckRequested = false
-				r.relayDownstream(&fwd)
+				r.broadcast(&fwd)
 			} else {
-				r.relayDownstream(t)
+				r.broadcast(t)
 			}
 		}
 	case *wire.Unregister:
 		relay := r.wouldAcceptEpoch(t.Epoch)
 		r.handleUnregister(t)
 		if relay {
-			r.relayDownstream(t)
+			r.broadcast(t)
 		}
 	case *wire.ModeChange:
 		relay := r.wouldAcceptEpoch(t.Epoch)
@@ -77,7 +82,7 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 			// Downstream bounds must track the governor too: a shed
 			// object's certificate may promise nothing anywhere in the
 			// tree.
-			r.relayDownstream(t)
+			r.broadcast(t)
 		}
 	case *wire.JoinAccept:
 		relay := r.wouldAcceptEpoch(t.Epoch)
@@ -88,7 +93,7 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 			// heard of them: replay each downstream as a registration.
 			// handleRegister is idempotent, so duplicates are harmless.
 			for _, s := range t.Specs {
-				r.relayDownstream(&wire.Register{Epoch: t.Epoch, ObjectID: s.ObjectID,
+				r.broadcast(&wire.Register{Epoch: t.Epoch, ObjectID: s.ObjectID,
 					Name: s.Name, Size: s.Size, Period: s.Period,
 					DeltaP: s.DeltaP, DeltaB: s.DeltaB})
 			}
@@ -153,7 +158,7 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 		}
 		if o, ok := r.adm.objects[t.ObjectID]; ok && o.hasData {
 			if pr := r.peerByAddr(from); pr != nil {
-				r.sendTo(pr, &wire.Update{Epoch: o.recvEpoch, ObjectID: o.id,
+				r.sendOn(pr.sess, &wire.Update{Epoch: o.recvEpoch, ObjectID: o.id,
 					Seq: o.seq, Version: o.version.UnixNano(), Payload: o.value})
 			}
 		}
@@ -165,27 +170,6 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 // handler it precedes is about to do with the message.
 func (r *Replica) wouldAcceptEpoch(epoch uint32) bool {
 	return r.cfg.DisableEpochFencing || epoch == 0 || epoch >= r.epoch
-}
-
-// relayDownstream re-broadcasts one upstream message to every live
-// downstream subscriber verbatim: epoch, sequence, and version stamps
-// ride unchanged. An observer never renumbers the stream — relabeling
-// would reset the supersedes order and launder the staleness the
-// version stamp honestly carries — and never bumps the shared object
-// table's sequence counters; that is the serving primary's sole
-// privilege.
-func (r *Replica) relayDownstream(msg wire.Message) {
-	if len(r.peers) == 0 {
-		return
-	}
-	// Append-encode into the reused buffer; NewMessage copies, so the
-	// buffer is free again as soon as the pushes return.
-	r.encBuf = wire.AppendEncode(r.encBuf[:0], msg)
-	for _, pr := range r.peers {
-		if pr.alive {
-			_ = pr.sess.Push(xkernel.NewMessage(r.encBuf))
-		}
-	}
 }
 
 // ObserverPeers reports how many attached peers subscribed as read-only

@@ -231,7 +231,7 @@ func (p *Replica) forwardRegistration(pr *replicaPeer, o *object, retriesLeft in
 	if pr.registered[o.id] || retriesLeft <= 0 || !p.running {
 		return
 	}
-	p.sendTo(pr, &wire.Register{
+	p.sendOn(pr.sess, &wire.Register{
 		Epoch:    p.epoch,
 		ObjectID: o.id,
 		Name:     o.spec.Name,
@@ -484,7 +484,8 @@ func (p *Replica) collectBatch() (s slot) {
 // builder, then each peer receives a single datagram carrying its whole
 // batch. A builder holding exactly one message emits the bare unframed
 // encoding, so single-update slots stay byte-identical to the pre-framing
-// wire format. Must run after the batch's CPU cost has been paid.
+// wire format. The slot goes out at one instant, so one clock read stamps
+// every update in it. Must run after the batch's CPU cost has been paid.
 func (p *Replica) flushBatch(entries []batchEntry) {
 	if !p.running || p.role != RolePrimary {
 		// A queued slot whose replica demoted while it waited must not
@@ -495,6 +496,7 @@ func (p *Replica) flushBatch(entries []batchEntry) {
 		pr.frame.Reset()
 	}
 	p.encBuf = p.encBuf[:0]
+	now := p.clk.Now()
 	fired := entries[:0]
 	for _, e := range entries {
 		o := e.o
@@ -510,7 +512,7 @@ func (p *Replica) flushBatch(entries []batchEntry) {
 		if len(live) == 0 {
 			continue
 		}
-		enc := p.stampUpdate(o)
+		enc := p.stampUpdate(o, now)
 		for _, pr := range live {
 			// AppendEncoded copies immediately, so a later growth of
 			// encBuf cannot invalidate what the builders hold.
@@ -520,7 +522,7 @@ func (p *Replica) flushBatch(entries []batchEntry) {
 	}
 	for _, pr := range p.peers {
 		if dg := pr.frame.Datagram(); dg != nil {
-			_ = pr.sess.Push(xkernel.NewMessage(dg))
+			p.push(pr.sess, dg)
 		}
 	}
 	if p.OnSend != nil {
@@ -539,12 +541,12 @@ func (p *Replica) sendNow(o *object) {
 }
 
 // stampUpdate numbers the object's next update, records it as the last
-// one sent and appends its encoding to encBuf, which it returns.
-func (p *Replica) stampUpdate(o *object) []byte {
+// one sent at now and appends its encoding to encBuf, which it returns.
+func (p *Replica) stampUpdate(o *object, now time.Time) []byte {
 	o.seq++
 	o.lastSentSeq = o.seq
 	o.lastSentVersion = o.version
-	o.lastSentAt = p.clk.Now()
+	o.lastSentAt = now
 	p.updMsg = wire.Update{
 		Epoch:    p.epoch,
 		ObjectID: o.id,
@@ -740,7 +742,7 @@ func (p *Replica) SendPingTo(addr xkernel.Addr) (uint64, error) {
 			}
 		}
 	}
-	p.sendTo(pr, &wire.Ping{Seq: pr.pingSeq, From: wire.RolePrimary})
+	p.sendOn(pr.sess, &wire.Ping{Seq: pr.pingSeq, From: wire.RolePrimary})
 	return pr.pingSeq, nil
 }
 
@@ -838,28 +840,37 @@ func (p *Replica) demuxPrimary(msg wire.Message, from xkernel.Addr) {
 	}
 }
 
-// broadcast sends a message to every live peer.
+// broadcast sends a message to every live peer, encoded once.
 func (p *Replica) broadcast(msg wire.Message) {
-	encoded := wire.Encode(msg)
+	p.encBuf = wire.AppendEncode(p.encBuf[:0], msg)
 	for _, pr := range p.peers {
 		if pr.alive {
-			_ = pr.sess.Push(xkernel.NewMessage(encoded))
+			p.push(pr.sess, p.encBuf)
 		}
 	}
 }
 
-// sendTo sends a message to one peer regardless of its liveness mark
-// (registration retries and recruitment probes must reach a peer we have
-// not heard from yet).
-func (p *Replica) sendTo(pr *replicaPeer, msg wire.Message) {
-	_ = pr.sess.Push(xkernel.NewMessage(wire.Encode(msg)))
+// sendOn encodes msg into the reused buffer and pushes it on sess. Sent
+// to a peer's session it ignores the peer's liveness mark (registration
+// retries and recruitment probes must reach a peer not yet heard from).
+func (r *Replica) sendOn(sess *xkernel.Session, msg wire.Message) {
+	r.encBuf = wire.AppendEncode(r.encBuf[:0], msg)
+	r.push(sess, r.encBuf)
+}
+
+// push sends one encoding on sess through the reused outbound message.
+// The transport is done with the bytes when Push returns
+// (xkernel.Transport), so the message and enc are free again after it.
+func (r *Replica) push(sess *xkernel.Session, enc []byte) {
+	r.out.Reset(enc)
+	_ = sess.Push(&r.out)
 }
 
 // replyTo answers a sender that may not be an attached peer (e.g. a ping
 // from a replica probing us).
 func (p *Replica) replyTo(addr xkernel.Addr, msg wire.Message) {
 	if pr := p.peerByAddr(addr); pr != nil {
-		p.sendTo(pr, msg)
+		p.sendOn(pr.sess, msg)
 		return
 	}
 	sess, err := p.port.OpenFrom(RTPBPort, addr)
@@ -867,7 +878,7 @@ func (p *Replica) replyTo(addr xkernel.Addr, msg wire.Message) {
 		return
 	}
 	defer sess.Close()
-	_ = sess.Push(xkernel.NewMessage(wire.Encode(msg)))
+	p.sendOn(sess, msg)
 }
 
 // Spec returns the registered spec for an object name.

@@ -157,11 +157,14 @@ type Replica struct {
 	// still queued from the previous release (coalesced sends) since the
 	// governor's last sample.
 	deadlineMisses int
-	// encBuf is the send paths' reused encode buffer; updMsg the
-	// reused Update value. Together with the per-peer frame builders they
-	// keep the steady-state update path allocation-free.
+	// encBuf, updMsg and out are the send paths' reused encode buffer,
+	// Update value and outbound message; in decodes every inbound
+	// datagram. With the per-peer frame builders they keep the
+	// steady-state update path allocation-free at both ends.
 	encBuf []byte
 	updMsg wire.Update
+	out    xkernel.Message
+	in     wire.Decoder
 
 	// --- backup-role state ---
 
@@ -541,26 +544,25 @@ func (r *Replica) ClockSyncReport() (clocksync.Report, bool) {
 // and dispatched by the current role. A framed datagram fans out to one
 // dispatch per carried message, in transmission order, so every handler
 // sees the same per-message stream it would under one-datagram-per-update.
+// All are decoded before the first is dispatched, so a frame carrying one
+// malformed message is dropped whole. An update's payload aliases the
+// datagram, which apply copies from.
 func (r *Replica) Demux(m *xkernel.Message, from xkernel.Addr) error {
 	if !r.running {
 		return nil
 	}
-	msg, err := wire.Decode(m.Bytes())
+	msgs, err := r.in.Decode(m.Bytes())
 	if err != nil {
 		return err // malformed datagram: drop
 	}
-	if f, ok := msg.(*wire.Frame); ok {
-		for _, sub := range f.Messages {
-			if !r.running {
-				// A framed message may stop the replica (epoch fence,
-				// demote); the rest of the batch must not leak through.
-				return nil
-			}
-			r.dispatch(sub, from)
+	for _, msg := range msgs {
+		if !r.running {
+			// A framed message may stop the replica (epoch fence,
+			// demote); the rest of the batch must not leak through.
+			return nil
 		}
-		return nil
+		r.dispatch(msg, from)
 	}
-	r.dispatch(msg, from)
 	return nil
 }
 

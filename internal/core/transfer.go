@@ -118,7 +118,7 @@ func (p *Replica) sendJoinAccept(pr *replicaPeer) {
 		pr.registered[o.id] = true
 	}
 	pr.xfer.JoinAccepts++
-	p.sendTo(pr, acc)
+	p.sendOn(pr.sess, acc)
 	attempt := pr.joinAttempt
 	pr.joinAttempt++
 	pr.joinRetry = p.clk.Schedule(p.retryDelay(pr, attempt), func() {
@@ -283,7 +283,7 @@ func (p *Replica) pushChunk(pr *replicaPeer, gen uint32, final, retrans bool) {
 			pr.xfer.EntriesSent += len(ck.Entries)
 			pr.xferEntries = len(ck.Entries)
 		}
-		p.sendTo(pr, ck)
+		p.sendOn(pr.sess, ck)
 		attempt := pr.xferAttempt
 		pr.xferAttempt++
 		pr.xferRetry = p.clk.Schedule(p.retryDelay(pr, attempt), func() {

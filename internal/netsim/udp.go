@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -13,18 +14,30 @@ import (
 
 // UDPTransport adapts a real UDP socket to xkernel.Transport, letting the
 // cmd/ daemons run the identical protocol graph over a physical network.
-// Inbound datagrams are posted onto the clock's executor so protocol code
+// Inbound datagrams are queued for the clock's executor so protocol code
 // keeps the serial execution model it has under simulation.
 type UDPTransport struct {
-	clk  clock.Clock
-	conn *net.UDPConn
-	recv atomic.Pointer[func(from string, payload []byte)]
-	done chan struct{}
+	clk   clock.Clock
+	conn  *net.UDPConn
+	recv  atomic.Pointer[func(from string, payload []byte)]
+	done  chan struct{}
+	drain func() // posted when the inbound queue goes non-empty
 
 	rcvBuf, sndBuf int // socket buffer sizes the kernel granted
 
 	mu    sync.Mutex                // guards dests: Send has no goroutine of its own
 	dests map[string]netip.AddrPort // parsed destination per "ip:port" string
+
+	// The reader fills queue under qmu; deliver, on the loop, swaps it
+	// with spare. A slot keeps its buffer and is refilled in place.
+	qmu          sync.Mutex
+	queue, spare []inbound
+}
+
+// inbound is one datagram waiting for the clock's executor.
+type inbound struct {
+	from    string
+	payload []byte
 }
 
 const (
@@ -43,6 +56,8 @@ const (
 	// maxPeers bounds the two per-peer address caches; past it a cache
 	// starts over, so a flood of spoofed sources cannot grow it.
 	maxPeers = 1024
+	// maxSpare bounds the slots, and so the buffers, kept for reuse.
+	maxSpare = 512
 )
 
 // NewUDP opens a UDP socket bound to listenAddr ("ip:port"; an empty or
@@ -63,6 +78,7 @@ func NewUDP(clk clock.Clock, listenAddr string) (*UDPTransport, error) {
 		done:  make(chan struct{}),
 		dests: make(map[string]netip.AddrPort),
 	}
+	t.drain = t.deliver
 	// The kernel clamps a request to its configured maximum without an
 	// error, so the outcome is read back and left to the caller to judge.
 	_ = conn.SetReadBuffer(socketBuffer)
@@ -101,10 +117,6 @@ func (t *UDPTransport) readLoop() {
 		if err != nil {
 			return // closed
 		}
-		// The one copy: the fragment reassembler keeps slices of payload
-		// across datagrams, and buf is overwritten by the next read.
-		payload := make([]byte, n)
-		copy(payload, buf[:n])
 		from, ok := names[addr]
 		if !ok {
 			if len(names) >= maxPeers {
@@ -113,12 +125,35 @@ func (t *UDPTransport) readLoop() {
 			from = unmap(addr).String()
 			names[addr] = from
 		}
-		t.clk.Post(func() {
-			if recv := t.recv.Load(); recv != nil {
-				(*recv)(from, payload)
-			}
-		})
+		// The one copy: delivery waits for the clock's executor, and buf
+		// is overwritten by the next read.
+		t.qmu.Lock()
+		t.queue = slices.Grow(t.queue, 1)[:len(t.queue)+1]
+		d := &t.queue[len(t.queue)-1] // its buffer grows to the largest datagram it held
+		d.from, d.payload = from, append(d.payload[:0], buf[:n]...)
+		first := len(t.queue) == 1
+		t.qmu.Unlock()
+		if first {
+			t.clk.Post(t.drain)
+		}
 	}
+}
+
+// deliver hands the datagrams queued so far to the receiver on the
+// clock's executor; later ones wait for the next turn. Their slots are
+// refilled afterwards, since a payload is valid only during the receive
+// callback (xkernel.Transport).
+func (t *UDPTransport) deliver() {
+	t.qmu.Lock()
+	batch := t.queue
+	t.queue = t.spare
+	t.qmu.Unlock()
+	for _, d := range batch {
+		if recv := t.recv.Load(); recv != nil {
+			(*recv)(d.from, d.payload)
+		}
+	}
+	t.spare = batch[:0:min(cap(batch), maxSpare)]
 }
 
 // Send implements xkernel.Transport; to is "host:port".

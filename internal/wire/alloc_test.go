@@ -78,6 +78,29 @@ func TestFrameBuilderAppendZeroAlloc(t *testing.T) {
 	}
 }
 
+// The receive side: a Decoder that has grown decodes a 16-update frame,
+// and a bare update, without allocating.
+func TestDecoderZeroAlloc(t *testing.T) {
+	enc := Encode(benchUpdate())
+	fb := NewFrameBuilder()
+	for i := 0; i < 16; i++ {
+		fb.AppendEncoded(enc)
+	}
+	frame := fb.Datagram()
+	var d Decoder
+	allocs := testing.AllocsPerRun(1000, func() {
+		if msgs, err := d.Decode(frame); err != nil || len(msgs) != 16 {
+			t.Fatalf("frame: %d messages, err %v", len(msgs), err)
+		}
+		if msgs, err := d.Decode(enc); err != nil || len(msgs) != 1 {
+			t.Fatalf("bare update: %d messages, err %v", len(msgs), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Decoder allocates %v times per frame and update, want 0", allocs)
+	}
+}
+
 // BenchmarkAppendEncodeUpdate is the hot-path benchmark CI pins at
 // 0 allocs/op: one steady-state update encoded into a reused buffer.
 func BenchmarkAppendEncodeUpdate(b *testing.B) {

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // This file implements multi-message framing: one datagram carrying a
@@ -58,12 +60,27 @@ func appendFramed(dst []byte, m Message) []byte {
 }
 
 func (m *Frame) decodeBody(r *reader) error {
-	n := int(r.uint16())
+	var small [16][]byte // a typical frame's parts, on the stack
+	parts := r.frame(small[:0])
 	if r.err != nil {
 		return r.err
 	}
-	m.Messages = make([]Message, 0, min(n, 64))
-	for i := 0; i < n; i++ {
+	m.Messages = make([]Message, 0, len(parts))
+	for _, sub := range parts {
+		msg, err := Decode(sub)
+		if err != nil {
+			return err
+		}
+		m.Messages = append(m.Messages, msg)
+	}
+	return nil
+}
+
+// frame is the one frame walker (Frame.decodeBody and Decoder use it): it
+// appends the message encodings a frame body carries to dst, in order.
+func (r *reader) frame(dst [][]byte) [][]byte {
+	n := int(r.uint16())
+	for i := 0; i < n && r.err == nil; i++ {
 		// A forged length prefix cannot force an allocation: it is checked
 		// against the remaining datagram (int64 so a 4 GiB prefix cannot
 		// wrap a 32-bit int), and take only slices the input.
@@ -72,21 +89,61 @@ func (m *Frame) decodeBody(r *reader) error {
 			r.err = ErrTruncated
 		}
 		sub := r.take(int(length))
-		if r.err != nil {
-			return r.err
-		}
-		if len(sub) >= headerLen && Kind(sub[3]) == KindFrame {
-			// Reject before recursing into Decode so a nested-frame chain
+		if r.err == nil && len(sub) >= headerLen && Kind(sub[3]) == KindFrame {
+			// Refused before anything decodes it, so a nested-frame chain
 			// cannot grow the stack.
-			return ErrNestedFrame
+			r.err = ErrNestedFrame
 		}
-		msg, err := Decode(sub)
-		if err != nil {
-			return err
+		if r.err == nil {
+			dst = append(dst, sub)
 		}
-		m.Messages = append(m.Messages, msg)
 	}
-	return r.err
+	return dst
+}
+
+// Decoder decodes inbound datagrams into storage it reuses, so an update
+// decodes without allocating once the Decoder has grown. It is not safe
+// for concurrent use.
+type Decoder struct {
+	parts   [][]byte
+	updates []Update
+	msgs    []Message
+}
+
+// Decode returns the messages datagram b carries, in order: a frame's
+// batch, or b's one message. All are decoded before it returns, so one
+// malformed message fails the datagram. Updates decode in place, their
+// Payloads aliasing b; the result is valid until the next call, and only
+// while b is. Other kinds decode as Decode does.
+func (d *Decoder) Decode(b []byte) ([]Message, error) {
+	if err := checkHeader(b); err != nil {
+		return nil, err
+	}
+	d.parts = append(d.parts[:0], b)
+	if Kind(b[3]) == KindFrame {
+		r := reader{buf: b[headerLen:]}
+		if d.parts = r.frame(d.parts[:0]); r.end() != nil {
+			return nil, r.err
+		}
+	}
+	d.updates = slices.Grow(d.updates[:0], len(d.parts))[:len(d.parts)]
+	d.msgs = d.msgs[:0]
+	for i, sub := range d.parts {
+		var msg Message = &d.updates[i]
+		var err error
+		if checkHeader(sub) != nil || Kind(sub[3]) != KindUpdate {
+			msg, err = Decode(sub)
+		} else {
+			r := reader{buf: sub[headerLen:], alias: true}
+			_ = d.updates[i].decodeBody(&r)
+			err = r.end()
+		}
+		if err != nil {
+			return nil, err
+		}
+		d.msgs = append(d.msgs, msg)
+	}
+	return d.msgs, nil
 }
 
 // AppendFrame appends a framed encoding of msgs to dst and returns the
@@ -100,18 +157,11 @@ func AppendFrame(dst []byte, msgs ...Message) []byte {
 
 // DecodeFrame parses a datagram that may be a frame or a bare message and
 // returns the messages it carries, in order: the frame's batch, or the
-// single message itself. This is the batch-aware receive entry point —
-// a demux loop over its result handles framed and unframed traffic
-// identically.
+// single message itself. It is Decoder.Decode on a private copy of b, so
+// the result does not alias b.
 func DecodeFrame(b []byte) ([]Message, error) {
-	m, err := Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	if f, ok := m.(*Frame); ok {
-		return f.Messages, nil
-	}
-	return []Message{m}, nil
+	var d Decoder
+	return d.Decode(bytes.Clone(b))
 }
 
 // framePrefixLen is the RTPB header plus the 16-bit count.

@@ -262,3 +262,40 @@ func TestFrameMaxMessages(t *testing.T) {
 		t.Fatal("builder at capacity does not report full")
 	}
 }
+
+// One Decoder serves datagram after datagram: each result equals what
+// Decode gives for the same bytes, whatever it decoded before, and a
+// malformed datagram yields no messages.
+func TestDecoderMatchesDecode(t *testing.T) {
+	u := func(id uint32, payload string) *Update {
+		return &Update{Epoch: 1, ObjectID: id, Seq: uint64(id), Version: 7, Payload: []byte(payload)}
+	}
+	datagrams := [][]byte{
+		AppendFrame(nil, u(1, "one"), &Ping{Seq: 2, From: RoleBackup}, u(2, "")),
+		Encode(u(3, "bare")),
+		AppendFrame(nil, u(4, "a"), u(5, "bb"), u(6, "ccc"), u(7, "dddd"), &UpdateAck{ObjectID: 4, Seq: 4}),
+		append(AppendFrame(nil, u(8, "trailing")), 0),
+		AppendFrame(nil),
+		Encode(&Ping{Seq: 9, From: RolePrimary}),
+		AppendFrame(nil, u(10, "again")),
+	}
+	var d Decoder
+	for i, dg := range datagrams {
+		var want []Message
+		m, err := Decode(dg)
+		if f, ok := m.(*Frame); ok {
+			want = f.Messages
+		} else if err == nil {
+			want = []Message{m}
+		}
+		got, gerr := d.Decode(dg)
+		if (gerr == nil) != (err == nil) || len(got) != len(want) {
+			t.Fatalf("datagram %d: Decoder gives %d messages, err %v; Decode %d, err %v", i, len(got), gerr, len(want), err)
+		}
+		for j := range want {
+			if !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("datagram %d message %d: Decoder gives %+v, Decode %+v", i, j, got[j], want[j])
+			}
+		}
+	}
+}

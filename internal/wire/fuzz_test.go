@@ -97,7 +97,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeFrame targets the batched receive path. The contract: for
-// arbitrary input DecodeFrame never panics; when it accepts, the batch it
+// arbitrary input DecodeFrame (the receive path's Decoder, on a copy)
+// never panics and accepts exactly what Decode accepts; when it does, the
+// batch it
 // returns re-frames to a decodable equivalent (same count, byte-identical
 // per-message encodings) and never contains a frame — nesting is a decode
 // error, which is what bounds decode depth at two. The checked-in corpus
@@ -135,6 +137,9 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msgs, err := DecodeFrame(data)
+		if _, derr := Decode(data); (derr == nil) != (err == nil) {
+			t.Fatalf("Decode says %v, the Decoder %v", derr, err)
+		}
 		if err != nil {
 			return // malformed input is allowed, panicking on it is not
 		}

@@ -220,14 +220,8 @@ func AppendEncode(dst []byte, m Message) []byte {
 // Decode parses a datagram into a message. It returns an error if the
 // datagram is not a complete, well-formed RTPB message.
 func Decode(b []byte) (Message, error) {
-	if len(b) < headerLen {
-		return nil, ErrTruncated
-	}
-	if binary.BigEndian.Uint16(b) != Magic {
-		return nil, ErrBadMagic
-	}
-	if b[2] != Version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, b[2])
+	if err := checkHeader(b); err != nil {
+		return nil, err
 	}
 	var m Message
 	switch Kind(b[3]) {
@@ -278,10 +272,24 @@ func Decode(b []byte) (Message, error) {
 	if err := m.decodeBody(r); err != nil {
 		return nil, err
 	}
-	if len(r.buf) != 0 {
-		return nil, ErrTrailing
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// checkHeader checks the fixed header every encoding starts with.
+func checkHeader(b []byte) error {
+	if len(b) < headerLen {
+		return ErrTruncated
+	}
+	if binary.BigEndian.Uint16(b) != Magic {
+		return ErrBadMagic
+	}
+	if b[2] != Version {
+		return fmt.Errorf("%w: %d", ErrBadVersion, b[2])
+	}
+	return nil
 }
 
 // Register asks a replica to reserve space and admit a new object. The
@@ -1080,10 +1088,19 @@ func appendDuration(dst []byte, d time.Duration) []byte {
 }
 
 // reader is a bounds-checked big-endian cursor; the first error sticks and
-// every subsequent read returns a zero value.
+// every subsequent read returns a zero value. bytes copies unless alias.
 type reader struct {
-	buf []byte
-	err error
+	buf   []byte
+	err   error
+	alias bool
+}
+
+// end reports the first error, or ErrTrailing for input left after a body.
+func (r *reader) end() error {
+	if r.err == nil && len(r.buf) != 0 {
+		r.err = ErrTrailing
+	}
+	return r.err
 }
 
 func (r *reader) take(n int) []byte {
@@ -1167,8 +1184,8 @@ func (r *reader) bytes() []byte {
 		return nil
 	}
 	b := r.take(int(n))
-	if b == nil {
-		return nil
+	if b == nil || r.alias {
+		return b
 	}
 	out := make([]byte, n)
 	copy(out, b)

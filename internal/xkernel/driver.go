@@ -3,7 +3,12 @@ package xkernel
 // Transport is the datagram service the driver bridges to: the simulated
 // network (internal/netsim) and the real-UDP transport both implement it.
 // Receive callbacks must be delivered serially on the protocol graph's
-// executor (the clock event loop).
+// executor (the clock event loop), never from inside Send.
+//
+// Buffers are lent, not given. Send must not retain payload after it
+// returns: the stack reuses one outbound message per sender. A receiver's
+// payload is valid only during the callback: the transport may reuse it
+// once the callback returns, so a layer that keeps bytes copies them.
 type Transport interface {
 	// Send transmits payload to the named host. Delivery is unreliable
 	// and unordered, like UDP.
@@ -21,6 +26,7 @@ type Transport interface {
 type driver struct {
 	tr Transport
 	up func(m *Message, from Addr) error // the fragmenter's demux, or the port's
+	in Message                           // every inbound datagram: receives are serial
 }
 
 func (d *driver) push(host string, m *Message) error { return d.tr.Send(host, m.Bytes()) }
@@ -28,5 +34,6 @@ func (d *driver) push(host string, m *Message) error { return d.tr.Send(host, m.
 // receive is the Transport's receive callback. A datagram the layers above
 // reject is dropped, as a NIC would.
 func (d *driver) receive(from string, payload []byte) {
-	_ = d.up(FromWire(payload), Addr(from))
+	d.in = Message{buf: payload}
+	_ = d.up(&d.in, Addr(from))
 }

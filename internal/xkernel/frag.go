@@ -24,6 +24,7 @@ type fragmenter struct {
 	port    *PortProtocol
 	nextID  uint32
 	pending map[fragKey]*fragBuffer
+	out     Message // every outbound fragment: the driver sends it before returning
 }
 
 type fragKey struct {
@@ -63,13 +64,13 @@ func (f *fragmenter) push(host string, m *Message) error {
 	f.nextID++
 	for idx := 0; idx < count; idx++ {
 		lo := idx * f.mtu
-		frag := NewMessage(payload[lo:min(lo+f.mtu, len(payload))])
+		f.out.Reset(payload[lo:min(lo+f.mtu, len(payload))])
 		var h [fragHeaderLen]byte
 		binary.BigEndian.PutUint32(h[0:4], f.nextID)
 		binary.BigEndian.PutUint16(h[4:6], uint16(idx))
 		binary.BigEndian.PutUint16(h[6:8], uint16(count))
-		frag.Push(h[:])
-		if err := f.down.push(host, frag); err != nil {
+		f.out.Push(h[:])
+		if err := f.down.push(host, &f.out); err != nil {
 			return err
 		}
 	}
@@ -116,6 +117,7 @@ func (f *fragmenter) demux(m *Message, from Addr) error {
 			f.drop(key, buf)
 			return fmt.Errorf("xkernel: frag: message %d exceeds %d bytes", id, maxMessage)
 		}
+		// The datagram is lent for this call only (see Transport).
 		part := make([]byte, m.Len())
 		copy(part, m.Bytes())
 		buf.parts[idx] = part

@@ -31,9 +31,21 @@ const defaultHeadroom = 64
 
 // NewMessage builds a message whose current contents are payload.
 func NewMessage(payload []byte) *Message {
-	buf := make([]byte, defaultHeadroom+len(payload))
-	copy(buf[defaultHeadroom:], payload)
-	return &Message{buf: buf, off: defaultHeadroom}
+	m := &Message{}
+	m.Reset(payload)
+	return m
+}
+
+// Reset makes a copy of payload the message's contents, reusing the
+// buffer when it is large enough: a sender that keeps one message and
+// Resets it per datagram sends without allocating.
+func (m *Message) Reset(payload []byte) {
+	n := defaultHeadroom + len(payload)
+	if cap(m.buf) < n {
+		m.buf = make([]byte, n)
+	}
+	m.buf, m.off = m.buf[:n], defaultHeadroom
+	copy(m.buf[m.off:], payload)
 }
 
 // FromWire wraps bytes received from a driver as a message with no

@@ -14,10 +14,20 @@ import (
 type PortProtocol struct {
 	down     lower
 	bindings map[uint16]Upper
+	senders  map[sender]Addr // "host:port", joined once per sender
+}
+
+type sender struct {
+	host Addr
+	port uint16
 }
 
 // portHeaderLen is srcPort(2) + dstPort(2).
 const portHeaderLen = 4
+
+// maxSenders bounds senders; past it the cache starts over, so a flood of
+// spoofed sources cannot grow it.
+const maxSenders = 1024
 
 // EnablePort registers u to receive messages addressed to port.
 func (p *PortProtocol) EnablePort(port uint16, u Upper) error {
@@ -56,7 +66,16 @@ func (p *PortProtocol) demux(m *Message, from Addr) error {
 	if !ok {
 		return ErrNoUpper // no listener: drop, as UDP would
 	}
-	return u.Demux(m, JoinHostPort(string(from), src))
+	s := sender{from, src}
+	a, ok := p.senders[s]
+	if !ok {
+		if len(p.senders) >= maxSenders {
+			clear(p.senders)
+		}
+		a = JoinHostPort(string(from), src)
+		p.senders[s] = a
+	}
+	return u.Demux(m, a)
 }
 
 // Session is an open channel from a local port to a remote host's port

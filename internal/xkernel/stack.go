@@ -48,7 +48,7 @@ type lower interface {
 // replicate transparently (clk then runs the reassembly timeouts). Every
 // host of one deployment must use the same stack shape.
 func NewStack(tr Transport, clk clock.Clock, mtu int) (*PortProtocol, error) {
-	p := &PortProtocol{bindings: make(map[uint16]Upper)}
+	p := &PortProtocol{bindings: make(map[uint16]Upper), senders: make(map[sender]Addr)}
 	d := &driver{tr: tr, up: p.demux}
 	p.down = d
 	if mtu > 0 {
