@@ -273,3 +273,63 @@ func TestRealClockTurnKeepsOrder(t *testing.T) {
 		t.Fatalf("firing order = %v, want [1 2 3]", got)
 	}
 }
+
+// countArms wraps r's wake timer to count how often the loop sets it. It
+// must run on the loop, the only goroutine that arms the timer.
+func countArms(r *RealClock, arms *int) {
+	arm := r.arm
+	r.arm = func(d time.Duration) { *arms++; arm(d) }
+}
+
+// A chain of Schedule(100µs) steps arms the wake timer once per step: the
+// spare turn Schedule's kick causes finds the deadline already armed.
+func TestRealClockArmsOncePerScheduledStep(t *testing.T) {
+	r := NewReal()
+	defer r.Stop()
+	const steps = 200
+	arms, n := 0, 0
+	done := make(chan int, 1)
+	var step func()
+	step = func() {
+		if n++; n > steps {
+			done <- arms
+			return
+		}
+		r.Schedule(100*time.Microsecond, step)
+	}
+	r.Post(func() { countArms(r, &arms); step() })
+	select {
+	case got := <-done:
+		t.Logf("%d arms over %d scheduled steps", got, steps)
+		if got > steps {
+			t.Fatalf("%d arms over %d scheduled steps, want at most one each", got, steps)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the chain stalled")
+	}
+}
+
+// Posts that wake the loop while it waits for an event leave the timer
+// set for that event as it is.
+func TestRealClockPostKeepsArmedTimer(t *testing.T) {
+	r := NewReal()
+	defer r.Stop()
+	arms := 0
+	fired := make(chan int, 1)
+	r.Post(func() {
+		countArms(r, &arms)
+		r.Schedule(50*time.Millisecond, func() { fired <- arms })
+	})
+	for i := 0; i < 20; i++ {
+		r.Post(func() {})
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case n := <-fired:
+		if n != 1 {
+			t.Fatalf("the timer was armed %d times for one event", n)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the event did not fire")
+	}
+}

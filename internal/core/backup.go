@@ -200,13 +200,15 @@ func (b *Replica) handleModeChange(t *wire.ModeChange) {
 	}
 }
 
+// apply installs a received image; it runs under Demux, which stamps the
+// datagram's arrival.
 func (b *Replica) apply(o *object, epoch uint32, seq uint64, version time.Time, payload []byte) {
 	o.recvEpoch = epoch
 	o.seq = seq
 	o.version = version
 	o.value = append(o.value[:0], payload...)
 	o.hasData = true
-	now := b.cfg.Clock.Now()
+	now := b.rxAt
 	if o.catchingUp {
 		// Catch-up semantics: the object is declared consistent again
 		// only once an applied image lands within its backup bound — a

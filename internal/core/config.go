@@ -163,7 +163,8 @@ type Config struct {
 	// one datagram per peer instead of one per object. Defaults to 16; 1
 	// disables batching (every update rides its own datagram, the seed's
 	// wire behaviour). Ignored under UnboundedSendQueue, which keeps the
-	// legacy per-update CPU queueing for Figure 7/10 fidelity.
+	// legacy per-update CPU queueing for Figure 7/10 fidelity, and by the
+	// compressed pump, whose live step frames a whole round.
 	FrameBatch int
 	// SelfAddr is this replica's own replication address as peers should
 	// dial it. It is advisory: a backup stamps it into JoinRequests so
@@ -224,7 +225,8 @@ const (
 	// slot stops collecting once the next object would push the frame
 	// past it (a single oversized object still goes alone), comfortably
 	// under the 64 KiB UDP datagram limit.
-	frameBytes = 48 << 10
+	frameBytes      = 48 << 10
+	frameEntryBytes = 37 // what framing adds per update; a pump step's round counts it
 	// chunkEntries and chunkBytes bound one anti-entropy StateChunk (at
 	// least one entry is always sent), keeping its CPU cost and datagram
 	// size comparable to regular update traffic so a joiner's catch-up

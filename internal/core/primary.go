@@ -574,7 +574,7 @@ func (p *Replica) maybeStartPump() {
 // discipline of compressed scheduling. It runs in the processor's idle
 // class: queued with the writes on the modelled processor, and on a live
 // one paced by what its sends measure (almost all one syscall, so a live
-// step frames up to FrameBatch objects). A modelled step sends one:
+// step frames a whole round within frameBytes). A modelled step sends one:
 // Figure 12's compressed series drops to zero at every window if framed.
 func (p *Replica) pumpStep() {
 	if !p.running || p.role != RolePrimary || !p.anyPeerAlive() || p.cfg.Scheduling != ScheduleCompressed {
@@ -583,28 +583,26 @@ func (p *Replica) pumpStep() {
 	}
 	width := 1
 	if p.proc.Live() {
-		width = p.cfg.FrameBatch
+		width = len(p.pumpOrder)
 	}
 	s := p.collectPump(width)
 	if len(s.entries) == 0 {
 		p.pumpActive = false
 		return
 	}
-	p.proc.Submit(cpu.Idle, p.cfg.Costs.sendCost(s.bytes), func() {
-		p.flushBatch(s.entries)
-		p.pumpStep()
-	})
+	p.proc.Submit(cpu.Idle, p.cfg.Costs.sendCost(s.bytes), p.pumpSent)
 }
 
 // collectPump refills the pump's reused slot with up to width objects in
-// round-robin order, each at most once, bound for every live peer.
+// round-robin order, each at most once, bound for every live peer; it
+// stops at the one that would push the frame past frameBytes.
 func (p *Replica) collectPump(width int) *slot {
 	s := &p.pump
 	s.entries, s.peers, s.bytes = s.entries[:0], s.peers[:0], 0
 	for tries := 0; tries < len(p.pumpOrder) && len(s.entries) < width; tries++ {
 		id := p.pumpOrder[p.pumpNext%len(p.pumpOrder)]
 		o, ok := p.adm.objects[id]
-		if ok && len(s.entries) > 0 && s.bytes+len(o.value) > frameBytes {
+		if ok && len(s.entries) > 0 && s.bytes+len(o.value)+(len(s.entries)+1)*frameEntryBytes > frameBytes {
 			break // over the frame byte budget: the next step starts here
 		}
 		p.pumpNext++

@@ -146,7 +146,8 @@ type Replica struct {
 	pumpActive bool
 	pumpOrder  []uint32
 	pumpNext   int
-	pump       slot // reused: one pump step is outstanding at a time
+	pump       slot   // reused: one pump step is outstanding at a time
+	pumpSent   func() // the step's completion, built once: flush, then chain
 
 	// gov is the overload governor (nil when disabled or demoted).
 	gov *governor
@@ -165,6 +166,7 @@ type Replica struct {
 	updMsg wire.Update
 	out    xkernel.Message
 	in     wire.Decoder
+	rxAt   time.Time // when the datagram Demux is handling arrived
 
 	// --- backup-role state ---
 
@@ -294,6 +296,7 @@ func NewReplica(cfg Config, role Role) (*Replica, error) {
 		running: true,
 	}
 	r.adm = newAdmission(&r.cfg)
+	r.pumpSent = func() { r.flushBatch(r.pump.entries); r.pumpStep() }
 	if cfg.ClockSync {
 		r.csync = clocksync.New(clocksync.Config{
 			MaxDriftPPM: cfg.ClockSyncMaxDriftPPM,
@@ -555,6 +558,7 @@ func (r *Replica) Demux(m *xkernel.Message, from xkernel.Addr) error {
 	if err != nil {
 		return err // malformed datagram: drop
 	}
+	r.rxAt = r.clk.Now() // one instant, one clock read, for a whole frame
 	for _, msg := range msgs {
 		if !r.running {
 			// A framed message may stop the replica (epoch fence,

@@ -31,9 +31,9 @@ type Config struct {
 	// goroutine, in call order, with no background writer. File
 	// contents become a pure function of the append sequence — the
 	// deterministic-simulation harness requires that — at the price of
-	// synchronous write syscalls. Even in Sync mode fsync is deferred
-	// to Snapshot/Sync/Close, so "synchronous" means ordered, not
-	// durable-per-record.
+	// synchronous write syscalls. It fsyncs only as a segment closes and
+	// on Sync/Close ("synchronous" means ordered, not durable-per-record);
+	// the default async writer fsyncs after every batch it drains.
 	Sync bool
 	// NoFsync suppresses fsync entirely (tests, benchmarks).
 	NoFsync bool
@@ -380,7 +380,7 @@ func (l *Log) Stats() Stats {
 }
 
 // run is the background writer: group-commit batches off the bounded
-// queue, with snapshot and prune work interleaved between batches.
+// queue, each fsynced once drained, with snapshot and prune work between.
 func (l *Log) run() {
 	defer close(l.done)
 	for {

@@ -292,15 +292,15 @@ func (t *frameTap) observe(payload []byte) {
 	}
 }
 
-// TestLivePumpFrames runs the live pump over three objects: each step
-// frames every object once, so the backup receives more updates than
-// datagrams, and every frame carries exactly the three objects.
+// TestLivePumpFrames runs the live pump over more objects than a drain
+// slot's FrameBatch (16): each step frames a whole round, every object
+// once, so every frame carries exactly the forty objects.
 func TestLivePumpFrames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live pair on loopback UDP")
 	}
 	const (
-		objects = 3
+		objects = 40
 		timeout = 10 * time.Second
 	)
 	tap := &frameTap{want: objects}
@@ -317,7 +317,7 @@ func TestLivePumpFrames(t *testing.T) {
 		}
 	})
 	// Steps before the last write completed framed fewer objects: count
-	// from the moment the backup holds all three.
+	// from the moment the backup holds them all.
 	waitConverged(t, backup, values, timeout)
 	onLoop(backup.clk, func() bool { tap.reset(); return true })
 	time.Sleep(200 * time.Millisecond)
