@@ -54,6 +54,9 @@ type object struct {
 	version time.Time
 	hasData bool
 	seq     uint64
+	// spare is the image the last client write's install replaced, which
+	// the next client write copies into (primary role; DESIGN.md §12).
+	spare []byte
 
 	// recvEpoch is the epoch the current value was applied under (backup
 	// role; supersedes orders inbound updates by (recvEpoch, seq)).

@@ -282,12 +282,13 @@ func (t SchedTest) feasible(ts sched.TaskSet) bool {
 
 // Errors returned by replica construction and registration.
 var (
-	ErrNoClock     = errors.New("core: config needs a Clock")
-	ErrNoPort      = errors.New("core: config needs a Port protocol")
-	ErrBadSlack    = errors.New("core: SlackFactor must be in (0, 1]")
-	ErrUnknownName = errors.New("core: unknown object")
-	ErrRejected    = errors.New("core: object rejected by admission control")
-	ErrStopped     = errors.New("core: replica stopped")
+	ErrNoClock       = errors.New("core: config needs a Clock")
+	ErrNoPort        = errors.New("core: config needs a Port protocol")
+	ErrBadSlack      = errors.New("core: SlackFactor must be in (0, 1]")
+	ErrUnknownName   = errors.New("core: unknown object")
+	ErrRejected      = errors.New("core: object rejected by admission control")
+	ErrStopped       = errors.New("core: replica stopped")
+	ErrValueTooLarge = errors.New("core: value exceeds the wire's payload limit")
 )
 
 func (c *Config) normalize() error {

@@ -87,8 +87,8 @@ func TestMultiBackupSurvivesOnePeerDeath(t *testing.T) {
 	mc.backups[0].Stop()
 	mc.eps[0].SetDown(true)
 	mc.primary.SetPeerAlive("backupA:7000", false)
-	if mc.primary.PeerAlive("backupA:7000") {
-		t.Fatal("peer A still marked alive")
+	if st := mc.primary.PeerStates(); st[0].Addr != "backupA:7000" || st[0].Alive {
+		t.Fatalf("peer A not marked dead: %+v", st)
 	}
 	if !mc.primary.BackupAlive() {
 		t.Fatal("primary believes all backups dead with B alive")

@@ -143,13 +143,17 @@ func (p *Replica) CPU() *cpu.Resource { return p.proc }
 
 // Register runs admission control for spec (Section 4.2). On acceptance
 // the object's update task is scheduled and the registration is forwarded
-// to every backup (with bounded retries) so they can reserve space.
+// to every backup (with bounded retries) so they can reserve space. A
+// size over wire.MaxPayload is rejected: no backup could decode its value.
 func (p *Replica) Register(spec ObjectSpec) Decision {
 	if !p.running {
 		return Decision{Accepted: false, Reason: ErrStopped.Error()}
 	}
 	if p.role != RolePrimary {
 		return Decision{Accepted: false, Reason: ErrNotPrimary.Error()}
+	}
+	if spec.Size > wire.MaxPayload {
+		return Decision{Accepted: false, Reason: fmt.Sprintf("object %q size %d exceeds the wire's payload limit", spec.Name, spec.Size)}
 	}
 	o, d := p.adm.admit(spec)
 	if !d.Accepted {
@@ -252,7 +256,11 @@ func (p *Replica) forwardRegistration(pr *replicaPeer, o *object, retriesLeft in
 // ClientWrite services one client write: the value is installed after the
 // CPU cost of the operation, and done (optional) observes the response
 // time. The version timestamp is the write's arrival instant — the moment
-// the client sampled the external world.
+// the client sampled the external world. data is copied before
+// ClientWrite returns, into the object's spare image (the one the last
+// install replaced), so a steady-state write allocates nothing in
+// proportion to its size; a value over wire.MaxPayload, which no backup
+// could decode, finishes with ErrValueTooLarge and installs nothing.
 func (p *Replica) ClientWrite(name string, data []byte, done func(latency time.Duration, err error)) {
 	finish := func(lat time.Duration, err error) {
 		if done != nil {
@@ -272,16 +280,22 @@ func (p *Replica) ClientWrite(name string, data []byte, done func(latency time.D
 		finish(0, err)
 		return
 	}
+	if len(data) > wire.MaxPayload {
+		finish(0, ErrValueTooLarge)
+		return
+	}
 	arrival := p.clk.Now()
-	value := make([]byte, len(data))
-	copy(value, data)
+	// A second write queued before this one installs finds no spare and
+	// takes a fresh buffer.
+	value := append(o.spare[:0], data...)
+	o.spare = nil
 	// Client writes share the FIFO low-priority class with update
 	// transmissions: on an overloaded, admission-control-disabled primary
 	// the growing update backlog is exactly what degrades client response
 	// time (the Figure 7 effect). The high-priority class is reserved for
 	// loss recovery.
 	p.proc.Submit(cpu.Low, p.cfg.Costs.clientCost(len(data)), func() {
-		o.value = value
+		o.value, o.spare = value, o.value
 		o.version = arrival
 		o.hasData = true
 		// The write-ahead append is enqueue-only: the client response
@@ -649,14 +663,6 @@ func (p *Replica) SetBackupAlive(alive bool) {
 // completed its anti-entropy exchange — a peer still catching up holds
 // arbitrarily stale state and is not counted as effective redundancy.
 func (p *Replica) BackupAlive() bool { return p.SyncedPeers() > 0 }
-
-// PeerAlive reports the liveness of one attached backup.
-func (p *Replica) PeerAlive(addr xkernel.Addr) bool {
-	if pr := p.peerByAddr(addr); pr != nil {
-		return pr.alive
-	}
-	return false
-}
 
 func (p *Replica) peerByAddr(addr xkernel.Addr) *replicaPeer {
 	for _, pr := range p.peers {

@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"encoding/base64"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"rtpb/internal/core"
 	"rtpb/internal/durable"
 	"rtpb/internal/netsim"
+	"rtpb/internal/wire"
 	"rtpb/internal/xkernel"
 )
 
@@ -145,6 +147,7 @@ func TestControlRejectionAndErrors(t *testing.T) {
 		want string
 	}{
 		{"REGISTER bad 64 60ms 50ms 200ms", "REJECT"}, // p > δP
+		{fmt.Sprintf("REGISTER big %d 40ms 50ms 200ms", wire.MaxPayload+1), "REJECT"},
 		{"REGISTER x 64 40ms", "ERR usage"},
 		{"REGISTER x notanum 40ms 50ms 200ms", "ERR bad size"},
 		{"REGISTER x 64 40ms 50ms bogus", "ERR bad duration"},
@@ -162,6 +165,25 @@ func TestControlRejectionAndErrors(t *testing.T) {
 		if !strings.HasPrefix(reply, tc.want) {
 			t.Fatalf("%q reply = %q, want prefix %q", tc.cmd, reply, tc.want)
 		}
+	}
+}
+
+// A value no backup could decode is refused over the control protocol:
+// WRITE replies ERR and installs nothing.
+func TestControlRefusesOversizedValues(t *testing.T) {
+	cl, shutdown := startPrimary(t)
+	defer shutdown()
+
+	reply, err := cl.Do("REGISTER alt 64 40ms 50ms 200ms")
+	if err != nil || !strings.HasPrefix(reply, "OK ") {
+		t.Fatalf("REGISTER = %q, %v", reply, err)
+	}
+	reply, err = cl.Write("alt", make([]byte, wire.MaxPayload+1))
+	if err != nil || !strings.HasPrefix(reply, "ERR ") {
+		t.Fatalf("WRITE of %d bytes = %q, %v", wire.MaxPayload+1, reply, err)
+	}
+	if reply, err = cl.Do("READ alt"); err != nil || reply != "ERR not found" {
+		t.Fatalf("READ after the refused write = %q, %v", reply, err)
 	}
 }
 
