@@ -286,32 +286,14 @@ func (s *Sequencer) Demux(m *xkernel.Message, from xkernel.Addr) error {
 	return nil
 }
 
-// Pending reports the number of uncommitted orders.
-func (s *Sequencer) Pending() int { return len(s.pending) }
-
-// Value returns the sequencer's current copy of an object.
-func (s *Sequencer) Value(name string) (data []byte, version time.Time, ok bool) {
-	id, found := s.objects[name]
-	if !found || !s.byID[id].hasData {
-		return nil, time.Time{}, false
-	}
-	o := s.byID[id]
-	cp := make([]byte, len(o.value))
-	copy(cp, o.value)
-	return cp, o.version, true
-}
-
 // Member is an active-replication follower: it applies totally ordered
 // writes and acknowledges each.
 type Member struct {
 	cfg     Config
-	port    *xkernel.PortProtocol
 	sess    *xkernel.Session
 	applied uint64
 	hold    map[uint64]*wire.Order
 	objects map[uint32]*objectState
-	names   map[uint32]string
-	running bool
 
 	// OnApply, when set, observes every in-order application.
 	OnApply func(seq uint64, objectID uint32, version, at time.Time)
@@ -329,11 +311,8 @@ func NewMember(cfg Config) (*Member, error) {
 	}
 	m := &Member{
 		cfg:     cfg,
-		port:    cfg.Port,
 		hold:    make(map[uint64]*wire.Order),
 		objects: make(map[uint32]*objectState),
-		names:   make(map[uint32]string),
-		running: true,
 	}
 	if err := cfg.Port.EnablePort(cfg.LocalPort, m); err != nil {
 		return nil, err
@@ -347,21 +326,8 @@ func NewMember(cfg Config) (*Member, error) {
 	return m, nil
 }
 
-// Stop releases the port binding.
-func (m *Member) Stop() {
-	if !m.running {
-		return
-	}
-	m.running = false
-	m.port.DisablePort(m.cfg.LocalPort)
-	m.sess.Close()
-}
-
 // Demux implements xkernel.Upper.
 func (m *Member) Demux(msg *xkernel.Message, from xkernel.Addr) error {
-	if !m.running {
-		return nil
-	}
 	decoded, err := wire.Decode(msg.Bytes())
 	if err != nil {
 		return err
@@ -397,21 +363,4 @@ func (m *Member) Demux(msg *xkernel.Message, from xkernel.Addr) error {
 			m.OnApply(next.Seq, next.ObjectID, o.version, m.cfg.Clock.Now())
 		}
 	}
-}
-
-// Applied reports the highest contiguously applied sequence number.
-func (m *Member) Applied() uint64 { return m.applied }
-
-// HoldbackLen reports the number of out-of-order orders waiting.
-func (m *Member) HoldbackLen() int { return len(m.hold) }
-
-// Value returns the member's current copy of an object by id.
-func (m *Member) Value(id uint32) (data []byte, version time.Time, ok bool) {
-	o, found := m.objects[id]
-	if !found || !o.hasData {
-		return nil, time.Time{}, false
-	}
-	cp := make([]byte, len(o.value))
-	copy(cp, o.value)
-	return cp, o.version, true
 }

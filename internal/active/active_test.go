@@ -66,16 +66,15 @@ func TestAtomicOrderedDelivery(t *testing.T) {
 		t.Fatalf("committed = %d, want 1", committed)
 	}
 	for i, m := range ac.members {
-		v, _, ok := m.Value(id)
-		if !ok || string(v) != "v1" {
-			t.Fatalf("member %d value = %q ok=%v", i, v, ok)
+		if o := m.objects[id]; o == nil || string(o.value) != "v1" {
+			t.Fatalf("member %d holds %+v", i, o)
 		}
-		if m.Applied() != 1 {
-			t.Fatalf("member %d applied = %d", i, m.Applied())
+		if m.applied != 1 {
+			t.Fatalf("member %d applied = %d", i, m.applied)
 		}
 	}
-	if ac.sequencer.Pending() != 0 {
-		t.Fatalf("pending = %d after commit", ac.sequencer.Pending())
+	if len(ac.sequencer.pending) != 0 {
+		t.Fatalf("pending = %d after commit", len(ac.sequencer.pending))
 	}
 }
 
@@ -90,8 +89,8 @@ func TestCommitWaitsForAllMembers(t *testing.T) {
 	if done {
 		t.Fatal("write committed without all member acks")
 	}
-	if ac.sequencer.Pending() != 1 {
-		t.Fatalf("pending = %d", ac.sequencer.Pending())
+	if len(ac.sequencer.pending) != 1 {
+		t.Fatalf("pending = %d", len(ac.sequencer.pending))
 	}
 	// Heal: retransmission drives it to commit.
 	ac.net.Heal("seq", "m1")
@@ -126,7 +125,7 @@ func TestTotalOrderUnderJitter(t *testing.T) {
 	if lastApplied != 30 {
 		t.Fatalf("applied %d orders, want 30", lastApplied)
 	}
-	v, _, _ := ac.members[1].Value(id)
+	v := ac.members[1].objects[id].value
 	if len(v) != 1 || v[0] != 29 {
 		t.Fatalf("final value = %v", v)
 	}
@@ -175,7 +174,7 @@ func TestDuplicateOrdersAckedAndIgnored(t *testing.T) {
 	if applies != 1 {
 		t.Fatalf("applies = %d, want 1 (duplicates ignored)", applies)
 	}
-	if v, _, _ := ac.members[0].Value(id); string(v) != "v" {
+	if v := ac.members[0].objects[id].value; string(v) != "v" {
 		t.Fatalf("value = %q", v)
 	}
 }

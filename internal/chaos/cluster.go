@@ -11,7 +11,6 @@ import (
 	"rtpb/internal/core"
 	"rtpb/internal/durable"
 	"rtpb/internal/failover"
-	"rtpb/internal/netsim"
 	"rtpb/internal/repair"
 	"rtpb/internal/temporal"
 	"rtpb/internal/topo"
@@ -131,20 +130,6 @@ type govCheckpoint struct {
 	modes map[string]core.ObjectMode
 	ok    bool
 }
-
-// Clock exposes the harness clock (rtpbench's standalone runner reports
-// virtual elapsed time).
-func (h *Harness) Clock() clock.Clock { return h.clk }
-
-// ActivePrimary returns the primary currently serving clients and the
-// node hosting it.
-func (h *Harness) ActivePrimary() (*core.Replica, string) { return h.active, h.activeNode }
-
-// Monitor exposes the temporal-consistency monitor.
-func (h *Harness) Monitor() *temporal.Monitor { return h.mon }
-
-// Network exposes the simulated fabric.
-func (h *Harness) Network() *netsim.Network { return h.fabric.Net }
 
 func (h *Harness) logf(format string, args ...any) {
 	offset := h.clk.Now().Sub(h.start).Round(100 * time.Microsecond)

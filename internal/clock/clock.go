@@ -44,9 +44,6 @@ type Event struct {
 	onAbort func(*Event)
 }
 
-// When reports the time the event is scheduled to fire.
-func (e *Event) When() time.Time { return e.when }
-
 // Cancel prevents the event's callback from running. It reports whether the
 // event was still pending. Cancel must be called from the clock's executor
 // (i.e. from inside another callback), matching the serial execution model.
@@ -60,9 +57,6 @@ func (e *Event) Cancel() bool {
 	}
 	return true
 }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e != nil && e.cancel }
 
 // eventHeap orders events by (when, seq) so that events scheduled for the
 // same instant fire in scheduling order.

@@ -60,9 +60,6 @@ func (p *Periodic) SetPeriod(d time.Duration) {
 	p.period = d
 }
 
-// Period reports the current period.
-func (p *Periodic) Period() time.Duration { return p.period }
-
 // Stop cancels all future invocations. Safe to call more than once.
 func (p *Periodic) Stop() {
 	if p.stopped {
@@ -71,6 +68,3 @@ func (p *Periodic) Stop() {
 	p.stopped = true
 	p.event.Cancel()
 }
-
-// Stopped reports whether Stop has been called.
-func (p *Periodic) Stopped() bool { return p.stopped }

@@ -56,17 +56,6 @@ func (s *SimClock) ScheduleAt(t time.Time, fn func()) *Event {
 // this instant.
 func (s *SimClock) Post(fn func()) { s.Schedule(0, fn) }
 
-// Len reports the number of pending (non-cancelled) events.
-func (s *SimClock) Len() int {
-	n := 0
-	for _, e := range s.pending {
-		if !e.cancel {
-			n++
-		}
-	}
-	return n
-}
-
 // Step runs the single next pending event, advancing virtual time to it.
 // It reports whether an event ran.
 func (s *SimClock) Step() bool {
@@ -107,19 +96,4 @@ func (s *SimClock) RunUntil(t time.Time) int {
 // RunFor advances the clock by d, running every event that falls due.
 func (s *SimClock) RunFor(d time.Duration) int {
 	return s.RunUntil(s.now.Add(d))
-}
-
-// Run executes events until none remain or maxEvents have run. A
-// maxEvents of 0 means no limit. It returns the number of events run.
-// Protocols with self-rescheduling timers never drain, so simulations of
-// live systems should prefer RunFor/RunUntil.
-func (s *SimClock) Run(maxEvents int) int {
-	n := 0
-	for s.Step() {
-		n++
-		if maxEvents > 0 && n >= maxEvents {
-			break
-		}
-	}
-	return n
 }

@@ -144,13 +144,6 @@ func (k *SkewedClock) SetDrift(ppm float64) {
 	k.driftPPM = ppm
 }
 
-// Offset reports the configured wall-clock offset (steps included, drift
-// excluded).
-func (k *SkewedClock) Offset() time.Duration { return k.offset }
-
-// DriftPPM reports the current oscillator rate error.
-func (k *SkewedClock) DriftPPM() float64 { return k.driftPPM }
-
 // TrueOffset reports the node's total wall-clock error right now — offset
 // plus accrued drift — i.e. skewed Now minus base Now. Chaos invariant
 // checkers use it as ground truth when judging whether an estimator's

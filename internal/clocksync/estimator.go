@@ -114,10 +114,6 @@ func (e *Estimator) boundAt(now time.Time) time.Duration {
 	return e.best.RTT/2 + time.Duration(float64(age)*e.cfg.MaxDriftPPM*1e-6)
 }
 
-// Offset reports the current peer-minus-local offset estimate (zero
-// before any probe completes).
-func (e *Estimator) Offset() time.Duration { return e.best.Offset }
-
 // Theta reports the error bound θ on the offset estimate as of now. The
 // boolean is false before any probe completes — with no sample there is
 // no bound, and callers must treat the offset as unknown, not as zero.
@@ -126,11 +122,6 @@ func (e *Estimator) Theta(now time.Time) (time.Duration, bool) {
 		return 0, false
 	}
 	return e.boundAt(now), true
-}
-
-// Samples reports accepted and rejected probe counts.
-func (e *Estimator) Samples() (accepted, rejected uint64) {
-	return e.accepted, e.rejected
 }
 
 // Report is a point-in-time summary of the estimator for status surfaces

@@ -79,8 +79,8 @@ func TestEstimatorRejectsNegativeRTT(t *testing.T) {
 	if _, ok := e.AddSample(t1, t2, t3, t4); ok {
 		t.Fatal("negative-RTT sample accepted")
 	}
-	if acc, rej := e.Samples(); acc != 0 || rej != 1 {
-		t.Fatalf("Samples = %d,%d, want 0,1", acc, rej)
+	if e.accepted != 0 || e.rejected != 1 {
+		t.Fatalf("samples = %d,%d, want 0,1", e.accepted, e.rejected)
 	}
 	if _, ok := e.Theta(t4); ok {
 		t.Fatal("rejected sample produced a bound")
@@ -148,7 +148,7 @@ func TestEstimatorPropertyHonestBound(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: no bound after an accepted sample", trial)
 			}
-			if err := (e.Offset() - skew).Abs(); err > th {
+			if err := (e.best.Offset - skew).Abs(); err > th {
 				t.Fatalf("trial %d probe %d: |estimate−truth| = %v exceeds θ = %v",
 					trial, p, err, th)
 			}

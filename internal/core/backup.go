@@ -250,32 +250,6 @@ func (b *Replica) Specs() []ObjectSpec {
 	return out
 }
 
-// State snapshots the replicated values (spec-carrying wire entries) in
-// admission order.
-func (b *Replica) State() []wire.StateEntry {
-	out := make([]wire.StateEntry, 0, len(b.adm.objects))
-	for _, id := range b.adm.orderedIDs() {
-		o := b.adm.objects[id]
-		if !o.hasData {
-			continue
-		}
-		payload := make([]byte, len(o.value))
-		copy(payload, o.value)
-		out = append(out, wire.StateEntry{
-			ObjectID: o.id,
-			Seq:      o.seq,
-			Version:  o.version.UnixNano(),
-			Name:     o.spec.Name,
-			Size:     uint32(o.spec.Size),
-			Period:   o.spec.UpdatePeriod,
-			DeltaP:   o.spec.Constraint.DeltaP,
-			DeltaB:   o.spec.Constraint.DeltaB,
-			Payload:  payload,
-		})
-	}
-	return out
-}
-
 // SeedObject installs replicated state into a primary's table directly —
 // an external checkpoint restore path (in-place promotion no longer needs
 // it; the table carries over).

@@ -66,7 +66,7 @@ func newInjectedBackup(t *testing.T, tr *injectTransport, objects int) *Replica 
 func updateFrame(objects int, seq uint64) []byte {
 	f := wire.NewFrameBuilder()
 	for id := 1; id <= objects; id++ {
-		f.Append(&wire.Update{Epoch: 1, ObjectID: uint32(id), Seq: seq, Version: int64(seq), Payload: make([]byte, 64)})
+		f.AppendEncoded(wire.Encode(&wire.Update{Epoch: 1, ObjectID: uint32(id), Seq: seq, Version: int64(seq), Payload: make([]byte, 64)}))
 	}
 	return f.Datagram()
 }
@@ -104,7 +104,7 @@ func TestFrameWithBadLastMessageAppliesNothing(t *testing.T) {
 	b.OnApply = func(uint32, string, uint32, uint64, time.Time, time.Time) { applied++ }
 	f := wire.NewFrameBuilder()
 	for id := uint32(1); id <= 3; id++ {
-		f.Append(&wire.Update{Epoch: 1, ObjectID: id, Seq: 1, Version: 1, Payload: []byte("v")})
+		f.AppendEncoded(wire.Encode(&wire.Update{Epoch: 1, ObjectID: id, Seq: 1, Version: 1, Payload: []byte("v")}))
 	}
 	f.AppendEncoded(append(binary.BigEndian.AppendUint16(nil, wire.Magic), wire.Version, 8, 0, 0, 0, 1))
 	tr.fromPrimary(f.Datagram())

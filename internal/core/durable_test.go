@@ -54,13 +54,13 @@ func TestResumeFromDiskRebuildsFencedPrimary(t *testing.T) {
 	if got := p.RecoverySource(); got != "disk" {
 		t.Errorf("RecoverySource = %q, want disk", got)
 	}
-	entries := p.State()
-	if len(entries) != 2 {
-		t.Fatalf("%d objects resumed, want 2", len(entries))
+	ids := p.adm.orderedIDs()
+	if len(ids) != 2 {
+		t.Fatalf("%d objects resumed, want 2", len(ids))
 	}
 	for i, want := range []durable.ObjectState{st.Objects[0], st.Objects[1]} {
-		if e := entries[i]; e.ObjectID != want.ID || e.Name != want.Name {
-			t.Errorf("object %d = %d/%q, want %d/%q", i, e.ObjectID, e.Name, want.ID, want.Name)
+		if o := p.adm.objects[ids[i]]; o.id != want.ID || o.spec.Name != want.Name {
+			t.Errorf("object %d = %d/%q, want %d/%q", i, o.id, o.spec.Name, want.ID, want.Name)
 		}
 		if v, _, ok := p.Value(want.Name); !ok || string(v) != string(want.Value) {
 			t.Errorf("%q = %q (ok=%v), want %q", want.Name, v, ok, want.Value)

@@ -51,28 +51,9 @@ func (r Role) String() string {
 	return fmt.Sprintf("role(%d)", uint8(r))
 }
 
-// IsWritable reports whether the role accepts client writes and runs
-// admission control. Only the primary writes.
-func (r Role) IsWritable() bool { return r == RolePrimary }
-
-// CanVote reports whether the role participates in quorums and counts
-// toward the replication degree: primaries and backups do, observers
-// are read-only bystanders.
-func (r Role) CanVote() bool { return r == RolePrimary || r == RoleBackup }
-
-// ServesReads reports whether the role serves certificate reads. Every
-// role does — honesty lives in the certificate (age, θ, mode), not in
-// refusing the read.
-func (r Role) ServesReads() bool { return true }
-
 // Shadows reports whether the role maintains an upstream session and
 // applies a replicated update stream (backup and observer).
 func (r Role) Shadows() bool { return r == RoleBackup || r == RoleObserver }
-
-// FansOut reports whether the role serves downstream subscribers
-// through the join/update fan-out path: the primary toward its peers,
-// and observers re-broadcasting along a chain.
-func (r Role) FansOut() bool { return r == RolePrimary || r == RoleObserver }
 
 // wireRole maps the replica role onto its wire representation.
 func (r Role) wireRole() wire.Role {

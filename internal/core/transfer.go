@@ -411,14 +411,6 @@ func (p *Replica) SyncedPeers() int {
 	return n
 }
 
-// TransferStatsFor reports the anti-entropy counters toward one peer.
-func (p *Replica) TransferStatsFor(addr xkernel.Addr) (TransferStats, bool) {
-	if pr := p.peerByAddr(addr); pr != nil {
-		return pr.xfer, true
-	}
-	return TransferStats{}, false
-}
-
 // --- backup side ---
 
 // Join asks the upstream to take this replica as a subscriber: a backup

@@ -85,10 +85,11 @@ func TestChunkedTransferResumesFromDigest(t *testing.T) {
 		t.Fatalf("synced peers = %d, want 1", got)
 	}
 
-	st, ok := c.primary.TransferStatsFor("backup:7000")
-	if !ok {
+	pr := c.primary.peerByAddr("backup:7000")
+	if pr == nil {
 		t.Fatal("no transfer stats for the backup peer")
 	}
+	st := pr.xfer
 	if st.Completions != 1 {
 		t.Fatalf("completions = %d, want 1", st.Completions)
 	}
@@ -149,7 +150,7 @@ func TestJoinExchangeCompletesOnCleanLink(t *testing.T) {
 	if !c.backup.Joined() {
 		t.Fatal("join never completed on a clean link")
 	}
-	st, _ := c.primary.TransferStatsFor("backup:7000")
+	st := c.primary.peerByAddr("backup:7000").xfer
 	if st.Digests != 1 || st.ChunkRetransmits != 0 || st.Completions != 1 {
 		t.Fatalf("stats = %+v, want one digest, no retransmits, one completion", st)
 	}
@@ -198,10 +199,7 @@ func TestJoinRecoversFromLostFinalAck(t *testing.T) {
 	// Let the exchange run until the primary has streamed the (single,
 	// final) chunk, then cut only the backup→primary direction: the chunk
 	// and its retransmissions still arrive, but no ack ever returns.
-	stats := func() TransferStats {
-		st, _ := c.primary.TransferStatsFor("backup:7000")
-		return st
-	}
+	stats := func() TransferStats { return c.primary.peerByAddr("backup:7000").xfer }
 	for i := 0; i < 100 && stats().EntriesSent == 0; i++ {
 		c.clk.RunFor(100 * time.Microsecond)
 	}

@@ -238,10 +238,6 @@ func (r *Resource) Live() bool { return r.live }
 // QueueLen reports the number of queued (not yet started) work items.
 func (r *Resource) QueueLen() int { return r.high.len() + r.low.len() + r.idle.len() }
 
-// Busy reports whether the processor is executing work right now (on the
-// live processor: whether a turn is scheduled).
-func (r *Resource) Busy() bool { return r.running || r.wake != nil }
-
 // BusyTime reports the cumulative processor time consumed by completed
 // and in-progress work: the sum of declared costs on the modelled
 // processor, the time the work was measured to take on the live one.

@@ -9,6 +9,9 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// busy reports whether r is running an item or has a turn scheduled.
+func busy(r *Resource) bool { return r.running || r.wake != nil }
+
 func TestSerialExecutionFIFO(t *testing.T) {
 	clk := clock.NewSim()
 	r := New(clk)
@@ -73,7 +76,7 @@ func TestIdleThenResume(t *testing.T) {
 	ran := 0
 	r.Submit(High, ms(5), func() { ran++ })
 	clk.RunFor(ms(20))
-	if r.Busy() {
+	if busy(r) {
 		t.Fatal("resource busy after drain")
 	}
 	r.Submit(Low, ms(5), func() { ran++ })
@@ -166,7 +169,7 @@ func TestIdleIsLowUnderSimClock(t *testing.T) {
 		r.Submit(High, ms(1), note("retransmit"))
 		r.Submit(Low, ms(2), note("write3"))
 		clk.RunFor(ms(100))
-		if r.QueueLen() != 0 || r.Busy() {
+		if r.QueueLen() != 0 || busy(r) {
 			t.Fatalf("class %d: resource not drained", pumpClass)
 		}
 		if r.BusyTime() != ms(2+2+2+1+6*4) {

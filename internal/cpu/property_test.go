@@ -44,7 +44,7 @@ func TestWorkConservation(t *testing.T) {
 		if r.BusyTime() != total {
 			t.Fatalf("trial %d: BusyTime %v != Σcosts %v", trial, r.BusyTime(), total)
 		}
-		if r.QueueLen() != 0 || r.Busy() {
+		if r.QueueLen() != 0 || busy(r) {
 			t.Fatalf("trial %d: resource not drained", trial)
 		}
 		if lastDone.IsZero() {

@@ -116,7 +116,7 @@ func TestDetectorBackwardStepHarmless(t *testing.T) {
 		if dead {
 			t.Fatalf("wallClock=%v: backward step killed a healthy peer", wallClock)
 		}
-		if lvl := d.SuspicionLevel(); lvl < 0 {
+		if lvl := suspicionLevel(d); lvl < 0 {
 			t.Fatalf("wallClock=%v: negative suspicion level %v after backward step", wallClock, lvl)
 		}
 		if seq < 30 {

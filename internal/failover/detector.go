@@ -159,15 +159,6 @@ func (d *Detector) Stop() {
 	d.hasPending = false
 }
 
-// Alive reports the detector's current view of the peer.
-func (d *Detector) Alive() bool { return d.alive }
-
-// Running reports whether the detector is active.
-func (d *Detector) Running() bool { return d.running }
-
-// Misses reports the current count of consecutive unanswered pings.
-func (d *Detector) Misses() int { return d.misses }
-
 // Reset clears failure state so the detector can monitor a newly
 // recruited peer.
 func (d *Detector) Reset() {
@@ -202,9 +193,6 @@ func (d *Detector) Suppress(suppress bool) {
 		}
 	}
 }
-
-// Suppressed reports whether the heartbeat exchange is paused.
-func (d *Detector) Suppressed() bool { return d.suppressed }
 
 func (d *Detector) ping() {
 	if !d.running || !d.alive || d.suppressed {
@@ -281,15 +269,6 @@ func (d *Detector) silenceTolerable() bool {
 		return false
 	}
 	return d.susp.Level(now) < d.cfg.SuspicionThreshold
-}
-
-// SuspicionLevel reports the adaptive suspicion score of the current
-// silence (zero for fixed-threshold detectors or thin history).
-func (d *Detector) SuspicionLevel() float64 {
-	if d.susp == nil || !d.susp.Ready() {
-		return 0
-	}
-	return d.susp.Level(d.instant())
 }
 
 // OnAck feeds a received ping acknowledgement into the detector. Acks for

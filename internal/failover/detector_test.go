@@ -49,7 +49,7 @@ func TestDetectorStaysAliveWithAcks(t *testing.T) {
 	}
 	d.Start()
 	clk.RunFor(2 * time.Second)
-	if dead || !d.Alive() {
+	if dead || !d.alive {
 		t.Fatal("peer declared dead despite prompt acks")
 	}
 	if seq < 30 {
@@ -81,7 +81,7 @@ func TestDetectorDeclaresDeadAfterMaxMisses(t *testing.T) {
 	if pings != 3 {
 		t.Fatalf("sent %d pings before declaring dead, want 3 (retry per timeout)", pings)
 	}
-	if d.Alive() || d.Running() {
+	if d.alive || d.running {
 		t.Fatal("detector still alive/running after declaring dead")
 	}
 }
@@ -104,7 +104,7 @@ func TestDetectorRecoversAfterTransientSilence(t *testing.T) {
 	}
 	d.Start()
 	clk.RunFor(ms(40)) // one miss (timeout at 30ms), not dead yet
-	if d.Misses() == 0 {
+	if d.misses == 0 {
 		t.Fatal("no miss recorded during silence")
 	}
 	mute = false
@@ -112,8 +112,8 @@ func TestDetectorRecoversAfterTransientSilence(t *testing.T) {
 	if dead {
 		t.Fatal("declared dead after transient silence shorter than MaxMisses")
 	}
-	if d.Misses() != 0 {
-		t.Fatalf("misses = %d after recovery, want 0", d.Misses())
+	if d.misses != 0 {
+		t.Fatalf("misses = %d after recovery, want 0", d.misses)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestDetectorResetAfterDeath(t *testing.T) {
 		t.Fatalf("onDead fired %d times, want 1", dead)
 	}
 	d.Reset()
-	if !d.Alive() {
+	if !d.alive {
 		t.Fatal("not alive after Reset")
 	}
 	d.Start()

@@ -9,9 +9,9 @@
 // replica pair never sees the read fan-out (one certificate read per
 // object per broadcast tick serves every subscriber).
 //
-// The session/group/handler design follows lonng/nano: a per-gateway
-// single-pump scheduler (Pump) dispatches every session handler onto one
-// goroutine-owned event loop — the Clock's executor — so a group
+// The session/group/handler design follows lonng/nano: every session
+// handler runs on one goroutine-owned event loop — the Clock's
+// executor — so a group
 // broadcast is a snapshot-then-write loop over a deterministic member
 // order, not a per-session lock storm. Sessions carry the last sequence
 // number they observed per object, so a slow consumer is coalesced
@@ -40,9 +40,8 @@ import (
 
 // Config assembles a Gateway.
 type Config struct {
-	// Clock is the executor every gateway mutation runs on; the gateway's
-	// single pump is this clock's event loop (virtual in tests and chaos,
-	// real in cmd/rtpbd).
+	// Clock is the executor every gateway mutation runs on (virtual in
+	// tests and chaos, real in cmd/rtpbd).
 	Clock clock.Clock
 	// Backend is the replicated store the gateway fronts (a sharded
 	// cluster, a single replica, or a remote control endpoint).
@@ -119,11 +118,10 @@ type Stats struct {
 	WritesForwarded uint64
 }
 
-// Gateway is the front tier. Every method must run on the pump (the
-// Config.Clock executor); callers on other goroutines use Post.
+// Gateway is the front tier. Every method must run on the Config.Clock
+// executor; callers on other goroutines post onto it.
 type Gateway struct {
 	cfg  Config
-	pump *Pump
 	tick *clock.Periodic
 
 	sessions     map[uint64]*Session
@@ -151,7 +149,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:      cfg,
-		pump:     newPump(cfg.Clock),
 		sessions: make(map[uint64]*Session),
 		groups:   make(map[string]*Group),
 		seq:      make(map[string]uint64),
@@ -159,13 +156,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.tick = clock.NewPeriodic(cfg.Clock, cfg.BroadcastPeriod, cfg.BroadcastPeriod, g.broadcast)
 	return g, nil
 }
-
-// Post runs fn on the gateway's pump; it is the only method safe to call
-// from outside the pump.
-func (g *Gateway) Post(fn func()) { g.pump.Post(fn) }
-
-// Pump exposes the single-pump scheduler (stats, executor assertions).
-func (g *Gateway) Pump() *Pump { return g.pump }
 
 // Stats snapshots the gateway's counters.
 func (g *Gateway) Stats() Stats {
@@ -334,7 +324,6 @@ func (g *Gateway) Close() {
 	}
 	g.sessions = map[uint64]*Session{}
 	g.sessionOrder = nil
-	g.pump.close()
 }
 
 // group returns (creating if needed) a named group.
@@ -372,7 +361,6 @@ func (g *Gateway) broadcast() {
 	if g.closed {
 		return
 	}
-	g.pump.noteTick()
 	g.stats.Broadcasts++
 	for _, id := range g.sessionOrder {
 		g.sessions[id].flush()

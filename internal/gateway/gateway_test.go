@@ -185,7 +185,7 @@ func TestSlowConsumerCoalescing(t *testing.T) {
 	c.WriteEvery("alt", ms(5))
 	c.RunFor(time.Second)
 
-	st := s.Stats()
+	st := s.stats
 	if st.SlowSpells == 0 {
 		t.Fatal("session never entered the slow path")
 	}

@@ -46,7 +46,8 @@ type SessionStats struct {
 	SlowSpells uint64
 }
 
-// Session is one connected client. All methods run on the gateway pump.
+// Session is one connected client. All methods run on the gateway's
+// executor.
 type Session struct {
 	id   uint64
 	gw   *Gateway
@@ -63,22 +64,6 @@ type Session struct {
 
 // ID is the gateway-scoped session identifier (monotone, never reused).
 func (s *Session) ID() uint64 { return s.id }
-
-// Stats snapshots the session's delivery counters.
-func (s *Session) Stats() SessionStats { return s.stats }
-
-// Slow reports whether the session is on the coalescing slow path.
-func (s *Session) Slow() bool { return s.slow }
-
-// Groups lists the session's subscriptions in sorted order.
-func (s *Session) Groups() []string {
-	out := make([]string, 0, len(s.groups))
-	for name := range s.groups {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Close ends the session: membership is torn down and the sink closed.
 func (s *Session) Close() { s.close(true) }

@@ -164,11 +164,6 @@ func (n *Network) HealOneWay(from, to string) {
 	delete(n.links, [2]string{from, to})
 }
 
-// Partitioned reports whether the from→to direction is currently cut.
-func (n *Network) Partitioned(from, to string) bool {
-	return n.cuts[[2]string{from, to}]
-}
-
 // Stats returns a snapshot of the fabric counters.
 func (n *Network) Stats() Stats { return n.stats }
 
@@ -252,6 +247,3 @@ func (e *Endpoint) Close() error {
 // SetDown simulates a host crash (true) or recovery (false): a down host
 // neither sends nor receives. Used by the failover experiments.
 func (e *Endpoint) SetDown(down bool) { e.down = down }
-
-// Down reports whether the endpoint is crashed.
-func (e *Endpoint) Down() bool { return e.down }

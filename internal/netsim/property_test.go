@@ -56,7 +56,7 @@ func TestStatsConservation(t *testing.T) {
 				// must land in their own drop category.
 				x, y := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
 				if x != y {
-					if n.Partitioned(x, y) {
+					if n.cuts[[2]string{x, y}] {
 						n.Heal(x, y)
 					} else if rng.Intn(2) == 0 {
 						n.Partition(x, y)

@@ -127,10 +127,6 @@ func (r *Rejoiner) Stop() {
 	}
 }
 
-// Backup returns the backup replica once Start's hook has constructed
-// it (nil before the directory names a successor).
-func (r *Rejoiner) Backup() *core.Replica { return r.b }
-
 // Status reports the loop's progress.
 func (r *Rejoiner) Status() RejoinerStatus { return r.status }
 

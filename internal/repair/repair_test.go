@@ -140,10 +140,10 @@ func TestRejoinerWaitsForSuccessorThenJoins(t *testing.T) {
 	if !st.Joined || st.Primary != addrOf("primary") {
 		t.Fatalf("status = %+v, want joined to primary", st)
 	}
-	if b := rj.Backup(); b == nil || !b.Joined() {
+	if b := rj.b; b == nil || !b.Joined() {
 		t.Fatal("backup never completed its join exchange")
 	}
-	if _, _, ok := rj.Backup().Value("alpha"); !ok {
+	if _, _, ok := rj.b.Value("alpha"); !ok {
 		t.Fatal("rejoined backup missing alpha's state")
 	}
 	if got := f.primary.SyncedPeers(); got != 1 {
@@ -185,7 +185,7 @@ func TestRejoinerJoinSurvivesLossyLink(t *testing.T) {
 	if !rj.Status().Joined {
 		t.Fatalf("rejoin never completed over a 25%%-loss link; status %+v", rj.Status())
 	}
-	if _, _, ok := rj.Backup().Value("beta"); !ok {
+	if _, _, ok := rj.b.Value("beta"); !ok {
 		t.Fatal("rejoined backup missing beta's state")
 	}
 }

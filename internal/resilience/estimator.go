@@ -122,9 +122,6 @@ func (e *Estimator) RTO() time.Duration {
 // SRTT returns the smoothed round-trip time (zero before any sample).
 func (e *Estimator) SRTT() time.Duration { return e.srtt }
 
-// RTTVar returns the smoothed round-trip deviation.
-func (e *Estimator) RTTVar() time.Duration { return e.rttvar }
-
 // LossRate returns the EWMA loss estimate in [0, 1].
 func (e *Estimator) LossRate() float64 { return e.loss }
 

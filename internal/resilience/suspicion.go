@@ -74,10 +74,5 @@ func (s *Suspicion) Level(now time.Time) float64 {
 	return (elapsed - s.mean) / std
 }
 
-// MeanGap returns the EWMA inter-ack gap.
-func (s *Suspicion) MeanGap() time.Duration {
-	return time.Duration(s.mean * float64(time.Second))
-}
-
 // Reset clears all history (used when the monitored peer changes).
 func (s *Suspicion) Reset() { *s = Suspicion{gain: s.gain} }

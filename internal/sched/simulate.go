@@ -48,9 +48,6 @@ type Invocation struct {
 	Missed bool
 }
 
-// ResponseTime reports the job's response time.
-func (iv Invocation) ResponseTime() time.Duration { return iv.Finish - iv.Release }
-
 // Trace is the result of a scheduler simulation.
 type Trace struct {
 	// Tasks is the task set that was actually dispatched. Under PolicyDCS

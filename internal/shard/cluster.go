@@ -540,25 +540,6 @@ func (c *Cluster) Health(i int) Health {
 // Route resolves an object's owning shard.
 func (c *Cluster) Route(name string) (int, bool) { return c.router.Lookup(name) }
 
-// Remove drops an object from the cluster: the owning primary revokes
-// it everywhere (freeing its schedule slots), the monitor stops
-// charging its backup image, and the route is forgotten.
-func (c *Cluster) Remove(name string) error {
-	sh, err := c.owner(name)
-	if err != nil {
-		return err
-	}
-	if err := sh.Primary().RemoveObject(name); err != nil {
-		return err
-	}
-	if sh.Backup() != nil {
-		c.mon.Suspend(sh.site(), name, c.clk.Now())
-	}
-	c.router.Forget(name)
-	c.logf("remove %q from shard %d", name, sh.index)
-	return nil
-}
-
 // Migrate moves one object to another shard. The destination's
 // admission controller is authoritative (the placer's headroom reserve
 // is deliberately not enforced for an explicit migration); current

@@ -117,25 +117,21 @@ func TestRouter(t *testing.T) {
 	if i, ok := r.Lookup("b"); !ok || i != 1 {
 		t.Fatalf("Lookup(b) = %d, %v", i, ok)
 	}
-	if got := r.Objects(); len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("Objects() = %v", got)
+	if _, ok := r.Lookup("d"); ok {
+		t.Fatal("unassigned route resolves")
 	}
 	r.Assign("a", 1) // migration rebinds
 	if i, _ := r.Lookup("a"); i != 1 {
 		t.Fatal("rebind lost")
 	}
-	r.Forget("a")
-	if _, ok := r.Lookup("a"); ok {
-		t.Fatal("forgotten route still resolves")
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+	if len(r.byObject) != 3 {
+		t.Fatalf("%d routes, want 3", len(r.byObject))
 	}
 }
 
 // TestPlacementSequenceKeepsShardsFeasible is the satellite property
-// test: after any accepted sequence of placements and removals, every
-// shard's resident task set still passes its schedulability test.
+// test: after any accepted sequence of placements, every shard's
+// resident task set still passes its schedulability test.
 func TestPlacementSequenceKeepsShardsFeasible(t *testing.T) {
 	periods := []time.Duration{5, 10, 20, 40}
 	deltaPs := []time.Duration{10, 20, 50}
@@ -149,28 +145,19 @@ func TestPlacementSequenceKeepsShardsFeasible(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Stop()
-			next := 0
 			for op := 0; op < 120; op++ {
-				if placed := c.router.Objects(); len(placed) > 0 && rng.Float64() < 0.3 {
-					name := placed[rng.Intn(len(placed))]
-					if err := c.Remove(name); err != nil {
-						t.Fatalf("op %d: remove %q: %v", op, name, err)
-					}
-				} else {
-					dp := deltaPs[rng.Intn(len(deltaPs))] * time.Millisecond
-					s := core.ObjectSpec{
-						Name:         fmt.Sprintf("p%d", next),
-						Size:         1 + rng.Intn(512),
-						UpdatePeriod: periods[rng.Intn(len(periods))] * time.Millisecond,
-						Constraint: temporal.ExternalConstraint{
-							DeltaP: dp,
-							DeltaB: dp + windows[rng.Intn(len(windows))]*time.Millisecond,
-						},
-					}
-					next++
-					if _, _, err := c.Place(s); err != nil && !errors.Is(err, ErrClusterFull) {
-						t.Fatalf("op %d: place %q: %v", op, s.Name, err)
-					}
+				dp := deltaPs[rng.Intn(len(deltaPs))] * time.Millisecond
+				s := core.ObjectSpec{
+					Name:         fmt.Sprintf("p%d", op),
+					Size:         1 + rng.Intn(512),
+					UpdatePeriod: periods[rng.Intn(len(periods))] * time.Millisecond,
+					Constraint: temporal.ExternalConstraint{
+						DeltaP: dp,
+						DeltaB: dp + windows[rng.Intn(len(windows))]*time.Millisecond,
+					},
+				}
+				if _, _, err := c.Place(s); err != nil && !errors.Is(err, ErrClusterFull) {
+					t.Fatalf("op %d: place %q: %v", op, s.Name, err)
 				}
 				for i := 0; i < c.Shards(); i++ {
 					if !c.Shard(i).Primary().Feasible() {

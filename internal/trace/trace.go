@@ -29,24 +29,12 @@ func (s *DurationStats) Add(d time.Duration) {
 // Count reports the number of samples.
 func (s *DurationStats) Count() int { return len(s.samples) }
 
-// Sum reports the total of all samples.
-func (s *DurationStats) Sum() time.Duration { return s.total }
-
 // Mean reports the average sample, or 0 with no samples.
 func (s *DurationStats) Mean() time.Duration {
 	if len(s.samples) == 0 {
 		return 0
 	}
 	return s.total / time.Duration(len(s.samples))
-}
-
-// Min reports the smallest sample, or 0 with no samples.
-func (s *DurationStats) Min() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.samples[0]
 }
 
 // Max reports the largest sample, or 0 with no samples.
@@ -119,14 +107,6 @@ func (d *DistanceTracker) Observe(object uint32, dist time.Duration) {
 		d.maxByObject[object] = dist
 	}
 }
-
-// MaxOf reports the maximum distance observed for one object.
-func (d *DistanceTracker) MaxOf(object uint32) time.Duration {
-	return d.maxByObject[object]
-}
-
-// Objects reports how many distinct objects have samples.
-func (d *DistanceTracker) Objects() int { return len(d.maxByObject) }
 
 // AvgMax reports the average of the per-object maximum distances, the
 // metric of Figures 8-10.

@@ -10,7 +10,7 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestDurationStatsBasics(t *testing.T) {
 	var s DurationStats
-	if s.Count() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Count() != 0 || s.Mean() != 0 || s.Percentile(0) != 0 || s.Max() != 0 {
 		t.Fatal("zero-value stats not all zero")
 	}
 	for _, d := range []time.Duration{ms(30), ms(10), ms(20)} {
@@ -22,11 +22,11 @@ func TestDurationStatsBasics(t *testing.T) {
 	if s.Mean() != ms(20) {
 		t.Fatalf("Mean = %v", s.Mean())
 	}
-	if s.Min() != ms(10) || s.Max() != ms(30) {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Percentile(0) != ms(10) || s.Max() != ms(30) {
+		t.Fatalf("Min/Max = %v/%v", s.Percentile(0), s.Max())
 	}
-	if s.Sum() != ms(60) {
-		t.Fatalf("Sum = %v", s.Sum())
+	if s.total != ms(60) {
+		t.Fatalf("total = %v", s.total)
 	}
 }
 
@@ -54,14 +54,14 @@ func TestDurationStatsAddAfterQuery(t *testing.T) {
 	s.Add(ms(10))
 	_ = s.Max()
 	s.Add(ms(5))
-	if s.Min() != ms(5) {
-		t.Fatalf("Min after re-add = %v, want 5ms", s.Min())
+	if s.Percentile(0) != ms(5) {
+		t.Fatalf("min after re-add = %v, want 5ms", s.Percentile(0))
 	}
 }
 
 func TestDistanceTracker(t *testing.T) {
 	d := NewDistanceTracker()
-	if d.AvgMax() != 0 || d.Objects() != 0 {
+	if d.AvgMax() != 0 || len(d.maxByObject) != 0 {
 		t.Fatal("empty tracker not zero")
 	}
 	d.Observe(1, ms(10))
@@ -69,11 +69,11 @@ func TestDistanceTracker(t *testing.T) {
 	d.Observe(1, ms(20)) // not a new max
 	d.Observe(2, ms(50))
 	d.Observe(3, -ms(5)) // clamped to 0
-	if d.MaxOf(1) != ms(30) {
-		t.Fatalf("MaxOf(1) = %v", d.MaxOf(1))
+	if d.maxByObject[1] != ms(30) {
+		t.Fatalf("max of object 1 = %v", d.maxByObject[1])
 	}
-	if d.Objects() != 3 {
-		t.Fatalf("Objects = %d", d.Objects())
+	if len(d.maxByObject) != 3 {
+		t.Fatalf("objects = %d", len(d.maxByObject))
 	}
 	// AvgMax = (30+50+0)/3 ≈ 26.67ms
 	want := (ms(30) + ms(50)) / 3

@@ -35,10 +35,6 @@ type Frame struct {
 // ErrNestedFrame is returned when a frame contains another frame.
 var ErrNestedFrame = errors.New("wire: nested frame")
 
-// MaxFrameMessages is the most messages one frame can carry (the count
-// prefix is 16 bits).
-const MaxFrameMessages = 1<<16 - 1
-
 // WireKind implements Message.
 func (*Frame) WireKind() Kind { return KindFrame }
 
@@ -195,12 +191,6 @@ func (b *FrameBuilder) Reset() {
 	b.count = 0
 }
 
-// Append encodes one message into the builder.
-func (b *FrameBuilder) Append(m Message) {
-	b.buf = appendFramed(b.buf, m)
-	b.count++
-}
-
 // AppendEncoded appends one already-encoded message (a complete RTPB
 // encoding including its header). The broadcast path uses it to encode an
 // update once and frame it for several peers without re-encoding.
@@ -209,16 +199,6 @@ func (b *FrameBuilder) AppendEncoded(enc []byte) {
 	b.buf = append(b.buf, enc...)
 	b.count++
 }
-
-// Count reports the number of messages appended since the last Reset.
-func (b *FrameBuilder) Count() int { return b.count }
-
-// Size reports the bytes the framed datagram would occupy now. The send
-// path checks it against its frame byte budget before appending more.
-func (b *FrameBuilder) Size() int { return len(b.buf) }
-
-// Full reports whether the frame has reached its message-count capacity.
-func (b *FrameBuilder) Full() bool { return b.count >= MaxFrameMessages }
 
 // Datagram finalizes and returns the datagram bytes: nil when nothing was
 // appended, the single message's bare encoding when one was (so a lone

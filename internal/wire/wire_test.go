@@ -156,9 +156,9 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrUnknownKind", name, err)
 		}
 		f := NewFrameBuilder()
-		f.Append(&Ping{Seq: 1, From: RolePrimary})
+		f.AppendEncoded(Encode(&Ping{Seq: 1, From: RolePrimary}))
 		f.AppendEncoded(b)
-		f.Append(&Update{ObjectID: 1, Seq: 1, Payload: []byte("x")})
+		f.AppendEncoded(Encode(&Update{ObjectID: 1, Seq: 1, Payload: []byte("x")}))
 		if msgs, err := DecodeFrame(f.Datagram()); !errors.Is(err, ErrUnknownKind) || msgs != nil {
 			t.Errorf("%s in a frame: %d messages, err = %v, want none and ErrUnknownKind", name, len(msgs), err)
 		}

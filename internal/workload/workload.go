@@ -51,15 +51,6 @@ func NewClient(clk clock.Clock, p *core.Replica, object string, offset, period t
 // Stop halts the writer.
 func (c *Client) Stop() { c.task.Stop() }
 
-// Responses exposes the recorded response-time distribution.
-func (c *Client) Responses() *trace.DurationStats { return &c.stats }
-
-// Writes reports the number of writes issued.
-func (c *Client) Writes() int { return c.writes }
-
-// Errors reports the number of failed writes.
-func (c *Client) Errors() int { return c.errs }
-
 // SpecParams parameterizes a generated object set.
 type SpecParams struct {
 	// N is the number of objects.

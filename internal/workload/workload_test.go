@@ -39,16 +39,16 @@ func TestClientWritesPeriodically(t *testing.T) {
 	c.Stop()
 	clk.RunFor(ms(50))
 	// Writes at 0,40,...,1000 → 26 writes.
-	if c.Writes() != 26 {
-		t.Fatalf("writes = %d, want 26", c.Writes())
+	if c.writes != 26 {
+		t.Fatalf("writes = %d, want 26", c.writes)
 	}
-	if c.Responses().Count() != 26 {
-		t.Fatalf("responses = %d, want 26", c.Responses().Count())
+	if c.stats.Count() != 26 {
+		t.Fatalf("responses = %d, want 26", c.stats.Count())
 	}
-	if c.Errors() != 0 {
-		t.Fatalf("errors = %d", c.Errors())
+	if c.errs != 0 {
+		t.Fatalf("errors = %d", c.errs)
 	}
-	if c.Responses().Mean() <= 0 {
+	if c.stats.Mean() <= 0 {
 		t.Fatal("mean response not positive")
 	}
 }
@@ -58,10 +58,10 @@ func TestClientCountsErrorsForUnknownObject(t *testing.T) {
 	c := NewClient(clk, p, "ghost", 0, ms(40), 16)
 	clk.RunFor(ms(200))
 	c.Stop()
-	if c.Errors() == 0 {
+	if c.errs == 0 {
 		t.Fatal("no errors recorded for unregistered object")
 	}
-	if c.Responses().Count() != 0 {
+	if c.stats.Count() != 0 {
 		t.Fatal("failed writes produced response samples")
 	}
 }
