@@ -24,6 +24,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+
+	"rtpb/internal/wire"
 )
 
 // Kind discriminates log record types.
@@ -77,10 +79,14 @@ type Record struct {
 // check out.
 const (
 	recordHeader = 8
-	// MaxRecordBytes bounds a single record (framing included). A
-	// length prefix beyond this is corruption, not a large record —
-	// it stops replay instead of attempting a huge allocation.
-	MaxRecordBytes = 1 << 20
+	// applyFixed is an Apply record's body less its value: kind, object
+	// ID, epoch, seq, version and value length.
+	applyFixed = 1 + 4 + 4 + 8 + 8 + 4
+	// maxRecordBytes bounds a single record (framing included) at an
+	// Apply record of the largest value a write may carry. A length
+	// prefix beyond it is corruption, not a large record — it stops
+	// replay instead of attempting a huge allocation.
+	maxRecordBytes = recordHeader + applyFixed + wire.MaxPayload
 )
 
 var (
@@ -148,7 +154,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	}
 	n := binary.LittleEndian.Uint32(b)
 	crc := binary.LittleEndian.Uint32(b[4:])
-	if n == 0 || n > MaxRecordBytes-recordHeader {
+	if n == 0 || n > maxRecordBytes-recordHeader {
 		return r, 0, ErrCorruptRecord
 	}
 	if uint32(len(b)-recordHeader) < n {
