@@ -219,9 +219,14 @@ func (l *Log) closeSegment() {
 
 // AppendSpec logs an object registration.
 func (l *Log) AppendSpec(st ObjectState) {
-	r := Record{Kind: KindSpec, ObjectID: st.ID, Name: st.Name, Size: st.Size,
-		Period: st.Period, DeltaP: st.DeltaP, DeltaB: st.DeltaB, Critical: st.Critical}
+	r := specRecord(&st)
 	l.enqueue(&r)
+}
+
+// specRecord is the Spec record of an object's durable image.
+func specRecord(o *ObjectState) Record {
+	return Record{Kind: KindSpec, ObjectID: o.ID, Name: o.Name, Size: o.Size,
+		Period: o.Period, DeltaP: o.DeltaP, DeltaB: o.DeltaB, Critical: o.Critical}
 }
 
 // AppendApply logs an applied value. The payload is copied before the

@@ -59,19 +59,13 @@ func Recover(dir string) (*State, *RecoveryStats, error) {
 	var cover uint64
 	for _, sn := range snaps { // newest first
 		rs.SnapshotsTried++
-		epoch, cv, list, ok := loadSnapshot(sn.Path)
+		epoch, cv, recs, ok := loadSnapshot(sn.Path)
 		if !ok {
 			continue
 		}
-		rs.SnapshotUsed = true
-		rs.SnapshotEpoch = epoch
-		cover = cv
-		if epoch > st.Epoch {
-			st.Epoch = epoch
-		}
-		for i := range list {
-			o := list[i]
-			objs[o.ID] = &o
+		rs.SnapshotUsed, rs.SnapshotEpoch, cover = true, epoch, cv
+		for i := range recs {
+			applyToState(objs, st, &recs[i])
 		}
 		break
 	}
