@@ -65,6 +65,27 @@ var testOnlyMethods = map[string]string{
 	"internal/core.Replica.Feasible": "internal/shard.TestPlacementSequenceKeepsShardsFeasible",
 }
 
+// testOnlyFields are the exported fields of struct types under
+// internal/, keyed "pkg.Type.Field", that non-test code reads but only
+// tests set, each with the test or benchmark that sets it: one of the
+// field's own package ("TestX"), or of another ("rtpb.BenchmarkX").
+// Every entry is kept on purpose: each is the reference arm of a
+// comparison the paper or the design makes.
+var testOnlyFields = map[string]string{
+	// The seed's request storm, which the retransmission throttle damps.
+	"internal/core.Config.DisableRetransmitThrottle": "TestRetransmitThrottleDampsRequestStorm",
+	// The harness must catch the split brain that epoch fencing prevents.
+	"internal/chaos.Scenario.DisableFencing": "TestChaosCatchesFencingRegression",
+	// The scheduling simulator releases offset tasks; admission assigns
+	// none yet (ROADMAP 1a).
+	"internal/sched.Task.Offset": "TestSimulateOffsets",
+	// A pinned cell of Run: backup-initiated retransmission switched off.
+	"internal/experiments.Params.DisableGapRecovery": "TestRunCountersPinned",
+	// The paper's half-window slack against scheduling at the Theorem 5
+	// boundary.
+	"internal/experiments.Params.SlackFactor": "rtpb.BenchmarkAblationSlackFactor",
+}
+
 // TestInternalFuncsHaveCallers fails when an exported package-level
 // function under internal/ is referenced by no non-test file in the
 // module (ROADMAP aim 2: ship only what a binary or a scenario runs),
@@ -74,8 +95,8 @@ var testOnlyMethods = map[string]string{
 // type-checked from source, so a reference is a resolved use of the
 // function's object, not a matching name.
 func TestInternalFuncsHaveCallers(t *testing.T) {
-	m := loadModule(t)
-	exported := map[*types.Func]string{} // function → "pkg.Name"
+	m := loadModule(t, false)
+	exported := map[types.Object]string{} // function → "pkg.Name"
 	for _, p := range m.internal() {
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
@@ -84,7 +105,7 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 			}
 		}
 	}
-	checkUses(t, m, "testOnlyFuncs", testOnlyFuncs, exported, m.used(exported))
+	checkUses(t, m, funcGuard, testOnlyFuncs, exported, m.used(exported))
 }
 
 // TestInternalMethodsHaveCallers is the same guard for the exported
@@ -97,8 +118,8 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 // that uses it, and a stale entry fails as a stale testOnlyFuncs entry
 // does.
 func TestInternalMethodsHaveCallers(t *testing.T) {
-	m := loadModule(t)
-	exported := map[*types.Func]string{} // method → "pkg.Type.Name"
+	m := loadModule(t, false)
+	exported := map[types.Object]string{} // method → "pkg.Type.Name"
 	var named []*types.Named
 	for _, p := range m.internal() {
 		scope := p.types.Scope()
@@ -165,13 +186,178 @@ func TestInternalMethodsHaveCallers(t *testing.T) {
 			}
 		}
 	}
-	checkUses(t, m, "testOnlyMethods", testOnlyMethods, exported, used)
+	checkUses(t, m, methodGuard, testOnlyMethods, exported, used)
 }
 
+// TestInternalFieldsAreSet is the guard for the exported fields of
+// every struct type declared under internal/: a field that a non-test
+// file reads must also be set by one, anywhere in the module, or it is
+// an option only tests choose and its branch is dead in every binary;
+// and a field that no file reads, tests included, is dead bookkeeping.
+// A field is set where it is a composite-literal key (or a positional
+// literal lists it), the target of an assignment or an inc/dec, has its
+// address taken, or has a pointer-receiver method called on it, and
+// where a field inside it is set that way. A write-only target (plain
+// assignment, op-assignment, inc/dec) is not a read, and neither is
+// reflection (encoding/json, fmt's %v). Otherwise testOnlyFields must
+// name the test that sets it, and a stale entry fails as a stale
+// testOnlyFuncs entry does.
+func TestInternalFieldsAreSet(t *testing.T) {
+	m := loadModule(t, false)
+	exported := map[types.Object]string{} // field → "pkg.Type.Name"
+	for _, p := range m.internal() {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					exported[f] = strings.TrimPrefix(p.path, "rtpb/") + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	read, set := m.fieldUses()
+	ok := map[types.Object]bool{}
+	for f := range exported {
+		ok[f] = !read[f] || set[f]
+	}
+	checkUses(t, m, fieldGuard, testOnlyFields, exported, ok)
+
+	// Tests included, some file must read every field. An embedded field
+	// is skipped: its promoted selections read it.
+	all := loadModule(t, true)
+	readAnywhere, _ := all.fieldUses()
+	readAt := map[string]bool{}
+	for f := range readAnywhere {
+		readAt[all.fset.Position(f.Pos()).String()] = true
+	}
+	var unread []string
+	for f, name := range exported {
+		if !f.(*types.Var).Embedded() && !readAt[m.fset.Position(f.Pos()).String()] {
+			unread = append(unread, name)
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("%s is read by no file, tests included: delete it", name)
+	}
+}
+
+// fieldUses sorts every non-test use of a struct field (through its
+// generic origin) into reads and sets, as TestInternalFieldsAreSet
+// defines them.
+func (m *module) fieldUses() (read, set map[types.Object]bool) {
+	read, set = map[types.Object]bool{}, map[types.Object]bool{}
+	for _, p := range m.pkgs {
+		info := p.info
+		field := func(id *ast.Ident) *types.Var {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+				return v.Origin()
+			}
+			return nil
+		}
+		writeOnly := map[*ast.Ident]bool{}
+		// target marks the fields that e stores into as set: a field, and
+		// the value fields and array elements that hold it.
+		target := func(e ast.Expr, write bool) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.IndexExpr:
+					if _, ok := info.Types[x.X].Type.Underlying().(*types.Array); ok {
+						e = x.X
+						continue
+					}
+				case *ast.SelectorExpr:
+					if f := field(x.Sel); f != nil {
+						set[f] = true
+						writeOnly[x.Sel] = write
+						if _, ptr := f.Type().Underlying().(*types.Pointer); !ptr {
+							e = x.X
+							continue
+						}
+					}
+				}
+				return
+			}
+		}
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := info.Types[x].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range x.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if f := field(kv.Key.(*ast.Ident)); f != nil {
+								set[f], writeOnly[kv.Key.(*ast.Ident)] = true, true
+							}
+						} else {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						target(lhs, true)
+					}
+				case *ast.IncDecStmt:
+					target(x.X, true)
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						target(x.X, false)
+					}
+				case *ast.SelectorExpr:
+					sel := info.Selections[x]
+					if sel == nil || sel.Kind() != types.MethodVal {
+						break
+					}
+					_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+					_, ptrX := info.Types[x.X].Type.Underlying().(*types.Pointer)
+					if ptrRecv && !ptrX {
+						target(x.X, false)
+					}
+				}
+				return true
+			})
+		}
+		for id := range info.Uses {
+			if f := field(id); f != nil && !writeOnly[id] {
+				read[f] = true
+			}
+		}
+	}
+	return read, set
+}
+
+// guard names a pass's allowlist and words for its messages.
+type guard struct {
+	list   string // the allowlist's name
+	kind   string // what the pass checks
+	lacks  string // what a flagged object lacks outside tests
+	remedy string // what its allowlist entry names
+	has    string // what a stale entry's object gained
+}
+
+var (
+	funcGuard   = guard{"testOnlyFuncs", "function", "has no use outside tests", "uses it", "has a non-test use now"}
+	methodGuard = guard{"testOnlyMethods", "method", "has no use outside tests", "uses it", "has a non-test use now"}
+	fieldGuard  = guard{"testOnlyFields", "struct field", "is read but set only by tests", "sets it", "has a non-test setter now"}
+)
+
 // checkUses reports every exported object that is neither used nor in
-// the allowlist allow (named list in messages), and every stale entry of
-// that allowlist.
-func checkUses(t *testing.T, m *module, list string, allow map[string]string, exported map[*types.Func]string, used map[*types.Func]bool) {
+// the allowlist allow, and every stale entry of that allowlist.
+func checkUses(t *testing.T, m *module, g guard, allow map[string]string, exported map[types.Object]string, used map[types.Object]bool) {
 	t.Helper()
 	seen := map[string]bool{}
 	var dead []string
@@ -183,20 +369,20 @@ func checkUses(t *testing.T, m *module, list string, allow map[string]string, ex
 		}
 		switch {
 		case listed && used[f]:
-			t.Errorf("%s has a non-test use now; drop its %s entry", name, list)
+			t.Errorf("%s %s; drop its %s entry", name, g.has, g.list)
 		case listed && !m.tests[test]:
-			t.Errorf("%s: %s names %s, which is not a test or fuzz function", list, name, test)
+			t.Errorf("%s: %s names %s, which is not a test, fuzz or benchmark function", g.list, name, test)
 		case !listed && !used[f]:
 			dead = append(dead, name)
 		}
 	}
 	sort.Strings(dead)
 	for _, name := range dead {
-		t.Errorf("%s has no use outside tests: delete it, or list the test that uses it in %s", name, list)
+		t.Errorf("%s %s: delete it, or list the test that %s in %s", name, g.lacks, g.remedy, g.list)
 	}
 	for name := range allow {
 		if !seen[name] {
-			t.Errorf("%s: %s is not an exported function or method under internal/; drop its entry", list, name)
+			t.Errorf("%s: %s is not an exported %s under internal/; drop its entry", g.list, name, g.kind)
 		}
 	}
 }
@@ -204,25 +390,28 @@ func checkUses(t *testing.T, m *module, list string, allow map[string]string, ex
 // modPkg is one type-checked non-test package of the module.
 type modPkg struct {
 	path  string
+	files []*ast.File
 	types *types.Package
 	info  *types.Info
 }
 
-// module is the module's non-test packages, type-checked, and its test
-// and fuzz functions ("internal/wire.FuzzDecodeFrame").
+// module is the module's non-test packages, type-checked, and its test,
+// fuzz and benchmark functions ("internal/wire.FuzzDecodeFrame").
 type module struct {
+	fset  *token.FileSet
 	pkgs  map[string]*modPkg
 	tests map[string]bool
 }
 
 // loadModule parses every package directory of the module (build
 // constraints applied for this platform) and type-checks the non-test
-// files: module imports resolve to the packages checked here, the
+// files, or with withTests every file, each external test package as
+// "<path>_test": module imports resolve to the packages checked here, the
 // standard library through the source importer.
-func loadModule(t *testing.T) *module {
+func loadModule(t *testing.T, withTests bool) *module {
 	t.Helper()
 	fset := token.NewFileSet()
-	m := &module{pkgs: map[string]*modPkg{}, tests: map[string]bool{}}
+	m := &module{fset: fset, pkgs: map[string]*modPkg{}, tests: map[string]bool{}}
 	files := map[string][]*ast.File{} // import path → non-test files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		switch {
@@ -246,9 +435,16 @@ func loadModule(t *testing.T) *module {
 			files[ip] = append(files[ip], f)
 			return nil
 		}
+		if withTests {
+			tip := ip
+			if strings.HasSuffix(f.Name.Name, "_test") {
+				tip += "_test"
+			}
+			files[tip] = append(files[tip], f)
+		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Recv == nil && (strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+			if ok && fd.Recv == nil && (strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz") || strings.HasPrefix(fd.Name.Name, "Benchmark")) {
 				m.tests[strings.TrimPrefix(ip, "rtpb/")+"."+fd.Name.Name] = true
 			}
 		}
@@ -273,12 +469,16 @@ func loadModule(t *testing.T) *module {
 		if !ok {
 			return nil, fmt.Errorf("no non-test files for %s", ip)
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		tp, err := (&types.Config{Importer: imp}).Check(ip, fset, pkgFiles, info)
 		if err != nil {
 			return nil, err
 		}
-		m.pkgs[ip] = &modPkg{path: ip, types: tp, info: info}
+		m.pkgs[ip] = &modPkg{path: ip, files: pkgFiles, types: tp, info: info}
 		return tp, nil
 	}
 	for ip := range files {
@@ -303,8 +503,8 @@ func (m *module) internal() []*modPkg {
 // used marks each object of exported that a non-test file references
 // (through its generic origin), not counting a function's references to
 // itself.
-func (m *module) used(exported map[*types.Func]string) map[*types.Func]bool {
-	used := map[*types.Func]bool{}
+func (m *module) used(exported map[types.Object]string) map[types.Object]bool {
+	used := map[types.Object]bool{}
 	for _, p := range m.pkgs {
 		for id, obj := range p.info.Uses {
 			f, ok := obj.(*types.Func)

@@ -103,9 +103,6 @@ type Sequencer struct {
 	nextSeq uint64
 	pending map[uint64]*pendingOrder
 	running bool
-
-	// OnCommit, when set, observes every fully acknowledged order.
-	OnCommit func(seq uint64, objectID uint32)
 }
 
 type objectState struct {
@@ -277,9 +274,6 @@ func (s *Sequencer) Demux(m *xkernel.Message, from xkernel.Addr) error {
 	if p.retry != nil {
 		p.retry.Cancel()
 	}
-	if s.OnCommit != nil {
-		s.OnCommit(ack.Seq, p.order.ObjectID)
-	}
 	if p.done != nil {
 		p.done(s.clk.Now().Sub(p.start), nil)
 	}
@@ -294,9 +288,6 @@ type Member struct {
 	applied uint64
 	hold    map[uint64]*wire.Order
 	objects map[uint32]*objectState
-
-	// OnApply, when set, observes every in-order application.
-	OnApply func(seq uint64, objectID uint32, version, at time.Time)
 }
 
 var _ xkernel.Upper = (*Member)(nil)
@@ -359,8 +350,5 @@ func (m *Member) Demux(msg *xkernel.Message, from xkernel.Addr) error {
 		o.value = append(o.value[:0], next.Payload...)
 		o.version = time.Unix(0, next.Version)
 		o.hasData = true
-		if m.OnApply != nil {
-			m.OnApply(next.Seq, next.ObjectID, o.version, m.cfg.Clock.Now())
-		}
 	}
 }

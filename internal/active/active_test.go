@@ -105,25 +105,26 @@ func TestTotalOrderUnderJitter(t *testing.T) {
 	// sequence order.
 	ac := newActiveCluster(t, 2, netsim.LinkParams{Delay: ms(1), Jitter: ms(8)}, 3)
 	id, _ := ac.sequencer.Register("x")
-	var lastApplied uint64
-	ordered := true
-	ac.members[0].OnApply = func(seq uint64, _ uint32, _, _ time.Time) {
-		if seq != lastApplied+1 {
-			ordered = false
-		}
-		lastApplied = seq
+	// Order k carries payload k−1, so a member that applied k orders in
+	// sequence holds k−1.
+	m := ac.members[0]
+	inOrder := func() bool {
+		return m.applied == 0 || m.objects[id].value[0] == byte(m.applied-1)
 	}
 	for i := 0; i < 30; i++ {
 		payload := []byte{byte(i)}
 		ac.sequencer.ClientWrite("x", payload, nil)
 		ac.clk.RunFor(ms(5))
+		if !inOrder() {
+			t.Fatalf("member applied orders out of sequence: %d applied, value %v", m.applied, m.objects[id].value)
+		}
 	}
 	ac.clk.RunFor(time.Second)
-	if !ordered {
+	if !inOrder() {
 		t.Fatal("member applied orders out of sequence")
 	}
-	if lastApplied != 30 {
-		t.Fatalf("applied %d orders, want 30", lastApplied)
+	if m.applied != 30 {
+		t.Fatalf("applied %d orders, want 30", m.applied)
 	}
 	v := ac.members[1].objects[id].value
 	if len(v) != 1 || v[0] != 29 {
@@ -163,15 +164,13 @@ func TestLossInflatesActiveResponseTime(t *testing.T) {
 func TestDuplicateOrdersAckedAndIgnored(t *testing.T) {
 	ac := newActiveCluster(t, 1, netsim.LinkParams{Delay: ms(2), DuplicateProb: 1}, 5)
 	id, _ := ac.sequencer.Register("x")
-	applies := 0
-	ac.members[0].OnApply = func(uint64, uint32, time.Time, time.Time) { applies++ }
 	done := false
 	ac.sequencer.ClientWrite("x", []byte("v"), func(time.Duration, error) { done = true })
 	ac.clk.RunFor(200 * time.Millisecond)
 	if !done {
 		t.Fatal("write did not commit under duplication")
 	}
-	if applies != 1 {
+	if applies := ac.members[0].applied; applies != 1 {
 		t.Fatalf("applies = %d, want 1 (duplicates ignored)", applies)
 	}
 	if v := ac.members[0].objects[id].value; string(v) != "v" {

@@ -50,21 +50,15 @@ func (Converged) Check(h *Harness) error {
 }
 
 // BoundHeld asserts the external temporal-consistency bound δ^B held for
-// the whole run at one backup site, for every object.
-type BoundHeld struct {
-	// Site is the backup node name; empty means BackupNode.
-	Site string
-}
+// the whole run at BackupNode, for every object.
+type BoundHeld struct{}
 
 // Name implements Checker.
 func (BoundHeld) Name() string { return "external-bound" }
 
 // Check implements Checker.
-func (c BoundHeld) Check(h *Harness) error {
-	site := c.Site
-	if site == "" {
-		site = BackupNode
-	}
+func (BoundHeld) Check(h *Harness) error {
+	site := BackupNode
 	for _, spec := range h.sc.Objects {
 		r, ok := h.mon.ExternalReport(site, spec.Name)
 		if !ok {
@@ -94,36 +88,27 @@ type checkpoint struct {
 	ok     bool
 }
 
-// BoundHeldUntil asserts the external bound held at one backup site up
+// BoundHeldUntil asserts the external bound held at BackupNode up
 // to an offset from scenario start — the checkpoint form used when a
 // later fault legitimately breaks the bound (e.g. a crash window). The
 // evidence is captured at that instant during the run through the
 // monitor's non-destructive snapshot hook, so the full-run statistics
 // are untouched.
 type BoundHeldUntil struct {
-	// Site is the backup node name; empty means BackupNode.
-	Site string
 	// Until is the offset from scenario start up to which the bound must
 	// have held.
 	Until time.Duration
 }
 
-func (c BoundHeldUntil) site() string {
-	if c.Site == "" {
-		return BackupNode
-	}
-	return c.Site
-}
-
 func (c BoundHeldUntil) key(object string) string {
-	return fmt.Sprintf("%s/%s@%v", c.site(), object, c.Until)
+	return fmt.Sprintf("%s/%s@%v", BackupNode, object, c.Until)
 }
 
 // arm schedules the snapshot capture at the checkpoint instant.
 func (c BoundHeldUntil) arm(h *Harness) {
 	h.clk.Schedule(c.Until, func() {
 		for _, spec := range h.sc.Objects {
-			r, ok := h.mon.SnapshotExternal(c.site(), spec.Name, h.clk.Now())
+			r, ok := h.mon.SnapshotExternal(BackupNode, spec.Name, h.clk.Now())
 			h.checkpoints[c.key(spec.Name)] = checkpoint{report: r, ok: ok}
 		}
 	})
@@ -140,36 +125,30 @@ func (c BoundHeldUntil) Check(h *Harness) error {
 			return fmt.Errorf("checkpoint at +%v was never captured", c.Until)
 		}
 		if !ck.ok {
-			return fmt.Errorf("no report for %s/%s", c.site(), spec.Name)
+			return fmt.Errorf("no report for %s/%s", BackupNode, spec.Name)
 		}
 		r := ck.report
 		if r.Updates == 0 {
-			return fmt.Errorf("%s/%s never applied an update", c.site(), spec.Name)
+			return fmt.Errorf("%s/%s never applied an update", BackupNode, spec.Name)
 		}
 		if !r.Consistent() {
 			return fmt.Errorf("%s/%s: %v beyond δB=%v before +%v",
-				c.site(), spec.Name, r.ViolationTime, r.Delta, c.Until)
+				BackupNode, spec.Name, r.ViolationTime, r.Delta, c.Until)
 		}
 	}
 	return nil
 }
 
 // InterBoundHeld asserts every registered inter-object constraint held
-// at one backup site.
-type InterBoundHeld struct {
-	// Site is the backup node name; empty means BackupNode.
-	Site string
-}
+// at BackupNode.
+type InterBoundHeld struct{}
 
 // Name implements Checker.
 func (InterBoundHeld) Name() string { return "inter-object-bound" }
 
 // Check implements Checker.
-func (c InterBoundHeld) Check(h *Harness) error {
-	site := c.Site
-	if site == "" {
-		site = BackupNode
-	}
+func (InterBoundHeld) Check(h *Harness) error {
+	site := BackupNode
 	for _, ioc := range h.sc.InterObjects {
 		r, ok := h.mon.InterObjectReport(site, ioc.I, ioc.J)
 		if !ok {
@@ -275,12 +254,10 @@ func (c GovernorRecovered) Check(h *Harness) error {
 	return nil
 }
 
-// RetransmitDamped asserts the backup's gap-recovery throttle engaged:
-// at most MaxRequests retransmission requests left the site while at
-// least MinSuppressed were absorbed by the backoff window.
+// RetransmitDamped asserts the gap-recovery throttle of the backup on
+// BackupNode engaged: at most MaxRequests retransmission requests left
+// it while at least MinSuppressed were absorbed by the backoff window.
 type RetransmitDamped struct {
-	// Site is the backup node name; empty means BackupNode.
-	Site string
 	// MaxRequests caps the requests actually sent.
 	MaxRequests int
 	// MinSuppressed floors the requests absorbed by the throttle.
@@ -292,10 +269,7 @@ func (RetransmitDamped) Name() string { return "retransmit-damped" }
 
 // Check implements Checker.
 func (c RetransmitDamped) Check(h *Harness) error {
-	site := c.Site
-	if site == "" {
-		site = BackupNode
-	}
+	site := BackupNode
 	n := h.nodes[site]
 	if n == nil || n.running(core.RoleBackup) == nil {
 		return fmt.Errorf("no running backup on %s", site)
@@ -556,22 +530,23 @@ type honestBoundsEvidence struct {
 	failures []string
 }
 
-// HonestBounds is the clock-sync honesty invariant: at a fixed cadence
+// HonestBounds is the clock-sync honesty invariant: every honestEvery
 // during the run, the backup's estimated offset is compared against the
 // injected ground truth (the difference of the two nodes' SkewedClock
 // true offsets, which no protocol participant can see), and the true
 // error must never exceed the θ the estimator reports. An estimator that
 // under-reports θ — claims a tighter bound than it has — fails here even
-// if every scenario assertion happens to pass.
+// if every scenario assertion happens to pass, and so does a run with
+// fewer than honestMinChecks valid estimates (a vacuous pass).
 type HonestBounds struct {
 	// Site is the probing backup's node; empty means BackupNode.
 	Site string
-	// Every is the check cadence; zero means 25ms.
-	Every time.Duration
-	// MinChecks floors the number of checks that must have run with a
-	// valid estimate (guarding against vacuous passes); zero means 10.
-	MinChecks int
 }
+
+const (
+	honestEvery     = 25 * time.Millisecond
+	honestMinChecks = 10
+)
 
 func (c HonestBounds) site() string {
 	if c.Site == "" {
@@ -582,13 +557,9 @@ func (c HonestBounds) site() string {
 
 // arm schedules the periodic ground-truth comparison.
 func (c HonestBounds) arm(h *Harness) {
-	every := c.Every
-	if every == 0 {
-		every = 25 * time.Millisecond
-	}
 	ev := &honestBoundsEvidence{}
 	h.honestChecks[c.site()] = ev
-	clock.NewPeriodic(h.clk, every, every, func() {
+	clock.NewPeriodic(h.clk, honestEvery, honestEvery, func() {
 		n := h.nodes[c.site()]
 		if n == nil || n.running(core.RoleBackup) == nil {
 			return
@@ -634,29 +605,20 @@ func (c HonestBounds) Check(h *Harness) error {
 		return fmt.Errorf("θ dishonest in %d of %d checks, first: %s",
 			len(ev.failures), ev.checks, ev.failures[0])
 	}
-	min := c.MinChecks
-	if min == 0 {
-		min = 10
-	}
-	if ev.checks < min {
-		return fmt.Errorf("only %d checks ran with a valid estimate, want at least %d", ev.checks, min)
+	if ev.checks < honestMinChecks {
+		return fmt.Errorf("only %d checks ran with a valid estimate, want at least %d", ev.checks, honestMinChecks)
 	}
 	return nil
 }
 
 // UnverifiableWindow asserts the monitor's suspend-not-lie behaviour was
-// actually exercised: every object at the site spent at least MinTime
+// actually exercised: every object at BackupNode spent at least MinTime
 // unverifiable (θ exceeded the slack), accrued zero violations of the
-// verifiable bound, and — unless EndsUnverifiable — recovered to a
-// verifiable state by the end of the run.
+// verifiable bound, and recovered to a verifiable state by the end of
+// the run.
 type UnverifiableWindow struct {
-	// Site is the backup node name; empty means BackupNode.
-	Site string
 	// MinTime floors each object's total unverifiable time.
 	MinTime time.Duration
-	// EndsUnverifiable, when set, expects the run to end with θ still
-	// beyond the slack.
-	EndsUnverifiable bool
 }
 
 // Name implements Checker.
@@ -664,10 +626,7 @@ func (UnverifiableWindow) Name() string { return "unverifiable-window" }
 
 // Check implements Checker.
 func (c UnverifiableWindow) Check(h *Harness) error {
-	site := c.Site
-	if site == "" {
-		site = BackupNode
-	}
+	site := BackupNode
 	for _, spec := range h.sc.Objects {
 		r, ok := h.mon.ExternalReport(site, spec.Name)
 		if !ok {
@@ -684,9 +643,8 @@ func (c UnverifiableWindow) Check(h *Harness) error {
 			return fmt.Errorf("%s/%s: %v charged beyond the verifiable bound — the monitor lied instead of suspending",
 				site, spec.Name, r.ViolationTime)
 		}
-		if r.Unverifiable != c.EndsUnverifiable {
-			return fmt.Errorf("%s/%s ended unverifiable=%v, want %v",
-				site, spec.Name, r.Unverifiable, c.EndsUnverifiable)
+		if r.Unverifiable {
+			return fmt.Errorf("%s/%s ended unverifiable=true, want false", site, spec.Name)
 		}
 		if r.Verified() {
 			return fmt.Errorf("%s/%s claims Verified() despite %v unverifiable — the honesty flag is broken",
@@ -706,7 +664,7 @@ type observerCertEvidence struct {
 }
 
 // ObserverHonestCerts is the certificate-honesty invariant for an
-// observer under fault: at a fixed cadence inside a window — typically a
+// observer under fault: every 20 ms inside a window — typically a
 // partition — every certificate the observer serves is compared against
 // ground truth. Version stamps ride the relay stream unchanged, so the
 // true staleness of the observer's image is exactly the fabric-clock age
@@ -722,8 +680,6 @@ type ObserverHonestCerts struct {
 	Node string
 	// From and To bound the sampling window (offsets from start).
 	From, To time.Duration
-	// Every is the sampling cadence; zero means 20ms.
-	Every time.Duration
 	// MinStale floors the provably-stale (non-Fresh) samples; zero means
 	// no staleness is required of the window.
 	MinStale int
@@ -737,13 +693,9 @@ func (c ObserverHonestCerts) key() string {
 
 // arm schedules the periodic ground-truth comparison across the window.
 func (c ObserverHonestCerts) arm(h *Harness) {
-	every := c.Every
-	if every == 0 {
-		every = 20 * time.Millisecond
-	}
 	ev := &observerCertEvidence{}
 	h.obsChecks[c.key()] = ev
-	task := clock.NewPeriodic(h.clk, c.From, every, func() {
+	task := clock.NewPeriodic(h.clk, c.From, 20*time.Millisecond, func() {
 		n := h.nodes[c.Node]
 		if n == nil || n.running(core.RoleObserver) == nil {
 			return

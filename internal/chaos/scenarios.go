@@ -379,7 +379,7 @@ func Catalogue() []Scenario {
 				// δB+θ, and the offset-corrected stamps keep it honest.
 				BoundHeld{},
 				// The erosion must actually surface as suspended judgement...
-				UnverifiableWindow{Site: BackupNode, MinTime: ms(800)},
+				UnverifiableWindow{MinTime: ms(800)},
 				// ...and the estimator's claimed θ must dominate its true
 				// error the whole way.
 				HonestBounds{Site: BackupNode},

@@ -33,16 +33,11 @@ type ShardScenario struct {
 	Duration time.Duration
 	// Settle is the post-workload drain; defaults to 400ms.
 	Settle time.Duration
-	// CrashShard is the group whose primary dies; defaults to 0.
-	CrashShard int
-	// CrashAt is the injection instant; defaults to 500ms.
+	// CrashAt is the instant shard 0's primary dies; defaults to 500ms.
 	CrashAt time.Duration
 	// Objects is the workload set; empty means a generated set of eight
 	// identical objects sized so a single pair cannot schedule them all.
 	Objects []core.ObjectSpec
-	// WritePeriod is the client write period per object; defaults to
-	// each object's UpdatePeriod.
-	WritePeriod time.Duration
 	// Headroom is the placer's reserve, tuned so the default set spreads
 	// across all four groups; defaults to 0.55.
 	Headroom float64
@@ -163,13 +158,9 @@ func RunShard(sc ShardScenario) (*Result, error) {
 	}
 
 	for _, spec := range sc.Objects {
-		period := sc.WritePeriod
-		if period == 0 {
-			period = spec.UpdatePeriod
-		}
-		c.WriteEvery(spec.Name, period)
+		c.WriteEvery(spec.Name, spec.UpdatePeriod)
 	}
-	c.Schedule(sc.CrashAt, func() { c.CrashPrimary(sc.CrashShard) })
+	c.Schedule(sc.CrashAt, func() { c.CrashPrimary(0) })
 	c.RunFor(sc.Duration)
 	c.StopWriters()
 	c.Monitor().FinishAt(c.Clock().Now())
@@ -180,7 +171,7 @@ func RunShard(sc ShardScenario) (*Result, error) {
 	// Invariants. The crashed group must have failed over exactly once
 	// and fenced the dead primary's epoch; every object — including the
 	// crashed group's — must converge through the re-resolved route.
-	st := c.Statuses()[sc.CrashShard]
+	st := c.Statuses()[0]
 	res.Promotions = st.Promotions
 	res.FinalEpoch = st.Epoch
 	if st.Promotions != 1 {
@@ -201,7 +192,7 @@ func RunShard(sc ShardScenario) (*Result, error) {
 	// violated its external bound or had its accounting suspended — the
 	// crash next door was invisible to them.
 	for name, idx := range shardOf {
-		if idx == sc.CrashShard {
+		if idx == 0 {
 			continue
 		}
 		site := c.BackupSite(idx)

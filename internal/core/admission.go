@@ -244,12 +244,10 @@ func (a *admission) taskSet(extra ...*object) sched.TaskSet {
 		}
 		ts = append(ts,
 			sched.Task{
-				Name:   o.spec.Name + "/update",
 				Period: o.updatePeriod,
 				WCET:   replicas * a.cfg.Costs.sendCost(o.spec.Size),
 			},
 			sched.Task{
-				Name:   o.spec.Name + "/client",
 				Period: o.spec.UpdatePeriod,
 				WCET:   a.cfg.Costs.clientCost(o.spec.Size),
 			})
@@ -257,7 +255,6 @@ func (a *admission) taskSet(extra ...*object) sched.TaskSet {
 			// The hybrid path transmits synchronously on every client
 			// write, on top of the periodic update task.
 			ts = append(ts, sched.Task{
-				Name:   o.spec.Name + "/sync",
 				Period: o.spec.UpdatePeriod,
 				WCET:   replicas * a.cfg.Costs.sendCost(o.spec.Size),
 			})

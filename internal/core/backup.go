@@ -22,9 +22,6 @@ func (b *Replica) demuxBackup(msg wire.Message) {
 	case *wire.Update:
 		b.handleUpdate(t)
 	case *wire.Ping:
-		if b.OnPing != nil {
-			b.OnPing(t.Seq)
-		}
 		b.send(&wire.PingAck{Seq: t.Seq, From: wire.RoleBackup})
 	case *wire.PingAck:
 		if b.OnPingAck != nil {

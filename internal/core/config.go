@@ -166,11 +166,6 @@ type Config struct {
 	// legacy per-update CPU queueing for Figure 7/10 fidelity, and by the
 	// compressed pump, whose live step frames a whole round.
 	FrameBatch int
-	// SelfAddr is this replica's own replication address as peers should
-	// dial it. It is advisory: a backup stamps it into JoinRequests so
-	// logs and tooling can name the joiner, but the primary always trusts
-	// the datagram's source address.
-	SelfAddr xkernel.Addr
 	// DisableRetransmitThrottle restores the seed's behaviour of sending
 	// a RetransmitRequest on every gap-detected arrival (the request
 	// storm). It exists as an ablation baseline for the rate-limited

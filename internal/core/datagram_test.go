@@ -253,8 +253,7 @@ func TestLentBuffersAreNotKept(t *testing.T) {
 		var obs []*Replica
 		for k := 1; k <= 2; k++ {
 			o, err := NewObserver(Config{Clock: clk, Port: ports[k], Ell: ms(8),
-				Peer:     xkernel.JoinHostPort([]string{"primary", "obs1"}[k-1], RTPBPort),
-				SelfAddr: xkernel.JoinHostPort(fmt.Sprintf("obs%d", k), RTPBPort)})
+				Peer: xkernel.JoinHostPort([]string{"primary", "obs1"}[k-1], RTPBPort)})
 			if err != nil {
 				t.Fatal(err)
 			}

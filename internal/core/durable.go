@@ -46,8 +46,8 @@ func (r *Replica) logUnregister(id uint32) {
 	r.cfg.Durable.AppendUnregister(id)
 }
 
-// noteEpochDurable records an epoch advance (promotion, demotion, or
-// fencing adoption) and snapshots: the epoch record rolls the log to a
+// noteEpochDurable records an epoch advance (promotion or fencing
+// adoption) and snapshots: the epoch record rolls the log to a
 // fresh segment, so segments never span epochs and pruning drops whole
 // epochs below the stable mark.
 func (r *Replica) noteEpochDurable() {

@@ -205,14 +205,6 @@ func TestMultiBackupAdmissionChargesPerReplica(t *testing.T) {
 
 func TestPerPeerHeartbeats(t *testing.T) {
 	mc := newMultiCluster(t, 2, nil)
-	type ack struct {
-		from xkernel.Addr
-		seq  uint64
-	}
-	var acks []ack
-	mc.primary.OnPingAckFrom = func(from xkernel.Addr, seq uint64) {
-		acks = append(acks, ack{from, seq})
-	}
 	seqA, err := mc.primary.SendPingTo("backupA:7000")
 	if err != nil {
 		t.Fatal(err)
@@ -224,15 +216,18 @@ func TestPerPeerHeartbeats(t *testing.T) {
 	if _, err := mc.primary.SendPingTo("ghost:7000"); err == nil {
 		t.Fatal("ping to unknown peer succeeded")
 	}
+	// An ack is matched to the ping outstanding on the peer it came
+	// from, which it then clears.
+	sent := map[xkernel.Addr]uint64{"backupA:7000": seqA, "backupB:7000": seqB}
+	for addr, seq := range sent {
+		if _, waiting := mc.primary.peerByAddr(addr).pingSent[seq]; !waiting {
+			t.Fatalf("%s: ping %d not outstanding after sending", addr, seq)
+		}
+	}
 	mc.clk.RunFor(ms(20))
-	if len(acks) != 2 {
-		t.Fatalf("acks = %+v, want 2", acks)
-	}
-	seen := map[xkernel.Addr]uint64{}
-	for _, a := range acks {
-		seen[a.from] = a.seq
-	}
-	if seen["backupA:7000"] != seqA || seen["backupB:7000"] != seqB {
-		t.Fatalf("per-peer ack mismatch: %+v (sent %d/%d)", acks, seqA, seqB)
+	for addr, seq := range sent {
+		if _, waiting := mc.primary.peerByAddr(addr).pingSent[seq]; waiting {
+			t.Fatalf("%s: ping %d still outstanding, its ack never matched", addr, seq)
+		}
 	}
 }

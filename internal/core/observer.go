@@ -109,9 +109,6 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 		if r.OnPingAck != nil {
 			r.OnPingAck(t.Seq)
 		}
-		if r.OnPingAckFrom != nil {
-			r.OnPingAckFrom(from, t.Seq)
-		}
 	case *wire.TimeSync:
 		if t.Receive == 0 && t.Transmit == 0 {
 			// A downstream observer's clock-sync probe: echo it with our
@@ -125,9 +122,6 @@ func (r *Replica) demuxObserver(msg wire.Message, from xkernel.Addr) {
 			r.observeTimeSync(t)
 		}
 	case *wire.Ping:
-		if r.OnPing != nil {
-			r.OnPing(t.Seq)
-		}
 		r.replyTo(from, &wire.PingAck{Seq: t.Seq, From: wire.RoleObserver})
 		if t.From == wire.RoleObserver {
 			// A downstream observer heartbeat: advertise our chain

@@ -8,7 +8,6 @@ import (
 
 	"rtpb/internal/clock"
 	"rtpb/internal/netsim"
-	"rtpb/internal/xkernel"
 )
 
 // This file tests the observer role end to end on the simulated fabric:
@@ -68,7 +67,6 @@ func newChain(t *testing.T, opts chainOpts) *chain {
 			Port:                 hs[k].Port,
 			Peer:                 hs[k-1].Addr,
 			Ell:                  ell,
-			SelfAddr:             hs[k].Addr,
 			ClockSync:            opts.clockSync,
 			ClockSyncMaxDriftPPM: 200,
 		})
@@ -275,7 +273,7 @@ func TestObserverExcludedFromQuorumAndPromotion(t *testing.T) {
 	if _, err := NewBackup(Config{Clock: clk, Port: b.Port, Peer: p.Addr, Ell: 5 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	obs, err := NewObserver(Config{Clock: clk, Port: o.Port, Peer: p.Addr, Ell: 5 * time.Millisecond, SelfAddr: o.Addr})
+	obs, err := NewObserver(Config{Clock: clk, Port: o.Port, Peer: p.Addr, Ell: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,17 +360,19 @@ func TestRoleLattice(t *testing.T) {
 // half-interval offset, and Stop silences both.
 func TestSubscribeDrivesAttachUntilStop(t *testing.T) {
 	c := newChain(t, chainOpts{seed: 0x5b, hops: 1})
-	var pings, joins int
-	c.primary.OnPing = func(uint64) { pings++ }
-	c.primary.OnJoinRequest = func(xkernel.Addr, uint32, string) { joins++ }
+	// The link loses nothing: the observer's ping count is what the
+	// primary heard, and each join it accepted was answered once.
+	counts := func() (pings uint64, joins int) {
+		return c.obs[0].pingSeq, c.primary.PeerStates()[0].Transfer.JoinAccepts
+	}
 	c.clk.RunFor(300 * time.Millisecond)
 	c.requireJoined(t)
-	if pings != 3 || joins != 1 {
+	if pings, joins := counts(); pings != 3 || joins != 1 {
 		t.Fatalf("after 300ms: %d pings, %d join requests; want 3 (at 50, 150, 250ms) and 1", pings, joins)
 	}
 	c.obs[0].Stop()
 	c.clk.RunFor(time.Second)
-	if pings != 3 || joins != 1 {
+	if pings, joins := counts(); pings != 3 || joins != 1 {
 		t.Fatalf("after Stop: %d pings, %d join requests; the loops outlived the replica", pings, joins)
 	}
 }

@@ -29,7 +29,7 @@ type replicaPeer struct {
 	// quorums, critical-write waits, or the replication degree.
 	observer bool
 
-	// est tracks the link's RTT and loss rate from heartbeat and update
+	// est tracks the link's RTT and counts losses from heartbeat and update
 	// acks; every retry path toward this peer derives its timeout from it.
 	est *resilience.Estimator
 	// backoff spaces this peer's retransmissions with deterministic
@@ -59,8 +59,6 @@ type replicaPeer struct {
 	xferChunk   uint32
 	xferPending []uint32
 	xferIDs     []uint32
-	xferEntries int
-	xferTotal   int
 	xferRetry   *clock.Event
 	xferAttempt int
 	xferSentAt  time.Time
@@ -502,7 +500,7 @@ func (p *Replica) collectBatch() (s slot) {
 // every update in it. Must run after the batch's CPU cost has been paid.
 func (p *Replica) flushBatch(entries []batchEntry) {
 	if !p.running || p.role != RolePrimary {
-		// A queued slot whose replica demoted while it waited must not
+		// A queued slot whose replica stopped serving while it waited must not
 		// fire: bumping seq here would corrupt the backup-role fence.
 		return
 	}
@@ -801,9 +799,6 @@ func (p *Replica) demuxPrimary(msg wire.Message, from xkernel.Addr) {
 			pr.registered[t.ObjectID] = true
 		}
 	case *wire.Ping:
-		if p.OnPing != nil {
-			p.OnPing(t.Seq)
-		}
 		p.replyTo(from, &wire.PingAck{Seq: t.Seq, From: wire.RolePrimary})
 		if t.From == wire.RoleObserver {
 			// An observer heartbeat doubles as a chain-position probe:
@@ -829,9 +824,6 @@ func (p *Replica) demuxPrimary(msg wire.Message, from xkernel.Addr) {
 		}
 		if p.OnPingAck != nil {
 			p.OnPingAck(t.Seq)
-		}
-		if p.OnPingAckFrom != nil {
-			p.OnPingAckFrom(from, t.Seq)
 		}
 	case *wire.UpdateAck:
 		p.handleUpdateAck(from, t)
@@ -929,17 +921,10 @@ func (p *Replica) GovernorStats() GovernorStats {
 
 // PeerLinkStats describes the adaptive link state toward one backup.
 type PeerLinkStats struct {
-	// SRTT and RTO are the link estimator's smoothed round-trip time and
-	// current retransmission timeout.
+	// SRTT is the link estimator's smoothed round-trip time.
 	SRTT time.Duration
-	RTO  time.Duration
-	// LossRate is the EWMA loss estimate in [0, 1].
-	LossRate float64
-	// Acks and Losses are the raw delivered/lost observation counts.
-	Acks   uint64
-	Losses uint64
-	// QueueDepth is the peer's current pending-update queue depth.
-	QueueDepth int
+	// Acks is the raw count of delivered observations.
+	Acks uint64
 	// Queue holds the queue's lifetime counters.
 	Queue SendQueueStats
 }
@@ -951,14 +936,6 @@ func (p *Replica) PeerLink(addr xkernel.Addr) (PeerLinkStats, bool) {
 	if pr == nil {
 		return PeerLinkStats{}, false
 	}
-	acks, losses := pr.est.Samples()
-	return PeerLinkStats{
-		SRTT:       pr.est.SRTT(),
-		RTO:        pr.est.RTO(),
-		LossRate:   pr.est.LossRate(),
-		Acks:       acks,
-		Losses:     losses,
-		QueueDepth: pr.queue.depth(),
-		Queue:      pr.queue.stats,
-	}, true
+	acks, _ := pr.est.Samples()
+	return PeerLinkStats{SRTT: pr.est.SRTT(), Acks: acks, Queue: pr.queue.stats}, true
 }

@@ -89,7 +89,7 @@ var (
 //	RoleBackup: gap detection + retransmit requests, digest retries of
 //	  an in-flight join, heartbeat answering toward the upstream session.
 //
-// Promote and Demote flip between the two in place: no object is copied,
+// Promote flips a backup to primary in place: no object is copied,
 // no admission test re-runs (the specs were admitted once and the derived
 // update periods ride in the ledger), and the temporal monitor keeps
 // observing the same object identities across the transition.
@@ -130,7 +130,7 @@ type Replica struct {
 	pump       slot   // reused: one pump step is outstanding at a time
 	pumpSent   func() // the step's completion, built once: flush, then chain
 
-	// gov is the overload governor (nil when disabled or demoted).
+	// gov is the overload governor (nil when disabled or not serving).
 	gov *governor
 	// drainActive reports whether the bounded-queue drain pump holds a
 	// pending CPU submission.
@@ -208,20 +208,6 @@ type Replica struct {
 	// OnPingAck, when set, receives heartbeat acknowledgements from any
 	// peer.
 	OnPingAck func(seq uint64)
-	// OnPingAckFrom, when set, receives heartbeat acknowledgements with
-	// the responding peer's address (multi-backup deployments).
-	OnPingAckFrom func(from xkernel.Addr, seq uint64)
-	// OnPing, when set, observes inbound pings (an ack is always sent).
-	OnPing func(seq uint64)
-	// OnStateTransferAck, when set, observes the final chunk's ack of a
-	// peer's chunked exchange, with the total entries streamed.
-	OnStateTransferAck func(epoch uint32, objects int)
-	// OnPeerSynced, when set, observes a peer completing its anti-entropy
-	// exchange: from this instant it counts toward quorums again.
-	OnPeerSynced func(addr xkernel.Addr, entries int)
-	// OnJoinRequest, when set, observes inbound rejoin requests with the
-	// joiner's last-observed epoch and self-reported address.
-	OnJoinRequest func(from xkernel.Addr, epoch uint32, addr string)
 	// OnModeChange, when set, observes overload-governor rung transitions
 	// — announced ones while serving, the primary's announcements while
 	// backing up — with the external bound still maintained in the new
@@ -252,10 +238,6 @@ type Replica struct {
 	// never arrived): their replicated bytes cannot be served without an
 	// identity, and this is the only record of the loss.
 	OnPlaceholderDrop func(ids []uint32)
-	// OnTimeSample, when set, observes every accepted clock-sync probe
-	// with the estimator's error bound θ as of the sample — the hook the
-	// temporal monitor's skew-aware accounting hangs off.
-	OnTimeSample func(s clocksync.Sample, theta time.Duration)
 }
 
 var _ xkernel.Upper = (*Replica)(nil)
@@ -383,8 +365,8 @@ func (r *Replica) Running() bool { return r.running }
 // Role reports the replica's current role.
 func (r *Replica) Role() Role { return r.role }
 
-// Upstream reports the address the replica's upstream session targets
-// (Demote rewrites it); empty when it has none, as while serving.
+// Upstream reports the address the replica's upstream session targets;
+// empty when it has none, as while serving.
 func (r *Replica) Upstream() xkernel.Addr {
 	if r.sess == nil {
 		return ""
@@ -392,8 +374,8 @@ func (r *Replica) Upstream() xkernel.Addr {
 	return r.cfg.Peer
 }
 
-// Transitions reports how many in-place role transitions (promotions and
-// demotions) this replica has performed.
+// Transitions reports how many in-place role transitions (promotions)
+// this replica has performed.
 func (r *Replica) Transitions() int { return r.transitions }
 
 // Epoch reports the replica's current epoch: the serving epoch as
@@ -504,15 +486,8 @@ func (r *Replica) observeTimeSync(t *wire.TimeSync) {
 		return
 	}
 	t4 := r.clk.Now()
-	s, ok := r.csync.AddSample(
+	r.csync.AddSample(
 		time.Unix(0, t.Originate), time.Unix(0, t.Receive), time.Unix(0, t.Transmit), t4)
-	if !ok {
-		return
-	}
-	if r.OnTimeSample != nil {
-		theta, _ := r.csync.Theta(t4)
-		r.OnTimeSample(s, theta)
-	}
 }
 
 // ClockSyncReport summarizes the upstream clock-offset estimator as of
@@ -542,8 +517,8 @@ func (r *Replica) Demux(m *xkernel.Message, from xkernel.Addr) error {
 	r.rxAt = r.clk.Now() // one instant, one clock read, for a whole frame
 	for _, msg := range msgs {
 		if !r.running {
-			// A framed message may stop the replica (epoch fence,
-			// demote); the rest of the batch must not leak through.
+			// A framed message may stop the replica (epoch fence);
+			// the rest of the batch must not leak through.
 			return nil
 		}
 		r.dispatch(msg, from)
@@ -671,79 +646,6 @@ func (r *Replica) Promote(epoch uint32) error {
 	// Snapshot on epoch advance: the durable log rolls to a fresh
 	// segment under the new epoch and the pre-promotion image becomes
 	// prunable history.
-	r.noteEpochDurable()
-	return nil
-}
-
-// Demote flips a primary to backup in place, shadowing the named
-// successor under the given epoch (a fenced ex-primary rejoining the
-// cluster). Update tasks and the governor stop, pending critical writes
-// fail with ErrStopped, peers detach — and the object table stays: the
-// subsequent Join digest advertises everything this replica already
-// holds, so the anti-entropy exchange streams only what the successor
-// wrote since.
-func (r *Replica) Demote(epoch uint32, primary xkernel.Addr) error {
-	if !r.running {
-		return ErrStopped
-	}
-	if r.role != RolePrimary {
-		return ErrNotPrimary
-	}
-	sess, err := r.port.OpenFrom(RTPBPort, primary)
-	if err != nil {
-		// Fail before mutating anything: the caller may retry or keep
-		// serving.
-		return fmt.Errorf("core: open primary session: %w", err)
-	}
-
-	servingEpoch := r.epoch
-	if r.gov != nil {
-		r.gov.stop()
-		r.gov = nil
-	}
-	for _, o := range r.adm.objects {
-		if o.task != nil {
-			o.task.Stop()
-			o.task = nil
-		}
-		for _, pa := range o.pendingAcks {
-			r.completeCritical(o, pa, ErrStopped)
-		}
-		o.highPending = false
-		o.catchingUp = false
-		o.retransAttempt = 0
-		o.retransNext = time.Time{}
-		if o.hasData && o.recvEpoch < servingEpoch {
-			// Self-authored state gets an honest digest stamp: it was
-			// written under this replica's serving epoch.
-			o.recvEpoch = servingEpoch
-		}
-	}
-	for _, pr := range r.peers {
-		r.cancelTransfer(pr)
-		pr.queue.clear()
-		pr.sess.Close()
-	}
-	r.peers = nil
-	r.pumpActive, r.pumpOrder, r.pumpNext = false, nil, 0
-	r.drainActive = false
-	r.deadlineMisses = 0
-
-	// Become a backup of the successor.
-	r.sess = sess
-	r.cfg.Peer = primary
-	r.seedBackupLink(primary)
-	r.role = RoleBackup
-	r.transitions++
-	if epoch > r.epoch {
-		r.epoch = epoch
-	}
-	r.joining = false
-	r.joined = false
-	r.digestAttempt = 0
-	r.seenChunks = nil
-	r.xferApplied = 0
-	r.catchingUp = 0
 	r.noteEpochDurable()
 	return nil
 }

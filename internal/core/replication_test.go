@@ -323,8 +323,6 @@ func TestStateTransferSeedsBackup(t *testing.T) {
 	if _, _, ok := c.backup.Value("x"); ok {
 		t.Fatal("backup received value while primary considered it dead")
 	}
-	acked := 0
-	c.primary.OnStateTransferAck = func(_ uint32, objects int) { acked = objects }
 	c.primary.SetBackupAlive(true)
 	c.clk.RunFor(ms(100))
 	for _, name := range []string{"x", "y"} {
@@ -332,8 +330,8 @@ func TestStateTransferSeedsBackup(t *testing.T) {
 			t.Fatalf("backup missing %q after state transfer", name)
 		}
 	}
-	if acked != 2 {
-		t.Fatalf("state transfer ack reported %d objects, want 2", acked)
+	if xfer := c.primary.PeerStates()[0].Transfer; xfer.Completions != 1 || xfer.EntriesSent != 2 {
+		t.Fatalf("state transfer: %d completions streaming %d entries, want 1 and 2", xfer.Completions, xfer.EntriesSent)
 	}
 }
 

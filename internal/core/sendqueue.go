@@ -17,14 +17,10 @@ type sendQueue struct {
 
 // SendQueueStats counts one peer send queue's traffic for observability.
 type SendQueueStats struct {
-	// Enqueued counts accepted new entries.
-	Enqueued int
 	// Coalesced counts transmissions absorbed into an already-queued
 	// entry — each one is a missed transmission deadline (the previous
 	// release never reached the wire before the next).
 	Coalesced int
-	// DroppedOldest counts entries evicted by the bound.
-	DroppedOldest int
 	// MaxDepth is the high-water queue depth.
 	MaxDepth int
 }
@@ -44,11 +40,9 @@ func (q *sendQueue) enqueue(id uint32) (coalesced bool) {
 		evicted := q.ids[0]
 		q.ids = q.ids[1:]
 		delete(q.member, evicted)
-		q.stats.DroppedOldest++
 	}
 	q.ids = append(q.ids, id)
 	q.member[id] = true
-	q.stats.Enqueued++
 	if len(q.ids) > q.stats.MaxDepth {
 		q.stats.MaxDepth = len(q.ids)
 	}

@@ -42,8 +42,6 @@ type TransferStats struct {
 	JoinAccepts int
 	// Digests counts StateDigests received.
 	Digests int
-	// Chunks counts StateChunk transmissions, including retransmissions.
-	Chunks int
 	// ChunkRetransmits counts chunks re-sent on the adaptive RTO.
 	ChunkRetransmits int
 	// EntriesSent counts distinct entries streamed (first transmissions
@@ -66,7 +64,6 @@ func (p *Replica) beginJoin(pr *replicaPeer) {
 	p.cancelTransfer(pr)
 	pr.syncing = true
 	pr.joinAttempt = 0
-	pr.xferTotal = 0
 	// A peer entering (re)sync holds stale state; do not let an old
 	// critical write's fate ride on it.
 	p.dropPeerFromCriticalWaits(pr.addr)
@@ -151,9 +148,6 @@ func (p *Replica) handleJoinRequest(from xkernel.Addr, t *wire.JoinRequest) {
 		// stale one. Never accept — our own demotion is the failure
 		// detector's business.
 		return
-	}
-	if p.OnJoinRequest != nil {
-		p.OnJoinRequest(from, t.Epoch, t.Addr)
 	}
 	pr := p.peerByAddr(from)
 	if pr == nil {
@@ -276,12 +270,10 @@ func (p *Replica) pushChunk(pr *replicaPeer, gen uint32, final, retrans bool) {
 		}
 		pr.xferSentAt = p.clk.Now()
 		pr.xferRetrans = retrans
-		pr.xfer.Chunks++
 		if retrans {
 			pr.xfer.ChunkRetransmits++
 		} else {
 			pr.xfer.EntriesSent += len(ck.Entries)
-			pr.xferEntries = len(ck.Entries)
 		}
 		p.sendOn(pr.sess, ck)
 		attempt := pr.xferAttempt
@@ -344,8 +336,6 @@ func (p *Replica) handleStateChunkAck(from xkernel.Addr, t *wire.StateChunkAck) 
 	} else {
 		p.sampleRTT(pr, pr.xferSentAt)
 	}
-	pr.xferTotal += pr.xferEntries
-	pr.xferEntries = 0
 	pr.xferChunk++
 	pr.xferIDs = pr.xferIDs[:0]
 	if len(pr.xferPending) > 0 {
@@ -358,12 +348,6 @@ func (p *Replica) handleStateChunkAck(from xkernel.Addr, t *wire.StateChunkAck) 
 	}
 	pr.syncing = false
 	pr.xfer.Completions++
-	if p.OnStateTransferAck != nil {
-		p.OnStateTransferAck(p.epoch, pr.xferTotal)
-	}
-	if p.OnPeerSynced != nil {
-		p.OnPeerSynced(pr.addr, pr.xferTotal)
-	}
 }
 
 // PeerStatus describes one attached peer's repair-cycle state.
@@ -425,8 +409,7 @@ func (b *Replica) Join() {
 	if !b.running || !b.role.Shadows() {
 		return
 	}
-	b.send(&wire.JoinRequest{Epoch: b.epoch, Addr: string(b.cfg.SelfAddr),
-		Observer: b.role == RoleObserver})
+	b.send(&wire.JoinRequest{Epoch: b.epoch, Observer: b.role == RoleObserver})
 }
 
 // Joining reports whether a join exchange is in flight (accepted but not

@@ -19,23 +19,19 @@ import (
 // argument that active replication "tends to have more overhead in
 // responding to client requests".
 type CompareResult struct {
-	// Loss is the link loss probability of the run.
-	Loss float64
 	// PassiveResponse and ActiveResponse are the client-visible write
 	// response-time distributions.
 	PassiveResponse trace.DurationStats
 	ActiveResponse  trace.DurationStats
 	// ActiveCommits counts fully acknowledged active writes.
 	ActiveCommits int
-	// PassiveWrites counts completed RTPB writes.
-	PassiveWrites int
 }
 
 // CompareActivePassive runs the same single-object periodic write
 // workload against an RTPB pair and against an active sequencer+member
 // pair on identically parameterized (separate) fabrics.
 func CompareActivePassive(seed int64, loss float64, duration time.Duration) (*CompareResult, error) {
-	out := &CompareResult{Loss: loss}
+	out := &CompareResult{}
 
 	// Passive: reuse the standard harness with one object.
 	pres, err := Run(Params{
@@ -57,7 +53,6 @@ func CompareActivePassive(seed int64, loss float64, duration time.Duration) (*Co
 		return nil, err
 	}
 	out.PassiveResponse = pres.Response
-	out.PassiveWrites = pres.Response.Count()
 
 	// Active: a sequencer with one member on the same link parameters.
 	f, hs, err := topo.Build(seed, netsim.LinkParams{Delay: linkDelay, Jitter: linkJitter, LossProb: loss}, "seq", "member")

@@ -25,9 +25,6 @@ type PhaseVarianceResult struct {
 	MeanMeasured time.Duration
 	// UniversalBound is p − e (Inequality 2.1) for the update tasks.
 	UniversalBound time.Duration
-	// Utilization is the primary's planned utilization, for applying the
-	// Theorem 2 bounds.
-	Utilization float64
 }
 
 // MeasurePhaseVariance runs a cluster and measures the live phase
@@ -49,10 +46,7 @@ func MeasurePhaseVariance(p Params) (*PhaseVarianceResult, error) {
 		return nil, fmt.Errorf("experiments: nothing admitted")
 	}
 
-	out := &PhaseVarianceResult{
-		Objects:     res.Admitted,
-		Utilization: res.Utilization,
-	}
+	out := &PhaseVarianceResult{Objects: res.Admitted}
 	// All objects share one spec, so one admitted period.
 	window := p.Window
 	slack := p.SlackFactor

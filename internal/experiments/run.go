@@ -69,11 +69,9 @@ type Result struct {
 	StaleDistance *trace.DistanceTracker
 	// InconsistencyTotal is the total time backup images spent beyond
 	// δ_i^B, summed over objects; Excursions counts the maximal
-	// violation intervals; InconsistencyMean is their mean duration —
-	// the paper's "duration of backup inconsistency".
+	// violation intervals.
 	InconsistencyTotal time.Duration
 	Excursions         int
-	InconsistencyMean  time.Duration
 	// Sends, Applies, and Gaps count update transmissions, backup
 	// applies, and detected sequence gaps.
 	Sends, Applies, Gaps int
@@ -279,9 +277,6 @@ func runHooked(p Params, onSend sendHook) (*Result, error) {
 			res.InconsistencyTotal += r.ViolationTime
 			res.Excursions += r.Excursions
 		}
-	}
-	if res.Excursions > 0 {
-		res.InconsistencyMean = res.InconsistencyTotal / time.Duration(res.Excursions)
 	}
 	req, sup := backup.RetransmitStats()
 	res.RetransmitRequests, res.RetransmitSuppressed = req-preReq, sup-preSup

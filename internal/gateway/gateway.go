@@ -103,19 +103,14 @@ type Stats struct {
 	Closed   uint64
 	// Broadcasts counts fan-out ticks; Delivered counts frames handed to
 	// session sinks; Coalesced counts frames absorbed by freshest-wins
-	// coalescing on slow consumers; DroppedStale counts frames suppressed
-	// because the session had already seen a fresher image.
-	Broadcasts   uint64
-	Delivered    uint64
-	Coalesced    uint64
-	DroppedStale uint64
+	// coalescing on slow consumers.
+	Broadcasts uint64
+	Delivered  uint64
+	Coalesced  uint64
 	// DroppedShed counts object-broadcasts skipped because the owning
 	// shard was degraded or shedding — load the gateway kept off a
 	// struggling primary.
 	DroppedShed uint64
-	// WritesForwarded counts client writes routed to the backend; the
-	// shed ladder never drops writes.
-	WritesForwarded uint64
 }
 
 // Gateway is the front tier. Every method must run on the Config.Clock
@@ -276,7 +271,6 @@ func (g *Gateway) Write(name string, data []byte, done func(time.Duration, error
 	if g.closed {
 		return ErrClosed
 	}
-	g.stats.WritesForwarded++
 	return g.cfg.Backend.Write(name, data, done)
 }
 
@@ -371,7 +365,6 @@ func (g *Gateway) broadcast() {
 		if len(grp.members) == 0 || len(grp.objects) == 0 {
 			continue
 		}
-		grp.stats.Broadcasts++
 		for _, obj := range grp.objects {
 			f, ok := g.frameFor(obj, frames)
 			if !ok {

@@ -183,12 +183,13 @@ func TestSlowConsumerCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.WriteEvery("alt", ms(5))
-	c.RunFor(time.Second)
-
-	st := s.stats
-	if st.SlowSpells == 0 {
+	c.RunFor(350 * time.Millisecond) // inside the outage
+	if !s.slow {
 		t.Fatal("session never entered the slow path")
 	}
+	c.RunFor(650 * time.Millisecond)
+
+	st := gw.Stats() // the one session's counts
 	if st.Coalesced == 0 {
 		t.Fatal("no frames were coalesced while slow")
 	}

@@ -4,8 +4,6 @@ import "sort"
 
 // GroupStats counts one group's broadcast activity.
 type GroupStats struct {
-	// Broadcasts counts ticks on which the group had members and objects.
-	Broadcasts uint64
 	// Frames counts object-frames fanned out (one per object per tick,
 	// regardless of member count — the read amplification the gateway
 	// absorbs).

@@ -32,20 +32,6 @@ type Sink interface {
 	Close()
 }
 
-// SessionStats counts one session's delivery outcomes.
-type SessionStats struct {
-	// Delivered frames reached the sink.
-	Delivered uint64
-	// Coalesced frames were absorbed into the freshest-wins pending set
-	// while the session was slow.
-	Coalesced uint64
-	// DroppedStale frames were suppressed because the session had
-	// already seen a fresher image of the object.
-	DroppedStale uint64
-	// SlowSpells counts transitions into the slow path.
-	SlowSpells uint64
-}
-
 // Session is one connected client. All methods run on the gateway's
 // executor.
 type Session struct {
@@ -57,9 +43,7 @@ type Session struct {
 	lastSeq map[string]uint64 // per-object: freshest Seq delivered
 	pending map[string]Frame  // per-object: freshest frame awaiting a slow sink
 	slow    bool
-
-	stats  SessionStats
-	closed bool
+	closed  bool
 }
 
 // ID is the gateway-scoped session identifier (monotone, never reused).
@@ -92,8 +76,6 @@ func (s *Session) offer(f Frame) {
 		return
 	}
 	if f.Seq <= s.lastSeq[f.Object] {
-		s.stats.DroppedStale++
-		s.gw.stats.DroppedStale++
 		return
 	}
 	if s.slow {
@@ -102,12 +84,10 @@ func (s *Session) offer(f Frame) {
 	}
 	if err := s.sink.Deliver(f); err != nil {
 		s.slow = true
-		s.stats.SlowSpells++
 		s.pend(f)
 		return
 	}
 	s.lastSeq[f.Object] = f.Seq
-	s.stats.Delivered++
 	s.gw.stats.Delivered++
 }
 
@@ -117,7 +97,6 @@ func (s *Session) pend(f Frame) {
 	if old, ok := s.pending[f.Object]; !ok || f.Seq > old.Seq {
 		s.pending[f.Object] = f
 	}
-	s.stats.Coalesced++
 	s.gw.stats.Coalesced++
 }
 
@@ -149,7 +128,6 @@ func (s *Session) flush() {
 		}
 		delete(s.pending, o)
 		s.lastSeq[o] = f.Seq
-		s.stats.Delivered++
 		s.gw.stats.Delivered++
 	}
 	s.slow = false

@@ -1,7 +1,7 @@
 // Package repair implements the rejoin protocol of a restarted replica
 // (Rejoiner): it waits in the failover directory — the paper's name
-// file — for a successor primary, demotes or starts a backup pointed at
-// it, and lets the chunked anti-entropy exchange in internal/core drive
+// file — for a successor primary, starts a backup pointed at it, and
+// lets the chunked anti-entropy exchange in internal/core drive
 // the replica to parity.
 package repair
 
@@ -32,19 +32,8 @@ type RejoinerConfig struct {
 	// known: the caller opens the protocol stack, points the backup's
 	// Peer at primary, and attaches its observers. epoch is the
 	// directory-recorded epoch, which the backup adopts from the
-	// JoinAccept. Exactly one of Start and Replica must be set.
+	// JoinAccept.
 	Start func(primary xkernel.Addr, epoch uint32) (*core.Replica, error)
-	// Replica, when set, is a still-running replica — typically a fenced
-	// old primary that lost its machine's network, not its process — to
-	// demote in place once the directory records a successor. The rejoin
-	// calls Replica.Demote(epoch, primary), which keeps the object table
-	// (the anti-entropy digest then transfers only what the replica
-	// missed) instead of rebuilding a backup from nothing via Start.
-	Replica *core.Replica
-	// OnDemoted, when set, fires right after the in-place demotion, before
-	// the first JoinRequest — the hook where callers re-attach backup-side
-	// observers (monitor taps, failure detector).
-	OnDemoted func(b *core.Replica)
 	// Restore, when set, runs right after Start constructs the backup
 	// and before the first JoinRequest: the disk half of disk-fast
 	// rejoin. The hook replays the replica's local durable tail
@@ -65,9 +54,6 @@ type RejoinerConfig struct {
 type RejoinerStatus struct {
 	// Lookups counts directory polls.
 	Lookups int
-	// JoinsSent counts JoinRequest transmissions driven by the loop (the
-	// in-protocol digest and chunk retries are not counted here).
-	JoinsSent int
 	// Primary is the successor being rejoined (empty until discovered).
 	Primary xkernel.Addr
 	// Joined reports completion.
@@ -99,11 +85,8 @@ type Rejoiner struct {
 
 // NewRejoiner validates the config.
 func NewRejoiner(cfg RejoinerConfig) (*Rejoiner, error) {
-	if cfg.Clock == nil || cfg.Directory == nil {
-		return nil, fmt.Errorf("repair: rejoiner needs a clock and a directory")
-	}
-	if (cfg.Start == nil) == (cfg.Replica == nil) {
-		return nil, fmt.Errorf("repair: rejoiner needs exactly one of a start hook and a replica")
+	if cfg.Clock == nil || cfg.Directory == nil || cfg.Start == nil {
+		return nil, fmt.Errorf("repair: rejoiner needs a clock, a directory and a start hook")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
@@ -141,29 +124,16 @@ func (r *Rejoiner) tick() {
 		if !ok || addr == r.cfg.Self {
 			return // no successor recorded yet; keep polling
 		}
-		if r.cfg.Replica != nil {
-			rep := r.cfg.Replica
-			if rep.Role() != core.RoleBackup {
-				if err := rep.Demote(epoch, addr); err != nil {
-					return // e.g. a transient session-open failure; retry
-				}
-				if r.cfg.OnDemoted != nil {
-					r.cfg.OnDemoted(rep)
-				}
-			}
-			r.b = rep
-		} else {
-			b, err := r.cfg.Start(addr, epoch)
-			if err != nil || b == nil {
-				return
-			}
-			r.b = b
-			if r.cfg.Restore != nil {
-				// Disk-tail replay before the first JoinRequest: whatever
-				// the local log preserved never crosses the network again.
-				if n, err := r.cfg.Restore(b); err == nil {
-					r.status.RestoredObjects = n
-				}
+		b, err := r.cfg.Start(addr, epoch)
+		if err != nil || b == nil {
+			return
+		}
+		r.b = b
+		if r.cfg.Restore != nil {
+			// Disk-tail replay before the first JoinRequest: whatever
+			// the local log preserved never crosses the network again.
+			if n, err := r.cfg.Restore(b); err == nil {
+				r.status.RestoredObjects = n
 			}
 		}
 		r.primary = addr
@@ -182,7 +152,6 @@ func (r *Rejoiner) tick() {
 		// again. Once a JoinAccept lands, the digest/chunk retries inside
 		// the core protocol take over.
 		r.b.Join()
-		r.status.JoinsSent++
 	}
 }
 

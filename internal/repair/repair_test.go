@@ -190,102 +190,25 @@ func TestRejoinerJoinSurvivesLossyLink(t *testing.T) {
 	}
 }
 
-// TestRejoinerDemotesFencedPrimaryInPlace covers the repaired-machine
-// path where the old primary's process survived its partition: instead of
-// rebuilding a backup from nothing, the rejoiner demotes the running
-// replica in place. The object table carries over, so the anti-entropy
-// digest transfers only what the replica missed, and the role flip is
-// observable through Role and Transitions.
-func TestRejoinerDemotesFencedPrimaryInPlace(t *testing.T) {
-	f := newFixture(t, "succ")
-	f.register(t, "alpha", 20*time.Millisecond)
-	if err := f.primary.SetPeer(addrOf("succ")); err != nil {
-		t.Fatal(err)
-	}
-	b := f.startBackup(t, "succ")
-	f.primary.ClientWrite("alpha", []byte("old"), nil)
-	f.clk.RunFor(500 * time.Millisecond)
-	if _, _, ok := b.Value("alpha"); !ok {
-		t.Fatal("backup never replicated alpha before the partition")
-	}
-
-	// The old primary's machine drops off the fabric; the backup promotes
-	// in place and serves a newer value under the bumped epoch.
-	f.hosts["primary"].EP.SetDown(true)
-	succ, err := failover.Promote(b, failover.PromoteOptions{
-		Service: "svc", SelfAddr: addrOf("succ"), Names: f.ns,
-	})
-	if err != nil {
-		t.Fatalf("promotion: %v", err)
-	}
-	succ.ClientWrite("alpha", []byte("new"), nil)
-	f.clk.RunFor(100 * time.Millisecond)
-
-	// The link heals. The fenced old primary is still running; the
-	// rejoiner demotes it in place and drives the join exchange.
-	f.hosts["primary"].EP.SetDown(false)
-	demoted := 0
-	rj, err := NewRejoiner(RejoinerConfig{
-		Clock:     f.clk,
-		Service:   "svc",
-		Directory: f.ns,
-		Self:      addrOf("primary"),
-		Replica:   f.primary,
-		OnDemoted: func(b *core.Replica) {
-			demoted++
-			if b != f.primary {
-				t.Fatal("demotion handed back a different replica")
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj.Start()
-	defer rj.Stop()
-	f.clk.RunFor(3 * time.Second)
-
-	if demoted != 1 {
-		t.Fatalf("OnDemoted fired %d times, want 1", demoted)
-	}
-	if f.primary.Role() != core.RoleBackup || f.primary.Transitions() != 1 {
-		t.Fatalf("role=%v transitions=%d, want backup/1",
-			f.primary.Role(), f.primary.Transitions())
-	}
-	st := rj.Status()
-	if !st.Joined || st.Primary != addrOf("succ") {
-		t.Fatalf("status = %+v, want joined to succ", st)
-	}
-	if f.primary.Epoch() < 2 {
-		t.Fatalf("demoted replica still at epoch %d, want the successor's", f.primary.Epoch())
-	}
-	if v, _, ok := f.primary.Value("alpha"); !ok || string(v) != "new" {
-		t.Fatalf("demoted replica holds alpha=%q ok=%v, want the successor's value", v, ok)
-	}
-	// Live replication resumed: a fresh write reaches the demoted replica.
-	succ.ClientWrite("alpha", []byte("newer"), nil)
-	f.clk.RunFor(200 * time.Millisecond)
-	if v, _, _ := f.primary.Value("alpha"); string(v) != "newer" {
-		t.Fatalf("demoted replica not tracking live writes: %q", v)
-	}
-	if got := succ.SyncedPeers(); got != 1 {
-		t.Fatalf("successor synced peers = %d, want the demoted replica attached", got)
-	}
-}
-
-// TestRejoinerConfigRequiresExactlyOneStartPath pins the Start/Replica
-// exclusivity rule.
-func TestRejoinerConfigRequiresExactlyOneStartPath(t *testing.T) {
+// TestRejoinerConfigRequiresStart pins that a rejoiner without a start
+// hook, a clock or a directory is refused.
+func TestRejoinerConfigRequiresStart(t *testing.T) {
 	clk := clock.NewSim()
 	ns := failover.NewNameService()
-	base := RejoinerConfig{Clock: clk, Service: "svc", Directory: ns, Self: addrOf("x")}
-	if _, err := NewRejoiner(base); err == nil {
-		t.Fatal("rejoiner accepted a config with neither Start nor Replica")
+	start := func(xkernel.Addr, uint32) (*core.Replica, error) { return nil, nil }
+	base := RejoinerConfig{Clock: clk, Service: "svc", Directory: ns, Self: addrOf("x"), Start: start}
+	if _, err := NewRejoiner(base); err != nil {
+		t.Fatalf("rejoiner refused a complete config: %v", err)
 	}
-	both := base
-	both.Start = func(xkernel.Addr, uint32) (*core.Replica, error) { return nil, nil }
-	both.Replica = &core.Replica{}
-	if _, err := NewRejoiner(both); err == nil {
-		t.Fatal("rejoiner accepted a config with both Start and Replica")
+	for name, mutate := range map[string]func(*RejoinerConfig){
+		"no start":     func(c *RejoinerConfig) { c.Start = nil },
+		"no clock":     func(c *RejoinerConfig) { c.Clock = nil },
+		"no directory": func(c *RejoinerConfig) { c.Directory = nil },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if _, err := NewRejoiner(cfg); err == nil {
+			t.Errorf("rejoiner accepted a config with %s", name)
+		}
 	}
 }

@@ -3,17 +3,14 @@ package resilience
 import "time"
 
 // Backoff computes capped exponential retransmission delays with
-// deterministic jitter. The jitter source is a seeded xorshift64* stream,
-// never the wall clock, so simulation replays stay byte-identical.
+// deterministic jitter: each attempt doubles the delay, and a quarter of
+// it more is added as uniform random slack. The jitter source is a
+// seeded xorshift64* stream, never the wall clock, so simulation
+// replays stay byte-identical.
 type Backoff struct {
-	// Factor is the per-attempt growth multiplier. Zero means 2.
-	Factor float64
 	// Cap bounds the delay after growth and jitter. Zero means 1s.
 	Cap time.Duration
-	// Jitter is the fraction of the delay added as uniform random slack
-	// in [0, Jitter·delay). Zero means 0.25; negative disables jitter.
-	Jitter float64
-	rng    uint64
+	rng uint64
 }
 
 // NewBackoff returns a backoff whose jitter stream is seeded by seed.
@@ -35,12 +32,8 @@ func (b *Backoff) next() float64 {
 }
 
 // DelayFrom returns the delay for the given zero-based attempt starting
-// from base: base·Factor^attempt plus jitter, capped at Cap.
+// from base: base·2^attempt plus up to a quarter of that, capped at Cap.
 func (b *Backoff) DelayFrom(base time.Duration, attempt int) time.Duration {
-	factor := b.Factor
-	if factor <= 1 {
-		factor = 2
-	}
 	cap := b.Cap
 	if cap <= 0 {
 		cap = time.Second
@@ -50,18 +43,12 @@ func (b *Backoff) DelayFrom(base time.Duration, attempt int) time.Duration {
 	}
 	d := float64(base)
 	for i := 0; i < attempt && time.Duration(d) < cap; i++ {
-		d *= factor
+		d *= 2
 	}
 	if time.Duration(d) > cap {
 		d = float64(cap)
 	}
-	jitter := b.Jitter
-	if jitter == 0 {
-		jitter = 0.25
-	}
-	if jitter > 0 {
-		d += d * jitter * b.next()
-	}
+	d += d * 0.25 * b.next()
 	if time.Duration(d) > cap {
 		d = float64(cap)
 	}

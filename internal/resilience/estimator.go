@@ -1,8 +1,9 @@
 // Package resilience holds the adaptive-timer machinery of the RTPB
-// resilience layer: a Jacobson/Karn link estimator (EWMA RTT + loss rate)
-// that turns observed ack behaviour into retransmission timeouts, a capped
-// exponential backoff with deterministic jitter, and a phi-accrual-style
-// suspicion scorer for the failure detector.
+// resilience layer: a Jacobson/Karn link estimator (EWMA RTT, delivered
+// and lost exchanges counted) that turns observed ack behaviour into
+// retransmission timeouts, a capped exponential backoff with
+// deterministic jitter, and a phi-accrual-style suspicion scorer for the
+// failure detector.
 //
 // Everything here is driven by the deterministic simulation clock and a
 // seeded xorshift generator, so replays of the same scenario and seed stay
@@ -20,9 +21,6 @@ type EstimatorConfig struct {
 	// MinRTO and MaxRTO clamp the computed timeout.
 	MinRTO time.Duration
 	MaxRTO time.Duration
-	// LossGain is the EWMA gain applied per ack/loss observation.
-	// Zero means 1/8.
-	LossGain float64
 }
 
 func (c *EstimatorConfig) normalize() {
@@ -38,13 +36,10 @@ func (c *EstimatorConfig) normalize() {
 	if c.MaxRTO < c.MinRTO {
 		c.MaxRTO = c.MinRTO
 	}
-	if c.LossGain <= 0 || c.LossGain > 1 {
-		c.LossGain = 1.0 / 8
-	}
 }
 
-// Estimator tracks one peer link's round-trip time and loss rate from ack
-// observations, in the style of Jacobson's TCP estimator with Karn's rule
+// Estimator tracks one peer link's round-trip time from ack observations,
+// and counts delivered and lost exchanges, in the style of Jacobson's TCP estimator with Karn's rule
 // applied by the caller (only sample RTT from exchanges that were never
 // retransmitted).
 type Estimator struct {
@@ -52,7 +47,6 @@ type Estimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	hasRTT bool
-	loss   float64
 	acks   uint64
 	losses uint64
 }
@@ -88,20 +82,14 @@ func (e *Estimator) SampleRTT(rtt time.Duration) {
 
 // SampleAck records a delivered exchange with no usable RTT (for example an
 // ack that arrived after a retransmission, which Karn's rule excludes from
-// RTT sampling). It decays the loss estimate only.
+// RTT sampling). It counts the exchange only.
 func (e *Estimator) SampleAck() { e.sampleDelivered() }
 
-func (e *Estimator) sampleDelivered() {
-	e.acks++
-	e.loss += e.cfg.LossGain * (0 - e.loss)
-}
+func (e *Estimator) sampleDelivered() { e.acks++ }
 
 // SampleLoss records a presumed-lost exchange (a retry timer fired with the
 // ack still outstanding).
-func (e *Estimator) SampleLoss() {
-	e.losses++
-	e.loss += e.cfg.LossGain * (1 - e.loss)
-}
+func (e *Estimator) SampleLoss() { e.losses++ }
 
 // RTO returns the current retransmission timeout: srtt + 4·rttvar clamped
 // to [MinRTO, MaxRTO], or InitialRTO before the first RTT sample.
@@ -121,9 +109,6 @@ func (e *Estimator) RTO() time.Duration {
 
 // SRTT returns the smoothed round-trip time (zero before any sample).
 func (e *Estimator) SRTT() time.Duration { return e.srtt }
-
-// LossRate returns the EWMA loss estimate in [0, 1].
-func (e *Estimator) LossRate() float64 { return e.loss }
 
 // Samples returns the raw delivered/lost observation counts.
 func (e *Estimator) Samples() (acks, losses uint64) { return e.acks, e.losses }

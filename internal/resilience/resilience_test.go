@@ -45,22 +45,19 @@ func TestEstimatorVarianceWidensRTO(t *testing.T) {
 	}
 }
 
-func TestEstimatorLossRate(t *testing.T) {
+func TestEstimatorCountsSamples(t *testing.T) {
 	e := NewEstimator(EstimatorConfig{})
-	if e.LossRate() != 0 {
-		t.Fatalf("initial loss rate = %v, want 0", e.LossRate())
+	if acks, losses := e.Samples(); acks != 0 || losses != 0 {
+		t.Fatalf("initial samples = %d acks %d losses, want 0/0", acks, losses)
 	}
 	for i := 0; i < 50; i++ {
 		e.SampleLoss()
 	}
-	if e.LossRate() < 0.9 {
-		t.Fatalf("loss rate after persistent loss = %v, want near 1", e.LossRate())
-	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 40; i++ {
 		e.SampleAck()
 	}
-	if e.LossRate() > 0.1 {
-		t.Fatalf("loss rate after recovery = %v, want near 0", e.LossRate())
+	for i := 0; i < 10; i++ {
+		e.SampleRTT(time.Millisecond)
 	}
 	acks, losses := e.Samples()
 	if acks != 50 || losses != 50 {
@@ -70,13 +67,12 @@ func TestEstimatorLossRate(t *testing.T) {
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
 	b := NewBackoff(7)
-	b.Jitter = -1 // deterministic delays for exact assertions
 	b.Cap = 100 * time.Millisecond
-	if d := b.DelayFrom(10*time.Millisecond, 0); d != 10*time.Millisecond {
-		t.Fatalf("attempt 0 delay = %v, want base 10ms", d)
+	if d := b.DelayFrom(10*time.Millisecond, 0); d < 10*time.Millisecond || d >= 12500*time.Microsecond {
+		t.Fatalf("attempt 0 delay = %v, want base 10ms plus under a quarter", d)
 	}
-	if d := b.DelayFrom(10*time.Millisecond, 2); d != 40*time.Millisecond {
-		t.Fatalf("attempt 2 delay = %v, want 40ms", d)
+	if d := b.DelayFrom(10*time.Millisecond, 2); d < 40*time.Millisecond || d >= 50*time.Millisecond {
+		t.Fatalf("attempt 2 delay = %v, want 40ms plus under a quarter", d)
 	}
 	if d := b.DelayFrom(10*time.Millisecond, 20); d != 100*time.Millisecond {
 		t.Fatalf("attempt 20 delay = %v, want the 100ms cap", d)
@@ -112,7 +108,6 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 
 func TestBackoffJitterBounded(t *testing.T) {
 	b := NewBackoff(9)
-	b.Jitter = 0.25
 	base := 10 * time.Millisecond
 	for i := 0; i < 100; i++ {
 		d := b.DelayFrom(base, 1)

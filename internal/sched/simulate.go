@@ -38,8 +38,6 @@ func (p Policy) String() string {
 
 // Invocation records one completed job of a task in a simulation trace.
 type Invocation struct {
-	// Index is k: this is the task's k-th invocation (0-based).
-	Index int
 	// Release is the job's release instant, relative to simulation start.
 	Release time.Duration
 	// Finish is the completion instant of the job.
@@ -53,8 +51,6 @@ type Trace struct {
 	// Tasks is the task set that was actually dispatched. Under PolicyDCS
 	// this is the S_r-specialized set; otherwise it is the input set.
 	Tasks TaskSet
-	// Policy is the algorithm that produced the trace.
-	Policy Policy
 	// Invocations holds, per task, every job completed within the horizon.
 	Invocations [][]Invocation
 	// Misses is the total number of deadline misses.
@@ -63,7 +59,6 @@ type Trace struct {
 
 type simJob struct {
 	task      int
-	index     int
 	release   time.Duration
 	deadline  time.Duration
 	remaining time.Duration
@@ -92,12 +87,10 @@ func Simulate(ts TaskSet, policy Policy, horizon time.Duration) (*Trace, error) 
 
 	tr := &Trace{
 		Tasks:       dispatch,
-		Policy:      policy,
 		Invocations: make([][]Invocation, len(dispatch)),
 	}
 
 	nextRelease := make([]time.Duration, len(dispatch))
-	nextIndex := make([]int, len(dispatch))
 	for i, t := range dispatch {
 		nextRelease[i] = t.Offset
 	}
@@ -128,12 +121,10 @@ func Simulate(ts TaskSet, policy Policy, horizon time.Duration) (*Trace, error) 
 			for nextRelease[i] <= now {
 				ready = append(ready, &simJob{
 					task:      i,
-					index:     nextIndex[i],
 					release:   nextRelease[i],
 					deadline:  nextRelease[i] + dispatch[i].Deadline(),
 					remaining: dispatch[i].WCET,
 				})
-				nextIndex[i]++
 				nextRelease[i] += dispatch[i].Period
 			}
 		}
@@ -172,7 +163,6 @@ func Simulate(ts TaskSet, policy Policy, horizon time.Duration) (*Trace, error) 
 			tr.Misses++
 		}
 		tr.Invocations[run.task] = append(tr.Invocations[run.task], Invocation{
-			Index:   run.index,
 			Release: run.release,
 			Finish:  end,
 			Missed:  missed,

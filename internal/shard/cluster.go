@@ -31,16 +31,13 @@ type Config struct {
 	// Headroom is the placer's per-shard utilization reserve; defaults to
 	// DefaultHeadroom. Negative means zero (no reserve).
 	Headroom float64
-	// Scheduling, Costs, SchedTest and SlackFactor configure every
-	// shard's primary identically (see core.Config).
-	Scheduling  core.SchedulingMode
-	Costs       core.CostModel
-	SchedTest   core.SchedTest
-	SlackFactor float64
+	// Costs configures every shard's primary identically (see
+	// core.Config); every shard schedules normally, with the default
+	// test and slack.
+	Costs core.CostModel
 	// Governor configures every shard primary's overload governor; the
-	// zero value leaves the shards ungoverned. The per-shard ladder state
-	// is exported through Status.Degraded/Status.Shed and Health — the
-	// signal the gateway tier's admission-aware backpressure keys on.
+	// zero value leaves the shards ungoverned. Health exports the ladder
+	// state that the gateway tier's admission-aware backpressure keys on.
 	Governor core.GovernorConfig
 	// DisableAdmissionControl turns off every shard's admission test
 	// (overload experiments only: it lets a workload that provably cannot
@@ -224,10 +221,7 @@ func (c *Cluster) config(h *topo.Host) core.Config {
 		Clock:                   h.Clk,
 		Port:                    h.Port,
 		Ell:                     c.cfg.Ell,
-		Scheduling:              c.cfg.Scheduling,
 		Costs:                   c.cfg.Costs,
-		SchedTest:               c.cfg.SchedTest,
-		SlackFactor:             c.cfg.SlackFactor,
 		Governor:                c.cfg.Governor,
 		DisableAdmissionControl: c.cfg.DisableAdmissionControl,
 	}
@@ -651,55 +645,23 @@ func (c *Cluster) TotalWrites() int {
 
 // Status is one shard's externally visible state.
 type Status struct {
-	// Index and Service identify the shard.
-	Index   int
-	Service string
-	// PrimaryHost and PrimaryAddr locate the currently serving primary.
-	PrimaryHost string
-	PrimaryAddr xkernel.Addr
 	// Epoch is the serving primary's epoch (0 if none is running).
 	Epoch uint32
-	// Objects and Utilization describe the resident load.
-	Objects     int
+	// Utilization is the serving primary's resident load.
 	Utilization float64
-	// BackupAlive reports whether the primary believes a synced backup
-	// is attached.
-	BackupAlive bool
 	// Promotions counts backup-to-primary takeovers on this shard.
 	Promotions int
-	// Degraded and Shed are the primary overload governor's ladder state:
-	// objects currently below ModeNormal, and of those, objects whose
-	// update transmissions are suspended entirely. Both are zero on an
-	// ungoverned shard. A front tier treats Degraded > 0 as "slow-path
-	// this shard" and Shed > 0 as "stop admitting new load".
-	Degraded int
-	Shed     int
-	// Observers counts the shard's attached read-only observer replicas.
-	Observers int
 }
 
 // Statuses reports every shard's state, index-ordered.
 func (c *Cluster) Statuses() []Status {
 	out := make([]Status, len(c.shards))
 	for i, sh := range c.shards {
-		h := sh.hosts[sh.primaryIndex()]
-		s := Status{
-			Index:       i,
-			Service:     sh.service,
-			PrimaryHost: h.Name,
-			PrimaryAddr: h.Addr,
-			Promotions:  sh.promotions,
-			Observers:   len(sh.Observers()),
-		}
+		out[i].Promotions = sh.promotions
 		if p := sh.serving(); p != nil {
-			s.Epoch = p.Epoch()
-			s.Objects = p.Objects()
-			s.Utilization = p.Utilization()
-			s.BackupAlive = p.BackupAlive()
-			gs := p.GovernorStats()
-			s.Degraded, s.Shed = gs.Degraded, gs.Shed
+			out[i].Epoch = p.Epoch()
+			out[i].Utilization = p.Utilization()
 		}
-		out[i] = s
 	}
 	return out
 }

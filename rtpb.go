@@ -53,7 +53,7 @@ type (
 	Decision = core.Decision
 	// Replica is the role-based RTPB replica state machine: one object
 	// table and protocol engine that serves as primary or backup and
-	// flips roles in place (Promote/Demote) without copying state.
+	// is promoted in place (Promote) without copying state.
 	Replica = core.Replica
 	// Role is a replica's current role.
 	Role = core.Role
