@@ -197,9 +197,12 @@ func TestInternalMethodsHaveCallers(t *testing.T) {
 // A field is set where it is a composite-literal key (or a positional
 // literal lists it), the target of an assignment or an inc/dec, has its
 // address taken, or has a pointer-receiver method called on it, and
-// where a field inside it is set that way. A write-only target (plain
-// assignment, op-assignment, inc/dec) is not a read, and neither is
-// reflection (encoding/json, fmt's %v). Otherwise testOnlyFields must
+// where a field inside it is set that way. A method of a struct type
+// that assigns a constant expression to a field of that same type is
+// filling in a default, not setting it: an option that only its own
+// normalize ever sets is a constant behind a knob. A write-only target
+// (plain assignment, op-assignment, inc/dec) is not a read, and neither
+// is reflection (encoding/json, fmt's %v). Otherwise testOnlyFields must
 // name the test that sets it, and a stale entry fails as a stale
 // testOnlyFuncs entry does.
 func TestInternalFieldsAreSet(t *testing.T) {
@@ -291,45 +294,56 @@ func (m *module) fieldUses() (read, set map[types.Object]bool) {
 			}
 		}
 		for _, file := range p.files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.CompositeLit:
-					st, ok := info.Types[x].Type.Underlying().(*types.Struct)
-					if !ok {
-						break
-					}
-					for i, elt := range x.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if f := field(kv.Key.(*ast.Ident)); f != nil {
-								set[f], writeOnly[kv.Key.(*ast.Ident)] = true, true
+			for _, decl := range file.Decls {
+				own := receiverStruct(info, decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := info.Types[x].Type.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range x.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if f := field(kv.Key.(*ast.Ident)); f != nil {
+									set[f], writeOnly[kv.Key.(*ast.Ident)] = true, true
+								}
+							} else {
+								set[st.Field(i).Origin()] = true
 							}
-						} else {
-							set[st.Field(i).Origin()] = true
+						}
+					case *ast.AssignStmt:
+						for i, lhs := range x.Lhs {
+							// A constant stored into a field of the method's
+							// own struct type is a default, not a set.
+							sel, _ := lhs.(*ast.SelectorExpr)
+							if sel != nil && x.Tok == token.ASSIGN && len(x.Rhs) == len(x.Lhs) &&
+								info.Types[x.Rhs[i]].Value != nil && hasField(own, field(sel.Sel)) {
+								writeOnly[sel.Sel] = true
+								continue
+							}
+							target(lhs, true)
+						}
+					case *ast.IncDecStmt:
+						target(x.X, true)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							target(x.X, false)
+						}
+					case *ast.SelectorExpr:
+						sel := info.Selections[x]
+						if sel == nil || sel.Kind() != types.MethodVal {
+							break
+						}
+						_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+						_, ptrX := info.Types[x.X].Type.Underlying().(*types.Pointer)
+						if ptrRecv && !ptrX {
+							target(x.X, false)
 						}
 					}
-				case *ast.AssignStmt:
-					for _, lhs := range x.Lhs {
-						target(lhs, true)
-					}
-				case *ast.IncDecStmt:
-					target(x.X, true)
-				case *ast.UnaryExpr:
-					if x.Op == token.AND {
-						target(x.X, false)
-					}
-				case *ast.SelectorExpr:
-					sel := info.Selections[x]
-					if sel == nil || sel.Kind() != types.MethodVal {
-						break
-					}
-					_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
-					_, ptrX := info.Types[x.X].Type.Underlying().(*types.Pointer)
-					if ptrRecv && !ptrX {
-						target(x.X, false)
-					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 		for id := range info.Uses {
 			if f := field(id); f != nil && !writeOnly[id] {
@@ -338,6 +352,30 @@ func (m *module) fieldUses() (read, set map[types.Object]bool) {
 		}
 	}
 	return read, set
+}
+
+// receiverStruct is the struct type that decl is a method of, or nil.
+func receiverStruct(info *types.Info, decl ast.Decl) *types.Struct {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok || fd.Recv == nil {
+		return nil
+	}
+	t := info.TypeOf(fd.Recv.List[0].Type)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+// hasField reports whether f is a field of st (false when either is nil).
+func hasField(st *types.Struct, f *types.Var) bool {
+	for i := 0; st != nil && f != nil && i < st.NumFields(); i++ {
+		if st.Field(i).Origin() == f {
+			return true
+		}
+	}
+	return false
 }
 
 // guard names a pass's allowlist and words for its messages.

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"rtpb/internal/clock"
+	"rtpb/internal/core"
 	"rtpb/internal/cpu"
 	"rtpb/internal/wire"
 	"rtpb/internal/xkernel"
@@ -37,25 +38,19 @@ import (
 // enabled on (distinct from RTPB's so both can share a stack).
 const ActivePort uint16 = 7100
 
+// retransmitInterval is how often unacked orders are re-multicast.
+const retransmitInterval = 20 * time.Millisecond
+
 // Config configures a Sequencer or Member.
 type Config struct {
 	// Clock drives all timers; required.
 	Clock clock.Clock
 	// Port is the port protocol to enable on; required.
 	Port *xkernel.PortProtocol
-	// LocalPort defaults to ActivePort.
-	LocalPort uint16
 	// Members are the member replicas' addresses (sequencer only).
 	Members []xkernel.Addr
 	// Sequencer is the sequencer's address (member only).
 	Sequencer xkernel.Addr
-	// RetransmitInterval is how often unacked orders are re-multicast;
-	// defaults to 20ms.
-	RetransmitInterval time.Duration
-	// Costs is the CPU cost model; zero value uses core-equivalent
-	// defaults.
-	ClientOpCost time.Duration
-	SendCost     time.Duration
 }
 
 func (c *Config) normalize() error {
@@ -64,18 +59,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Port == nil {
 		return fmt.Errorf("active: config needs a Port protocol")
-	}
-	if c.LocalPort == 0 {
-		c.LocalPort = ActivePort
-	}
-	if c.RetransmitInterval <= 0 {
-		c.RetransmitInterval = 20 * time.Millisecond
-	}
-	if c.ClientOpCost <= 0 {
-		c.ClientOpCost = 200 * time.Microsecond
-	}
-	if c.SendCost <= 0 {
-		c.SendCost = 400 * time.Microsecond
 	}
 	return nil
 }
@@ -134,11 +117,11 @@ func NewSequencer(cfg Config) (*Sequencer, error) {
 		nextID:  1,
 		running: true,
 	}
-	if err := cfg.Port.EnablePort(cfg.LocalPort, s); err != nil {
+	if err := cfg.Port.EnablePort(ActivePort, s); err != nil {
 		return nil, err
 	}
 	for _, addr := range cfg.Members {
-		sess, err := cfg.Port.OpenFrom(cfg.LocalPort, addr)
+		sess, err := cfg.Port.OpenFrom(ActivePort, addr)
 		if err != nil {
 			s.Stop()
 			return nil, fmt.Errorf("active: open member session: %w", err)
@@ -154,7 +137,7 @@ func (s *Sequencer) Stop() {
 		return
 	}
 	s.running = false
-	s.port.DisablePort(s.cfg.LocalPort)
+	s.port.DisablePort(ActivePort)
 	for _, p := range s.pending {
 		if p.retry != nil {
 			p.retry.Cancel()
@@ -202,7 +185,9 @@ func (s *Sequencer) ClientWrite(name string, data []byte, done func(latency time
 	arrival := s.clk.Now()
 	value := make([]byte, len(data))
 	copy(value, data)
-	s.proc.Submit(cpu.Low, s.cfg.ClientOpCost, func() {
+	// Active and RTPB pay the same costs (core's model), so the
+	// experiments compare protocols, not cost constants.
+	s.proc.Submit(cpu.Low, core.DefaultCosts().ClientOp, func() {
 		o := s.byID[id]
 		o.value = value
 		o.version = arrival
@@ -233,7 +218,7 @@ func (s *Sequencer) multicast(p *pendingOrder) {
 	if !s.running {
 		return
 	}
-	cost := time.Duration(len(p.waiting)) * s.cfg.SendCost
+	cost := time.Duration(len(p.waiting)) * core.DefaultCosts().UpdateSend
 	s.proc.Submit(cpu.Low, cost, func() {
 		if !s.running {
 			return
@@ -244,7 +229,7 @@ func (s *Sequencer) multicast(p *pendingOrder) {
 				_ = sess.Push(xkernel.NewMessage(encoded))
 			}
 		}
-		p.retry = s.clk.Schedule(s.cfg.RetransmitInterval, func() {
+		p.retry = s.clk.Schedule(retransmitInterval, func() {
 			if _, still := s.pending[p.order.Seq]; still {
 				s.multicast(p)
 			}
@@ -305,12 +290,12 @@ func NewMember(cfg Config) (*Member, error) {
 		hold:    make(map[uint64]*wire.Order),
 		objects: make(map[uint32]*objectState),
 	}
-	if err := cfg.Port.EnablePort(cfg.LocalPort, m); err != nil {
+	if err := cfg.Port.EnablePort(ActivePort, m); err != nil {
 		return nil, err
 	}
-	sess, err := cfg.Port.OpenFrom(cfg.LocalPort, cfg.Sequencer)
+	sess, err := cfg.Port.OpenFrom(ActivePort, cfg.Sequencer)
 	if err != nil {
-		cfg.Port.DisablePort(cfg.LocalPort)
+		cfg.Port.DisablePort(ActivePort)
 		return nil, fmt.Errorf("active: open sequencer session: %w", err)
 	}
 	m.sess = sess

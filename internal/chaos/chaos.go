@@ -52,8 +52,6 @@ type Scenario struct {
 	// Link is the default link quality; zero value means 2ms delay + 1ms
 	// jitter, the EXPERIMENTS.md baseline.
 	Link netsim.LinkParams
-	// Ell is ℓ, the admission controller's delay bound; defaults to 5ms.
-	Ell time.Duration
 	// Detector tunes the backup-side failure detectors; zero value means
 	// failover.DefaultDetectorConfig.
 	Detector failover.DetectorConfig
@@ -66,9 +64,6 @@ type Scenario struct {
 	// WritePeriod is the client write period per object; defaults to each
 	// object's UpdatePeriod.
 	WritePeriod time.Duration
-	// Scheduling selects the primary's update scheduling mode; zero
-	// value means core.ScheduleNormal.
-	Scheduling core.SchedulingMode
 	// Costs overrides the primary's CPU cost model; zero value keeps
 	// core.DefaultCosts. Overload scenarios inflate it so the governor
 	// has real contention to govern.
@@ -184,17 +179,11 @@ func (s *Scenario) normalize() {
 	if s.Link == (netsim.LinkParams{}) {
 		s.Link = netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}
 	}
-	if s.Ell == 0 {
-		s.Ell = 5 * time.Millisecond
-	}
 	if s.Detector == (failover.DetectorConfig{}) {
 		s.Detector = failover.DefaultDetectorConfig()
 	}
 	if len(s.Objects) == 0 {
 		s.Objects = []core.ObjectSpec{StandardObject()}
-	}
-	if s.Scheduling == 0 {
-		s.Scheduling = core.ScheduleNormal
 	}
 }
 

@@ -315,8 +315,7 @@ func (h *Harness) config(n *Node) core.Config {
 		Clock:                n.Clk,
 		Port:                 n.Port,
 		Durable:              n.Dur,
-		Ell:                  h.sc.Ell,
-		Scheduling:           h.sc.Scheduling,
+		Ell:                  5 * time.Millisecond, // ℓ, the admission controller's delay bound
 		Costs:                h.sc.Costs,
 		Governor:             h.sc.Governor,
 		FrameBatch:           h.sc.FrameBatch,

@@ -28,56 +28,28 @@ type GatewayScenario struct {
 	Description string
 	// Seed drives the fabric's loss/jitter draws; defaults to 1.
 	Seed int64
-	// Sessions is the target concurrent session population; defaults
-	// to 500.
-	Sessions int
-	// Groups is the subscription-group count; defaults to 2 (the hot
-	// and quiet shards' groups).
-	Groups int
-	// Duration is the workload phase; defaults to 4s.
-	Duration time.Duration
-	// Settle is the post-workload drain; defaults to 400ms.
-	Settle time.Duration
-	// BroadcastPeriod is the gateway fan-out tick; defaults to 50ms.
-	BroadcastPeriod time.Duration
-	// SessionTTL is each session's lifetime before it disconnects (the
-	// churn that lets the population decay under shed); defaults to 1s.
-	SessionTTL time.Duration
-	// BurstAt/BurstFor bound the hotspot write storm on shard 0;
-	// defaults 800ms / 700ms.
-	BurstAt  time.Duration
-	BurstFor time.Duration
 }
 
 func (s *GatewayScenario) normalize() {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Sessions <= 0 {
-		s.Sessions = 500
-	}
-	if s.Groups <= 0 {
-		s.Groups = 2
-	}
-	if s.Duration == 0 {
-		s.Duration = 4 * time.Second
-	}
-	if s.Settle == 0 {
-		s.Settle = 400 * time.Millisecond
-	}
-	if s.BroadcastPeriod == 0 {
-		s.BroadcastPeriod = 50 * time.Millisecond
-	}
-	if s.SessionTTL == 0 {
-		s.SessionTTL = time.Second
-	}
-	if s.BurstAt == 0 {
-		s.BurstAt = 800 * time.Millisecond
-	}
-	if s.BurstFor == 0 {
-		s.BurstFor = 700 * time.Millisecond
-	}
 }
+
+// The gateway scenario's shape: the target concurrent session
+// population, the workload phase and its post-workload drain, the
+// gateway fan-out tick, each session's lifetime before it disconnects
+// (the churn that lets the population decay under shed), and the window
+// of the hotspot write storm on shard 0.
+const (
+	gatewaySessions        = 500
+	gatewayDuration        = 4 * time.Second
+	gatewaySettle          = 400 * time.Millisecond
+	gatewayBroadcastPeriod = 50 * time.Millisecond
+	gatewaySessionTTL      = time.Second
+	gatewayBurstAt         = 800 * time.Millisecond
+	gatewayBurstFor        = 700 * time.Millisecond
+)
 
 // GatewayCatalogue returns the canned gateway scenarios.
 func GatewayCatalogue() []GatewayScenario {
@@ -172,7 +144,7 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 	gw, err := gateway.New(gateway.Config{
 		Clock:           clk,
 		Backend:         gateway.ClusterBackend{Cluster: c},
-		BroadcastPeriod: sc.BroadcastPeriod,
+		BroadcastPeriod: gatewayBroadcastPeriod,
 		OnEvent:         func(format string, args ...any) { c.Logf(format, args...) },
 	})
 	if err != nil {
@@ -232,13 +204,13 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 	// session living one TTL. Under shed the attempts are refused while
 	// TTL expiries continue, so the population decays; after recovery
 	// the same churn refills it.
-	burstStart := start.Add(sc.BurstAt)
-	burstEnd := burstStart.Add(sc.BurstFor)
+	burstStart := start.Add(gatewayBurstAt)
+	burstEnd := burstStart.Add(gatewayBurstFor)
 	groups := []string{"hot", "quiet"}
 	var connectAttempts, connectRejected int
 	nextGroup := 0
 	churn := clock.NewPeriodic(clk, 0, 2*time.Millisecond, func() {
-		if gw.Stats().Sessions >= sc.Sessions {
+		if gw.Stats().Sessions >= gatewaySessions {
 			return
 		}
 		connectAttempts++
@@ -259,7 +231,7 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 			violationf("subscribe failed: %v", err)
 		}
 		nextGroup++
-		clk.Schedule(sc.SessionTTL, s.Close)
+		clk.Schedule(gatewaySessionTTL, s.Close)
 	})
 	defer churn.Stop()
 
@@ -269,7 +241,7 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 	// governor must bottom out at shed and only the burst's end lets it
 	// climb back.
 	var burst []*clock.Periodic
-	clk.Schedule(sc.BurstAt, func() {
+	clk.Schedule(gatewayBurstAt, func() {
 		c.Logf("gateway-chaos: hotspot burst begins")
 		for i, name := range groupOf["hot"] {
 			name := name
@@ -280,7 +252,7 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 			}))
 		}
 	})
-	clk.Schedule(sc.BurstAt+sc.BurstFor, func() {
+	clk.Schedule(gatewayBurstAt+gatewayBurstFor, func() {
 		for _, b := range burst {
 			b.Stop()
 		}
@@ -341,10 +313,10 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 	})
 	defer probe.Stop()
 
-	c.RunFor(sc.Duration)
+	c.RunFor(gatewayDuration)
 	c.StopWriters()
 	c.Monitor().FinishAt(clk.Now())
-	c.RunFor(sc.Settle)
+	c.RunFor(gatewaySettle)
 	res.Log = append(res.Log, c.Log()...)
 	res.Elapsed = clk.Now().Sub(start)
 
@@ -355,10 +327,10 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 	// broadcast fan-in must freeze across consecutive shed samples.
 	shedSeen, rejectedDuringShed := false, false
 	var minDuringShed, maxAfter int
-	minDuringShed = sc.Sessions
+	minDuringShed = gatewaySessions
 	for i, s := range samples {
 		if !s.shed {
-			if s.at > sc.BurstAt+sc.BurstFor && s.sessions > maxAfter {
+			if s.at > gatewayBurstAt+gatewayBurstFor && s.sessions > maxAfter {
 				maxAfter = s.sessions
 			}
 			continue
@@ -389,13 +361,13 @@ func RunGateway(sc GatewayScenario) (*Result, error) {
 
 	// The population must have degraded under shed and recovered after:
 	// churn refills at 500/s once admissions resume.
-	if shedSeen && minDuringShed > sc.Sessions*8/10 {
+	if shedSeen && minDuringShed > gatewaySessions*8/10 {
 		violationf("session population never degraded under shed (min %d of %d)",
-			minDuringShed, sc.Sessions)
+			minDuringShed, gatewaySessions)
 	}
-	if maxAfter < sc.Sessions*9/10 {
+	if maxAfter < gatewaySessions*9/10 {
 		violationf("session population did not recover after the burst (max %d of %d)",
-			maxAfter, sc.Sessions)
+			maxAfter, gatewaySessions)
 	}
 	if got := gw.Mode(); got != gateway.Normal {
 		violationf("gateway mode at end = %s, want normal", got)

@@ -25,59 +25,43 @@ type ShardScenario struct {
 	Description string
 	// Seed drives the fabric's loss/jitter draws; defaults to 1.
 	Seed int64
-	// Shards is K; defaults to 4.
-	Shards int
-	// Loss is the fabric-wide datagram loss probability; defaults to 0.1.
-	Loss float64
-	// Duration is the fault-and-workload phase; defaults to 2s.
-	Duration time.Duration
-	// Settle is the post-workload drain; defaults to 400ms.
-	Settle time.Duration
-	// CrashAt is the instant shard 0's primary dies; defaults to 500ms.
-	CrashAt time.Duration
-	// Objects is the workload set; empty means a generated set of eight
-	// identical objects sized so a single pair cannot schedule them all.
-	Objects []core.ObjectSpec
-	// Headroom is the placer's reserve, tuned so the default set spreads
-	// across all four groups; defaults to 0.55.
-	Headroom float64
 }
 
 func (s *ShardScenario) normalize() {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Shards <= 0 {
-		s.Shards = 4
-	}
-	if s.Loss == 0 {
-		s.Loss = 0.1
-	}
-	if s.Duration == 0 {
-		s.Duration = 2 * time.Second
-	}
-	if s.Settle == 0 {
-		s.Settle = 400 * time.Millisecond
-	}
-	if s.CrashAt == 0 {
-		s.CrashAt = 500 * time.Millisecond
-	}
-	if s.Headroom == 0 {
-		s.Headroom = 0.55
-	}
-	if len(s.Objects) == 0 {
-		for i := 0; i < 8; i++ {
-			s.Objects = append(s.Objects, core.ObjectSpec{
-				Name:         fmt.Sprintf("obj%d", i),
-				Size:         64,
-				UpdatePeriod: 5 * time.Millisecond,
-				Constraint: temporal.ExternalConstraint{
-					DeltaP: 10 * time.Millisecond,
-					DeltaB: 20 * time.Millisecond,
-				},
-			})
+}
+
+// The sharded scenario's shape: K shards, the fabric-wide datagram loss
+// probability, the fault-and-workload phase and its post-workload
+// drain, the instant shard 0's primary dies, and the placer's reserve,
+// tuned so shardObjects spreads across all four groups.
+const (
+	shardCount    = 4
+	shardLoss     = 0.1
+	shardDuration = 2 * time.Second
+	shardSettle   = 400 * time.Millisecond
+	shardCrashAt  = 500 * time.Millisecond
+	shardHeadroom = 0.55
+)
+
+// shardObjects is the sharded scenario's workload: eight identical
+// objects sized so a single pair cannot schedule them all.
+func shardObjects() []core.ObjectSpec {
+	objects := make([]core.ObjectSpec, 8)
+	for i := range objects {
+		objects[i] = core.ObjectSpec{
+			Name:         fmt.Sprintf("obj%d", i),
+			Size:         64,
+			UpdatePeriod: 5 * time.Millisecond,
+			Constraint: temporal.ExternalConstraint{
+				DeltaP: 10 * time.Millisecond,
+				DeltaB: 20 * time.Millisecond,
+			},
 		}
 	}
+	return objects
 }
 
 // ShardCatalogue returns the canned sharded-cluster scenarios.
@@ -102,7 +86,8 @@ func RunShard(sc ShardScenario) (*Result, error) {
 		res.Violations = append(res.Violations, msg)
 		res.Log = append(res.Log, "VIOLATION: "+msg)
 	}
-	link := netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, LossProb: sc.Loss}
+	objects := shardObjects()
+	link := netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, LossProb: shardLoss}
 
 	// Phase 1: the single-pair probe. One primary-backup group, no
 	// placer reserve, a loss-free fabric — the most favourable terms a
@@ -113,7 +98,7 @@ func RunShard(sc ShardScenario) (*Result, error) {
 		return nil, err
 	}
 	admitted, rejected := 0, false
-	for _, spec := range sc.Objects {
+	for _, spec := range objects {
 		if _, d, err := probe.Place(spec); err != nil {
 			res.Log = append(res.Log, fmt.Sprintf(
 				"probe: single pair rejects %q after %d admits: %s", spec.Name, admitted, d.Reason))
@@ -124,7 +109,7 @@ func RunShard(sc ShardScenario) (*Result, error) {
 	}
 	probe.Stop()
 	res.Log = append(res.Log, fmt.Sprintf(
-		"probe: single pair schedules %d of %d objects", admitted, len(sc.Objects)))
+		"probe: single pair schedules %d of %d objects", admitted, len(objects)))
 	if !rejected {
 		violationf("single pair admitted the whole set; the scenario's capacity claim is vacuous")
 	}
@@ -132,19 +117,19 @@ func RunShard(sc ShardScenario) (*Result, error) {
 	// Phase 2: the sharded cluster admits the same set in full, spread
 	// across the groups, under the lossy fabric.
 	c, err := shard.NewCluster(shard.Config{
-		Shards:   sc.Shards,
+		Shards:   shardCount,
 		Seed:     sc.Seed,
 		Link:     link,
-		Headroom: sc.Headroom,
+		Headroom: shardHeadroom,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer c.Stop()
 	start := c.Clock().Now()
-	shardOf := make(map[string]int, len(sc.Objects))
+	shardOf := make(map[string]int, len(objects))
 	used := map[int]bool{}
-	for _, spec := range sc.Objects {
+	for _, spec := range objects {
 		idx, _, err := c.Place(spec)
 		if err != nil {
 			violationf("sharded cluster rejected %q: %v", spec.Name, err)
@@ -157,14 +142,14 @@ func RunShard(sc ShardScenario) (*Result, error) {
 		violationf("placement used only %d shard(s)", len(used))
 	}
 
-	for _, spec := range sc.Objects {
+	for _, spec := range objects {
 		c.WriteEvery(spec.Name, spec.UpdatePeriod)
 	}
-	c.Schedule(sc.CrashAt, func() { c.CrashPrimary(0) })
-	c.RunFor(sc.Duration)
+	c.Schedule(shardCrashAt, func() { c.CrashPrimary(0) })
+	c.RunFor(shardDuration)
 	c.StopWriters()
 	c.Monitor().FinishAt(c.Clock().Now())
-	c.RunFor(sc.Settle)
+	c.RunFor(shardSettle)
 	res.Log = append(res.Log, c.Log()...)
 	res.Elapsed = c.Clock().Now().Sub(start)
 

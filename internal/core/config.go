@@ -320,7 +320,7 @@ func (c *Config) normalize() error {
 	if c.SkewMargin < 0 {
 		return fmt.Errorf("core: negative SkewMargin %v", c.SkewMargin)
 	}
-	c.Governor.normalize(c)
+	c.Governor.normalize()
 	if c.Peer != "" {
 		merged := make([]xkernel.Addr, 0, len(c.Peers)+1)
 		merged = append(merged, c.Peer)

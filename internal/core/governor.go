@@ -62,22 +62,25 @@ type GovernorConfig struct {
 	// for a tick to count as healthy; defaults to 0.3. Keeping it below
 	// DemoteStaleness is the ladder's hysteresis band.
 	PromoteStaleness float64
-	// QueuePressure is the send-queue occupancy (depth over admitted
-	// objects) that counts as overload pressure; defaults to 0.75.
-	QueuePressure float64
-	// MissPressure is how many transmission deadline misses (coalesced
-	// sends) per tick count as overload pressure; defaults to 2.
-	MissPressure int
 	// PromoteHold is how many consecutive healthy ticks must pass before
 	// one object is promoted a rung; defaults to 6.
 	PromoteHold int
-	// CompressedStretch multiplies a compressed object's update period;
-	// defaults to 1.5, capped so the stretched period stays within the
-	// Theorem 5 maximum (δ_B − ℓ).
-	CompressedStretch float64
 }
 
-func (g *GovernorConfig) normalize(c *Config) {
+const (
+	// queuePressure is the send-queue occupancy (depth over admitted
+	// objects) that counts as overload pressure.
+	queuePressure = 0.75
+	// missPressure is how many transmission deadline misses (coalesced
+	// sends) per tick count as overload pressure.
+	missPressure = 2
+	// compressedStretch multiplies a compressed object's update period,
+	// capped so the stretched period stays within the Theorem 5 maximum
+	// (δ_B − ℓ).
+	compressedStretch = 1.5
+)
+
+func (g *GovernorConfig) normalize() {
 	if !g.Enable {
 		return
 	}
@@ -90,17 +93,8 @@ func (g *GovernorConfig) normalize(c *Config) {
 	if g.PromoteStaleness <= 0 {
 		g.PromoteStaleness = 0.3
 	}
-	if g.QueuePressure <= 0 {
-		g.QueuePressure = 0.75
-	}
-	if g.MissPressure <= 0 {
-		g.MissPressure = 2
-	}
 	if g.PromoteHold <= 0 {
 		g.PromoteHold = 6
-	}
-	if g.CompressedStretch <= 1 {
-		g.CompressedStretch = 1.5
 	}
 }
 
@@ -157,7 +151,7 @@ func (g *governor) periodFor(o *object, m ObjectMode) time.Duration {
 	if m != ModeCompressed {
 		return o.updatePeriod
 	}
-	stretched := time.Duration(float64(o.updatePeriod) * g.cfg.CompressedStretch)
+	stretched := time.Duration(float64(o.updatePeriod) * compressedStretch)
 	if ceil := o.spec.Constraint.DeltaB - g.p.cfg.Ell; ceil > 0 && stretched > ceil {
 		stretched = ceil
 	}
@@ -212,16 +206,16 @@ func (g *governor) tick() {
 	// Synchronized update tasks legitimately spike the queue for a
 	// drain's worth of time each period; occupancy only counts as
 	// overload pressure when it persists across consecutive ticks.
-	if maxOcc >= g.cfg.QueuePressure {
+	if maxOcc >= queuePressure {
 		g.occStreak++
 	} else {
 		g.occStreak = 0
 	}
 	pressured := worstLag >= g.cfg.DemoteStaleness ||
 		g.occStreak >= 2 ||
-		misses >= g.cfg.MissPressure
+		misses >= missPressure
 	healthy := worstLag < g.cfg.PromoteStaleness && misses == 0 &&
-		maxOcc < g.cfg.QueuePressure/2
+		maxOcc < queuePressure/2
 
 	switch {
 	case pressured:

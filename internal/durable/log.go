@@ -23,10 +23,6 @@ type Config struct {
 	// snapshot is wanted ("drop-to-snapshot"): the next snapshot makes
 	// the dropped suffix irrelevant.
 	QueueDepth int
-	// RetainSnapshots is how many snapshots to keep (default 2). The
-	// stable mark is the cover index of the oldest retained snapshot;
-	// segments below it are pruned.
-	RetainSnapshots int
 	// Sync makes every operation apply inline on the caller's
 	// goroutine, in call order, with no background writer. File
 	// contents become a pure function of the append sequence — the
@@ -45,9 +41,6 @@ func (c *Config) normalize() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.RetainSnapshots <= 0 {
-		c.RetainSnapshots = 2
 	}
 }
 
@@ -541,17 +534,22 @@ func (l *Log) applySnapshot() {
 	l.prune()
 }
 
+// retainSnapshots is how many snapshots the store keeps. The stable mark
+// is the cover index of the oldest retained snapshot; segments below it
+// are pruned.
+const retainSnapshots = 2
+
 // prune enforces snapshot retention and drops whole segments below the
 // stable mark — the cover index of the oldest retained snapshot.
 // Caller holds wmu.
 func (l *Log) prune() {
-	if len(l.snaps) > l.cfg.RetainSnapshots {
-		for _, s := range l.snaps[l.cfg.RetainSnapshots:] {
+	if len(l.snaps) > retainSnapshots {
+		for _, s := range l.snaps[retainSnapshots:] {
 			os.Remove(s.Path)
 		}
-		l.snaps = l.snaps[:l.cfg.RetainSnapshots]
+		l.snaps = l.snaps[:retainSnapshots]
 	}
-	if len(l.snaps) < l.cfg.RetainSnapshots {
+	if len(l.snaps) < retainSnapshots {
 		// Until a full complement of snapshots exists, every segment is
 		// somebody's only fallback: if the lone snapshot tears, the
 		// whole log from the start rebuilds the image.

@@ -48,12 +48,6 @@ type Config struct {
 	Backend Backend
 	// BroadcastPeriod is the group fan-out tick; defaults to 50ms.
 	BroadcastPeriod time.Duration
-	// MaxSessions caps concurrent sessions; defaults to 65536.
-	MaxSessions int
-	// PlacementShedHold is how long a placer rejection keeps the gateway
-	// refusing new sessions (the cluster just told us it is full);
-	// defaults to 5 broadcast periods.
-	PlacementShedHold time.Duration
 	// OnEvent, when set, observes gateway state transitions (session
 	// shed, shard slow-path enter/leave) — the chaos harness logs these
 	// into its deterministic replay log.
@@ -70,18 +64,15 @@ func (cfg *Config) normalize() error {
 	if cfg.BroadcastPeriod <= 0 {
 		cfg.BroadcastPeriod = 50 * time.Millisecond
 	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 65536
-	}
-	if cfg.PlacementShedHold <= 0 {
-		cfg.PlacementShedHold = 5 * cfg.BroadcastPeriod
-	}
 	return nil
 }
 
+// maxSessions caps concurrent sessions.
+const maxSessions = 65536
+
 // Admission errors returned by Connect.
 var (
-	// ErrSessionLimit reports the MaxSessions cap.
+	// ErrSessionLimit reports the maxSessions cap.
 	ErrSessionLimit = errors.New("gateway: session limit reached")
 	// ErrShedding reports admission-aware shed mode: a backend shard's
 	// governor is shedding, or the placer recently rejected.
@@ -177,7 +168,7 @@ func (g *Gateway) Connect(sink Sink) (*Session, error) {
 	if g.closed {
 		return nil, ErrClosed
 	}
-	if len(g.sessions) >= g.cfg.MaxSessions {
+	if len(g.sessions) >= maxSessions {
 		g.stats.Rejected++
 		return nil, ErrSessionLimit
 	}
@@ -297,9 +288,11 @@ func (g *Gateway) Place(spec core.ObjectSpec) (int, core.Decision, error) {
 	}
 	idx, d, err := pl.Place(spec)
 	if err != nil {
-		g.placeRejectUntil = g.cfg.Clock.Now().Add(g.cfg.PlacementShedHold)
-		g.eventf("gateway: placement rejected (%v); shedding new sessions for %v",
-			err, g.cfg.PlacementShedHold)
+		// The cluster just told us it is full: refuse new sessions for
+		// five broadcast periods.
+		hold := 5 * g.cfg.BroadcastPeriod
+		g.placeRejectUntil = g.cfg.Clock.Now().Add(hold)
+		g.eventf("gateway: placement rejected (%v); shedding new sessions for %v", err, hold)
 	}
 	return idx, d, err
 }

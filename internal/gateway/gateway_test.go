@@ -352,9 +352,9 @@ func TestShedModeBackpressure(t *testing.T) {
 func TestSessionLimitAndPlacementHold(t *testing.T) {
 	c, gw := newClusterGateway(t,
 		shard.Config{Shards: 1, Seed: 5},
-		Config{BroadcastPeriod: ms(20), MaxSessions: 2, PlacementShedHold: ms(500)})
+		Config{BroadcastPeriod: ms(20)})
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxSessions; i++ {
 		if _, err := gw.Connect(&recordSink{}); err != nil {
 			t.Fatal(err)
 		}

@@ -23,8 +23,6 @@ type Config struct {
 	// Link is the default link quality; zero value means 2ms delay + 1ms
 	// jitter, the EXPERIMENTS.md baseline.
 	Link netsim.LinkParams
-	// Ell is ℓ, the admission controllers' delay bound; defaults to 5ms.
-	Ell time.Duration
 	// Detector tunes the backup-side failure detectors; zero value means
 	// failover.DefaultDetectorConfig.
 	Detector failover.DetectorConfig
@@ -62,9 +60,6 @@ func (cfg *Config) normalize() {
 	}
 	if cfg.Link == (netsim.LinkParams{}) {
 		cfg.Link = netsim.LinkParams{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}
-	}
-	if cfg.Ell == 0 {
-		cfg.Ell = 5 * time.Millisecond
 	}
 	if cfg.Detector == (failover.DetectorConfig{}) {
 		cfg.Detector = failover.DefaultDetectorConfig()
@@ -220,7 +215,7 @@ func (c *Cluster) config(h *topo.Host) core.Config {
 	return core.Config{
 		Clock:                   h.Clk,
 		Port:                    h.Port,
-		Ell:                     c.cfg.Ell,
+		Ell:                     5 * time.Millisecond, // ℓ, the admission controllers' delay bound
 		Costs:                   c.cfg.Costs,
 		Governor:                c.cfg.Governor,
 		DisableAdmissionControl: c.cfg.DisableAdmissionControl,
