@@ -26,7 +26,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			Period: 40 * time.Millisecond, DeltaP: 50 * time.Millisecond, DeltaB: 250 * time.Millisecond},
 		&RegisterReply{ObjectID: 3, Accepted: false, Reason: "utilization bound",
 			SuggestedDeltaB: 400 * time.Millisecond},
-		&Takeover{NewPrimary: "backup:7000", Epoch: 2},
 		&Order{Seq: 5, ObjectID: 1, Version: 77, Payload: []byte("x")},
 		&OrderAck{Seq: 5},
 		&UpdateAck{ObjectID: 7, Seq: 41},
@@ -61,7 +60,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(Encode(m))
 	}
 	// Malformed seeds: truncations, bad magic, bad version, unknown kind,
-	// the retired kinds 8 and 9 with the bodies they used to carry, an
+	// the retired kinds 7, 8 and 9 with the bodies they used to carry, an
 	// oversize length prefix, trailing garbage.
 	f.Add([]byte{})
 	f.Add([]byte{0x52, 0xb0})
@@ -69,6 +68,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 1, 3, 0, 0, 0, 0})
 	f.Add([]byte{0x52, 0xb0, 9, 3})
 	f.Add([]byte{0x52, 0xb0, 1, 0xee})
+	f.Add([]byte{0x52, 0xb0, 1, 7, 0, 1, 'b', 0, 0, 0, 2})
 	f.Add([]byte{0x52, 0xb0, 1, 8, 0, 0, 0, 2, 0, 0, 0, 0})
 	f.Add([]byte{0x52, 0xb0, 1, 9, 0, 0, 0, 2, 0, 0, 0, 2})
 	f.Add([]byte{0x52, 0xb0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0xff})

@@ -42,10 +42,11 @@ const (
 	KindRetransmitRequest
 	KindPing
 	KindPingAck
-	KindTakeover
-	// Kinds 8 and 9 (the retired monolithic state transfer) stay
-	// reserved so every later kind keeps its number; Decode rejects
-	// them as unknown.
+	// Kind 7 (the retired Takeover announcement, which no node sent) and
+	// kinds 8 and 9 (the retired monolithic state transfer) stay reserved
+	// so every later kind keeps its number; Decode rejects them as
+	// unknown.
+	_
 	_
 	_
 	// KindOrder and KindOrderAck belong to the active-replication
@@ -122,8 +123,6 @@ func (k Kind) String() string {
 		return "Ping"
 	case KindPingAck:
 		return "PingAck"
-	case KindTakeover:
-		return "Takeover"
 	case KindOrder:
 		return "Order"
 	case KindOrderAck:
@@ -183,7 +182,6 @@ var (
 	_ Message = (*RetransmitRequest)(nil)
 	_ Message = (*Ping)(nil)
 	_ Message = (*PingAck)(nil)
-	_ Message = (*Takeover)(nil)
 	_ Message = (*Order)(nil)
 	_ Message = (*OrderAck)(nil)
 	_ Message = (*UpdateAck)(nil)
@@ -237,8 +235,6 @@ func Decode(b []byte) (Message, error) {
 		m = &Ping{}
 	case KindPingAck:
 		m = &PingAck{}
-	case KindTakeover:
-		m = &Takeover{}
 	case KindOrder:
 		m = &Order{}
 	case KindOrderAck:
@@ -583,30 +579,6 @@ func (m *ChainStatus) decodeBody(r *reader) error {
 	m.Epoch = r.uint32()
 	m.Depth = r.uint32()
 	m.Theta = r.duration()
-	return r.err
-}
-
-// Takeover announces that the backup has promoted itself to primary after
-// detecting the primary's failure; it updates the name service so clients
-// and a recruited backup can find the new primary.
-type Takeover struct {
-	// NewPrimary is the promoted replica's address.
-	NewPrimary string
-	// Epoch increments on every takeover, fencing stale primaries.
-	Epoch uint32
-}
-
-// WireKind implements Message.
-func (*Takeover) WireKind() Kind { return KindTakeover }
-
-func (m *Takeover) appendBody(dst []byte) []byte {
-	dst = appendString(dst, m.NewPrimary)
-	return binary.BigEndian.AppendUint32(dst, m.Epoch)
-}
-
-func (m *Takeover) decodeBody(r *reader) error {
-	m.NewPrimary = r.string()
-	m.Epoch = r.uint32()
 	return r.err
 }
 

@@ -90,14 +90,6 @@ func TestRoundTripPingAndAck(t *testing.T) {
 	}
 }
 
-func TestRoundTripTakeover(t *testing.T) {
-	in := &Takeover{NewPrimary: "10.0.0.2:7000", Epoch: 3}
-	out := roundTrip(t, in).(*Takeover)
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
-	}
-}
-
 func TestRoundTripOrderAndAck(t *testing.T) {
 	in := &Order{Seq: 42, ObjectID: 7, Version: -12345, Payload: []byte("ordered")}
 	out := roundTrip(t, in).(*Order)
@@ -134,9 +126,10 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsUnknownKind covers a kind never assigned and the two
-// retired ones: 8 and 9, the monolithic StateTransfer/StateTransferAck,
-// each with the body it used to carry. A frame carrying a retired kind
+// TestDecodeRejectsUnknownKind covers a kind never assigned and the
+// three retired ones: 7, the Takeover announcement, and 8 and 9, the
+// monolithic StateTransfer/StateTransferAck, each with the body it used
+// to carry. A frame carrying a retired kind
 // is dropped whole, not delivered minus the one message.
 func TestDecodeRejectsUnknownKind(t *testing.T) {
 	header := func(k Kind) []byte {
@@ -146,6 +139,8 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	unassigned[3] = 0xEE
 	cases := map[string][]byte{
 		"unassigned": unassigned,
+		// New primary "b:7000", epoch 2.
+		"retired 7": append(append(header(7), 0, 6), append([]byte("b:7000"), 0, 0, 0, 2)...),
 		// Epoch 2, no entries.
 		"retired 8": append(header(8), 0, 0, 0, 2, 0, 0, 0, 0),
 		// Epoch 2, 2 objects applied.
