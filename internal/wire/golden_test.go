@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -53,6 +54,36 @@ func goldenVectors() []struct {
 			&Ping{Seq: 3, From: RolePrimary},
 			&UpdateAck{ObjectID: 7, Seq: 41},
 		}}},
+		{"register_reply_accepted", &RegisterReply{ObjectID: 3, Accepted: true}},
+		{"register_reply_rejected", &RegisterReply{ObjectID: 4, Reason: "utilization bound",
+			SuggestedDeltaB: 400 * time.Millisecond}},
+		{"ping_ack", &PingAck{Seq: 9, From: RolePrimary}},
+		{"order", &Order{Seq: 5, ObjectID: 1, Version: 77, Payload: []byte("x=1")}},
+		{"order_ack", &OrderAck{Seq: 5}},
+		{"mode_change", &ModeChange{Epoch: 2, ObjectID: 7, Mode: 2, Seq: 5,
+			EffectiveBound: 375 * time.Millisecond}},
+		{"join_request", &JoinRequest{Epoch: 3}},
+		{"join_request_observer", &JoinRequest{Epoch: 3, Addr: "observer:7000", Observer: true}},
+		{"join_accept", &JoinAccept{Epoch: 3, Specs: []SpecEntry{
+			{ObjectID: 1, Name: "pressure", Size: 64, Period: 20 * time.Millisecond,
+				DeltaP: 25 * time.Millisecond, DeltaB: 200 * time.Millisecond},
+			{ObjectID: 2, Name: "t", Size: 8, Period: time.Second,
+				DeltaP: 2 * time.Second, DeltaB: 3 * time.Second},
+		}}},
+		{"state_digest", &StateDigest{Epoch: 3, Entries: []DigestEntry{
+			{ObjectID: 1, Epoch: 2, Seq: 40, Version: 99},
+			{ObjectID: 2, Epoch: 3, Seq: 1, Version: -1},
+		}}},
+		{"state_chunk", &StateChunk{Epoch: 3, Xfer: 1, Chunk: 2, Final: true, Entries: []StateEntry{
+			{ObjectID: 1, Seq: 41, Version: 100, Name: "pressure", Size: 64,
+				Period: 20 * time.Millisecond, DeltaP: 25 * time.Millisecond,
+				DeltaB: 200 * time.Millisecond, Payload: []byte("17.3")},
+			{ObjectID: 2, Seq: 7, Version: 101, Name: "t", Size: 8,
+				Period: time.Second, DeltaP: 2 * time.Second, DeltaB: 3 * time.Second},
+		}}},
+		{"state_chunk_ack", &StateChunkAck{Epoch: 3, Xfer: 1, Chunk: 2, Applied: 1}},
+		{"unregister", &Unregister{Epoch: 3, ObjectID: 7}},
+		{"chain_status", &ChainStatus{Epoch: 3, Depth: 2, Theta: 3 * time.Millisecond}},
 	}
 }
 
@@ -93,8 +124,25 @@ func TestGoldenVectors(t *testing.T) {
 
 // TestGoldenVectorsComplete fails when a vector file exists on disk that
 // the table above no longer generates — deleting a message kind is as
-// much a compatibility break as changing one.
+// much a compatibility break as changing one — and when a message kind
+// appears in no vector, bare or inside a frame, so every layout is
+// pinned byte for byte.
 func TestGoldenVectorsComplete(t *testing.T) {
+	pinned := map[Kind]bool{}
+	for _, tc := range goldenVectors() {
+		pinned[tc.msg.WireKind()] = true
+		if f, ok := tc.msg.(*Frame); ok {
+			for _, m := range f.Messages {
+				pinned[m.WireKind()] = true
+			}
+		}
+	}
+	for k := Kind(1); k != 0; k++ {
+		if _, err := Decode([]byte{0x52, 0xb0, Version, uint8(k)}); !errors.Is(err, ErrUnknownKind) && !pinned[k] {
+			t.Errorf("kind %v has no golden vector", k)
+		}
+	}
+
 	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
 	if err != nil {
 		t.Skipf("no golden directory yet: %v", err)
