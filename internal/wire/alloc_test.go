@@ -2,6 +2,7 @@ package wire
 
 import (
 	"testing"
+	"time"
 )
 
 // The allocation wall: the steady-state update path — append-style encode
@@ -125,7 +126,8 @@ func BenchmarkFrameFlush(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeFrame measures the receive side of a 16-update frame.
+// BenchmarkDecodeFrame measures what the backup runs per datagram: a
+// reused Decoder on a 16-update frame. CI pins it at 0 allocs/op.
 func BenchmarkDecodeFrame(b *testing.B) {
 	enc := Encode(benchUpdate())
 	fb := NewFrameBuilder()
@@ -133,12 +135,36 @@ func BenchmarkDecodeFrame(b *testing.B) {
 		fb.AppendEncoded(enc)
 	}
 	dg := fb.Datagram()
+	var d Decoder
 	b.SetBytes(int64(len(dg)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFrame(dg); err != nil {
+		if _, err := d.Decode(dg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Decoding a list message allocates its reader, the message, the list
+// and one copy per string or payload, nothing more per element: an
+// 8-entry StateChunk 3+16 times, an 8-spec JoinAccept 3+8, and a
+// StateDigest, which holds neither, 3.
+func TestListDecodeAllocs(t *testing.T) {
+	chunk, accept, digest := &StateChunk{Epoch: 3}, &JoinAccept{Epoch: 3}, &StateDigest{Epoch: 3}
+	for i := uint32(0); i < 8; i++ {
+		chunk.Entries = append(chunk.Entries, StateEntry{ObjectID: i, Seq: 4, Name: "pressure",
+			Size: 64, Period: time.Millisecond, Payload: []byte("0123456789abcdef")})
+		accept.Specs = append(accept.Specs, SpecEntry{ObjectID: i, Name: "pressure", Size: 64})
+		digest.Entries = append(digest.Entries, DigestEntry{ObjectID: i, Epoch: 1, Seq: 2})
+	}
+	for _, tc := range []struct {
+		m    Message
+		want float64
+	}{{chunk, 19}, {accept, 11}, {digest, 3}} {
+		enc := Encode(tc.m)
+		if got := testing.AllocsPerRun(100, func() { _, _ = Decode(enc) }); got > tc.want {
+			t.Errorf("decoding an 8-entry %v allocates %v times, want at most %v", tc.m.WireKind(), got, tc.want)
 		}
 	}
 }
