@@ -142,13 +142,16 @@ func (p *Replica) CPU() *cpu.Resource { return p.proc }
 // Register runs admission control for spec (Section 4.2). On acceptance
 // the object's update task is scheduled and the registration is forwarded
 // to every backup (with bounded retries) so they can reserve space. A
-// size over wire.MaxPayload is rejected: no backup could decode its value.
+// name or size over the wire's limits is rejected: no backup could decode it.
 func (p *Replica) Register(spec ObjectSpec) Decision {
 	if !p.running {
 		return Decision{Accepted: false, Reason: ErrStopped.Error()}
 	}
 	if p.role != RolePrimary {
 		return Decision{Accepted: false, Reason: ErrNotPrimary.Error()}
+	}
+	if len(spec.Name) > wire.MaxString {
+		return Decision{Accepted: false, Reason: fmt.Sprintf("object name of %d bytes exceeds the wire's %d-byte limit", len(spec.Name), wire.MaxString)}
 	}
 	if spec.Size > wire.MaxPayload {
 		return Decision{Accepted: false, Reason: fmt.Sprintf("object %q size %d exceeds the wire's payload limit", spec.Name, spec.Size)}

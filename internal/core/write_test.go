@@ -221,3 +221,48 @@ func TestOversizedValuesAreRefused(t *testing.T) {
 		t.Fatal("the refused write installed a value")
 	}
 }
+
+// An object name travels behind a 16-bit length, on the wire and in the
+// durable spec record. A name one byte over wire.MaxString is refused at
+// registration, before anything is sent or logged; a name of exactly
+// wire.MaxString bytes reaches the backup and is recovered from the log,
+// and so is every record after the refused one.
+func TestLongNamesReplicateOrAreRefused(t *testing.T) {
+	dir := t.TempDir()
+	dlog, err := durable.Open(durable.Config{Dir: dir, Sync: true, NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCluster(t, clusterOpts{seed: 1, mutateP: func(cfg *Config) { cfg.Durable = dlog }})
+	longest := strings.Repeat("n", wire.MaxString)
+	tooLong := longest + "n"
+	if d := c.primary.Register(spec(tooLong, ms(40), ms(50), ms(250))); d.Accepted || !strings.Contains(d.Reason, "name") {
+		t.Fatalf("Register(%d-byte name) = %+v, want a rejection naming the name", len(tooLong), d)
+	}
+	c.registerOK(t, spec(longest, ms(40), ms(50), ms(250)))
+	c.primary.ClientWrite(longest, []byte("v"), nil)
+	c.clk.RunFor(ms(200))
+	if _, ok := c.backup.Spec(longest); !ok {
+		t.Fatalf("the backup does not hold the %d-byte name", len(longest))
+	}
+	if v, _, ok := c.backup.Value(longest); !ok || string(v) != "v" {
+		t.Fatalf("backup value = %q (ok=%v), want %q", v, ok, "v")
+	}
+	for _, r := range []*Replica{c.primary, c.backup} {
+		if _, ok := r.Spec(tooLong); ok {
+			t.Fatal("a replica holds the refused name")
+		}
+	}
+	c.primary.Stop()
+	if err := dlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, rs, err := durable.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Stopped != "" || len(st.Objects) != 1 || st.Objects[0].Name != longest || string(st.Objects[0].Value) != "v" {
+		t.Fatalf("recovered %d objects, stopped %q; want the %d-byte name with its value, cleanly",
+			len(st.Objects), rs.Stopped, len(longest))
+	}
+}
