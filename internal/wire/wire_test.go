@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,6 +38,22 @@ func TestRoundTripRegister(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
 	}
+}
+
+// A string field carries at most MaxString bytes behind its 16-bit
+// length: that many round-trip, and encoding one more panics rather than
+// wrap the length and misparse every field after it.
+func TestStringFieldLimit(t *testing.T) {
+	in := &Register{ObjectID: 1, Name: strings.Repeat("n", MaxString), Size: 8}
+	if out := roundTrip(t, in).(*Register); !reflect.DeepEqual(in, out) {
+		t.Fatalf("a %d-byte name did not round-trip", len(in.Name))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("encoding a %d-byte name did not panic", MaxString+1)
+		}
+	}()
+	Encode(&Register{Name: in.Name + "n"})
 }
 
 func TestRoundTripRegisterReply(t *testing.T) {
