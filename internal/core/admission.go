@@ -40,8 +40,8 @@ type object struct {
 	// start update tasks without re-running admission; zero on a spec-less
 	// placeholder.
 	updatePeriod time.Duration
-	// nominalPeriod is the constraint-derived period before pinwheel
-	// specialization: SlackFactor·(δ−ℓ) capped by inter-object bounds.
+	// nominalPeriod is the constraint-derived period (admission.period)
+	// before pinwheel specialization.
 	nominalPeriod time.Duration
 	// interBounds are δ_ij bounds from inter-object constraints naming
 	// this object; they cap both p_i (checked at admission) and r_i.
@@ -182,48 +182,37 @@ func (a *admission) placeholder(id uint32) *object {
 }
 
 // installSpec attaches a replicated spec to a backup-side object and
-// derives its update period with the same Section 4.3 math the primary's
-// admission ran — the period rides along in the ledger so an in-place
-// promotion can start update tasks without re-admitting anything.
+// derives its update period with the same rule the primary's admission
+// ran — the period rides along in the ledger so an in-place promotion
+// can start update tasks without re-admitting anything.
 func (a *admission) installSpec(o *object, spec ObjectSpec) {
 	o.spec = spec
 	a.byName[spec.Name] = o.id
 	if o.value == nil && spec.Size > 0 {
 		o.value = make([]byte, 0, spec.Size)
 	}
-	o.updatePeriod = a.effectivePeriod(a.externalPeriod(spec.Constraint), o.interBounds)
-	if a.cfg.Scheduling == ScheduleWriteThrough && spec.UpdatePeriod < o.updatePeriod {
-		o.updatePeriod = spec.UpdatePeriod
-	}
+	o.updatePeriod = a.period(spec, o.interBounds)
 	o.nominalPeriod = o.updatePeriod
 }
 
-// externalPeriod derives r_i from the external constraint:
-// SlackFactor·(δ_i − ℓ − SkewMargin), the paper's choice of half the
-// Theorem 5 maximum to leave room for loss compensation. SkewMargin
-// (zero by default) additionally reserves clock-uncertainty headroom:
-// with replica clocks disagreeing by up to θ, a backup image that looks
-// δ-fresh on the primary's clock may be δ+θ stale on the backup's, so a
-// deployment that wants its bounds to hold on every clock must schedule
-// against the margin-tightened window.
-func (a *admission) externalPeriod(c temporal.ExternalConstraint) time.Duration {
-	window := c.Delta() - a.cfg.Ell - a.cfg.SkewMargin
-	return time.Duration(a.cfg.SlackFactor * float64(window))
-}
-
-// effectivePeriod caps an object's external-constraint period with its
-// inter-object bounds (Theorem 6 at the backup: r ≤ δ_ij with v' = 0).
-// The SlackFactor applies to the inter-object bounds too, for the same
-// reason it applies to the external window (Section 4.3): updates ride an
-// unreliable transport, and halving the period leaves room to absorb a
-// lost message without breaking the bound.
-func (a *admission) effectivePeriod(ext time.Duration, interBounds []time.Duration) time.Duration {
-	r := ext
+// period is the one spelling of r_i, the backup-update period admission
+// assigns spec under the inter-object bounds δ_ij that name it:
+// SlackFactor times the Theorem 5 maximum (δ_i − ℓ − SkewMargin), capped
+// at SlackFactor·δ_ij for each bound (Theorem 6 at the backup with
+// v' = 0), and at the client period under write-through, which transmits
+// once per client write. The slack is the paper's choice of half the
+// maximum, room to absorb a lost update on an unreliable transport.
+// SkewMargin (zero by default) reserves clock-uncertainty headroom: with
+// replica clocks disagreeing by up to θ, a backup image that looks
+// δ-fresh on the primary's clock may be δ+θ stale on the backup's.
+func (a *admission) period(spec ObjectSpec, interBounds []time.Duration) time.Duration {
+	slack := func(d time.Duration) time.Duration { return time.Duration(a.cfg.SlackFactor * float64(d)) }
+	r := slack(temporal.MaxBackupPeriodTheorem5(spec.Constraint, a.cfg.Ell+a.cfg.SkewMargin))
 	for _, b := range interBounds {
-		sb := time.Duration(a.cfg.SlackFactor * float64(b))
-		if sb < r {
-			r = sb
-		}
+		r = min(r, slack(b))
+	}
+	if a.cfg.Scheduling == ScheduleWriteThrough {
+		r = min(r, spec.UpdatePeriod)
 	}
 	return r
 }
@@ -299,28 +288,15 @@ func (a *admission) admit(spec ObjectSpec) (*object, Decision) {
 			spec.Constraint.Delta(), a.cfg.Ell, a.cfg.SkewMargin), suggest)
 	}
 
-	cand := &object{
-		id:   a.nextID,
-		spec: spec,
-	}
-	cand.updatePeriod = a.effectivePeriod(a.externalPeriod(spec.Constraint), nil)
-	cand.nominalPeriod = cand.updatePeriod
-	if a.cfg.Scheduling == ScheduleWriteThrough {
-		// Write-through couples transmissions to client writes, so the
-		// schedulability test must account for one transmission per
-		// client period (capped by the external bound).
-		if spec.UpdatePeriod < cand.updatePeriod {
-			cand.updatePeriod = spec.UpdatePeriod
-		}
-	}
-	if cand.updatePeriod <= 0 {
+	r := a.period(spec, nil)
+	cand := &object{id: a.nextID, spec: spec, updatePeriod: r, nominalPeriod: r}
+	if r <= 0 {
 		suggest := spec.Constraint.DeltaP + 2*(a.cfg.Ell+a.cfg.SkewMargin) + spec.UpdatePeriod
 		return reject("derived update period is not positive", suggest)
 	}
 	// The update task's cost must fit its period at all.
-	if a.cfg.Costs.sendCost(spec.Size) > cand.updatePeriod {
-		return reject(fmt.Sprintf("update transmission cost %v exceeds period %v",
-			a.cfg.Costs.sendCost(spec.Size), cand.updatePeriod), 0)
+	if c := a.cfg.Costs.sendCost(spec.Size); c > r {
+		return reject(fmt.Sprintf("update transmission cost %v exceeds period %v", c, r), 0)
 	}
 
 	// Test 3: schedulability of all update and client-service tasks with
@@ -335,18 +311,11 @@ func (a *admission) admit(spec ObjectSpec) (*object, Decision) {
 	a.byName[spec.Name] = cand.id
 	a.nextID++
 
-	// Under the DCS test, admission does not merely check Theorem 3's
-	// condition — it applies the S_r pinwheel specialization, replacing
-	// every object's update period with a harmonic one ≤ its nominal
-	// period, so the transmission schedule itself achieves (near-)zero
-	// phase variance.
-	if a.cfg.SchedTest == SchedTestDCS && !a.cfg.DisableAdmissionControl {
-		if err := a.applyDCS(); err != nil {
-			delete(a.objects, cand.id)
-			delete(a.byName, spec.Name)
-			_ = a.applyDCS() // restore the previous assignment
-			return reject(err.Error(), a.suggestDeltaB(spec))
-		}
+	if err := a.specialize(); err != nil {
+		delete(a.objects, cand.id)
+		delete(a.byName, spec.Name)
+		_ = a.specialize() // restore the previous assignment
+		return reject(err.Error(), a.suggestDeltaB(spec))
 	}
 	return cand, Decision{
 		Accepted:     true,
@@ -355,12 +324,15 @@ func (a *admission) admit(spec ObjectSpec) (*object, Decision) {
 	}
 }
 
-// applyDCS specializes every object's update period with Han & Lin's S_r
-// (SpecializeSr) starting from the nominal, constraint-derived periods.
+// specialize is the one S_r pass. Under the DCS test with admission on,
+// admission does not merely check Theorem 3's condition: after every
+// change to the table it replaces every object's update period with a
+// harmonic one ≤ its nominal period (Han & Lin's SpecializeSr), so the
+// transmission schedule itself achieves (near-)zero phase variance.
 // Specialized periods never exceed the nominals, so every temporal
-// constraint keeps holding.
-func (a *admission) applyDCS() error {
-	if len(a.objects) == 0 {
+// constraint keeps holding. Under any other test it does nothing.
+func (a *admission) specialize() error {
+	if a.cfg.SchedTest != SchedTestDCS || a.cfg.DisableAdmissionControl || len(a.objects) == 0 {
 		return nil
 	}
 	ids := make([]uint32, 0, len(a.objects))
@@ -394,12 +366,8 @@ func (a *admission) suggestDeltaB(spec ObjectSpec) time.Duration {
 		try := spec
 		try.Constraint.DeltaB = spec.Constraint.DeltaP +
 			time.Duration(scale)*spec.Constraint.Delta()
-		cand := &object{spec: try}
-		cand.updatePeriod = a.externalPeriod(try.Constraint)
-		if cand.updatePeriod <= 0 {
-			continue
-		}
-		if a.cfg.SchedTest.feasible(a.taskSet(cand)) {
+		cand := &object{spec: try, updatePeriod: a.period(try, nil)}
+		if cand.updatePeriod > 0 && a.cfg.SchedTest.feasible(a.taskSet(cand)) {
 			return try.Constraint.DeltaB
 		}
 	}
@@ -435,8 +403,8 @@ func (a *admission) admitInterObject(c temporal.InterObjectConstraint) (Decision
 
 	// Backup-side check: tighten r_i, r_j to δ_ij and retest
 	// schedulability with the tightened set.
-	tightI := a.effectivePeriod(a.externalPeriod(oi.spec.Constraint), append(oi.interBounds, boundI))
-	tightJ := a.effectivePeriod(a.externalPeriod(oj.spec.Constraint), append(oj.interBounds, boundJ))
+	tightI := a.period(oi.spec, append(oi.interBounds, boundI))
+	tightJ := a.period(oj.spec, append(oj.interBounds, boundJ))
 	savedI, savedJ := oi.updatePeriod, oj.updatePeriod
 	savedNomI, savedNomJ := oi.nominalPeriod, oj.nominalPeriod
 	oi.updatePeriod, oj.updatePeriod = tightI, tightJ
@@ -444,20 +412,16 @@ func (a *admission) admitInterObject(c temporal.InterObjectConstraint) (Decision
 	rollback := func() {
 		oi.updatePeriod, oj.updatePeriod = savedI, savedJ
 		oi.nominalPeriod, oj.nominalPeriod = savedNomI, savedNomJ
-		if a.cfg.SchedTest == SchedTestDCS && !a.cfg.DisableAdmissionControl {
-			_ = a.applyDCS()
-		}
+		_ = a.specialize()
 	}
 	if !a.cfg.DisableAdmissionControl && !a.cfg.SchedTest.feasible(a.taskSet()) {
 		rollback()
 		reason := fmt.Sprintf("update tasks unschedulable with δ_ij=%v", c.Delta)
 		return Decision{Accepted: false, Reason: reason}, fmt.Errorf("%w: %s", ErrRejected, reason)
 	}
-	if a.cfg.SchedTest == SchedTestDCS && !a.cfg.DisableAdmissionControl {
-		if err := a.applyDCS(); err != nil {
-			rollback()
-			return Decision{Accepted: false, Reason: err.Error()}, fmt.Errorf("%w: %s", ErrRejected, err.Error())
-		}
+	if err := a.specialize(); err != nil {
+		rollback()
+		return Decision{Accepted: false, Reason: err.Error()}, fmt.Errorf("%w: %s", ErrRejected, err.Error())
 	}
 	oi.interBounds = append(oi.interBounds, boundI)
 	oj.interBounds = append(oj.interBounds, boundJ)
@@ -484,11 +448,7 @@ func (a *admission) utilization() float64 {
 // be derived for the spec (the admission pipeline would reject it
 // outright).
 func (a *admission) utilizationWith(spec ObjectSpec) (float64, bool) {
-	cand := &object{spec: spec}
-	cand.updatePeriod = a.effectivePeriod(a.externalPeriod(spec.Constraint), nil)
-	if a.cfg.Scheduling == ScheduleWriteThrough && spec.UpdatePeriod < cand.updatePeriod {
-		cand.updatePeriod = spec.UpdatePeriod
-	}
+	cand := &object{spec: spec, updatePeriod: a.period(spec, nil)}
 	if cand.updatePeriod <= 0 {
 		return 0, false
 	}
@@ -501,23 +461,19 @@ func (a *admission) utilizationWith(spec ObjectSpec) (float64, bool) {
 // them (the schedulability test sees every earlier acceptance) are
 // included — and one Decision per spec is returned. Only the
 // admission-relevant config fields matter (Ell, SkewMargin, SlackFactor,
-// Costs, Scheduling, SchedTest); zero values take the same defaults a
-// replica applies. cmd/rtpbench's clocksync sweep uses it to chart
-// admitted capacity against the reserved skew margin.
+// Costs, Scheduling, SchedTest); cfg is normalized as a replica's is, and
+// a config a replica would refuse rejects every spec with the reason.
+// cmd/rtpbench's clocksync sweep uses it to chart admitted capacity
+// against the reserved skew margin.
 func PlanAdmission(cfg Config, specs []ObjectSpec) []Decision {
-	if cfg.SlackFactor == 0 {
-		cfg.SlackFactor = 0.5
-	}
-	if cfg.Costs == (CostModel{}) {
-		cfg.Costs = DefaultCosts()
-	}
-	if cfg.Scheduling == 0 {
-		cfg.Scheduling = ScheduleNormal
-	}
+	err := cfg.normalize()
 	a := newAdmission(&cfg)
 	out := make([]Decision, 0, len(specs))
 	for _, spec := range specs {
-		_, d := a.admit(spec)
+		d := Decision{Reason: fmt.Sprint(err)}
+		if err == nil {
+			_, d = a.admit(spec)
+		}
 		out = append(out, d)
 	}
 	return out

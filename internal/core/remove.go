@@ -33,11 +33,9 @@ func (a *admission) remove(name string) (*object, error) {
 	}
 	delete(a.objects, o.id)
 	delete(a.byName, name)
-	if a.cfg.SchedTest == SchedTestDCS && !a.cfg.DisableAdmissionControl && len(a.objects) > 0 {
-		// Re-specialize the survivors: with the departed object's task
-		// gone, S_r may grant the rest longer harmonic periods.
-		_ = a.applyDCS()
-	}
+	// With the departed object's task gone, S_r may grant the survivors
+	// longer harmonic periods.
+	_ = a.specialize()
 	return o, nil
 }
 
@@ -84,12 +82,7 @@ func (p *Replica) RemoveObject(name string) error {
 	if p.gov != nil {
 		p.gov.forget(o.id)
 	}
-	if p.cfg.SchedTest == SchedTestDCS {
-		// The survivors' periods may have been re-specialized.
-		for _, other := range p.adm.objects {
-			p.retimeUpdateTask(other)
-		}
-	}
+	p.retimeUpdateTasks()
 	p.broadcast(&wire.Unregister{Epoch: p.epoch, ObjectID: o.id})
 	return nil
 }

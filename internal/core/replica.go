@@ -247,6 +247,12 @@ var _ xkernel.Upper = (*Replica)(nil)
 // cfg.Peers; a backup starts at epoch 0 (unstamped) and opens its
 // upstream session toward cfg.Peer when set.
 func NewReplica(cfg Config, role Role) (*Replica, error) {
+	switch {
+	case cfg.Clock == nil:
+		return nil, ErrNoClock
+	case cfg.Port == nil:
+		return nil, ErrNoPort
+	}
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -619,24 +625,16 @@ func (r *Replica) Promote(epoch uint32) error {
 		o.retransNext = time.Time{}
 		o.mode, o.modeSeq, o.modeEpoch = 0, 0, 0
 		o.catchingUp = false
-		if o.updatePeriod <= 0 && o.spec.Name != "" {
-			// Defensive: a spec that somehow arrived without a derived
-			// period (older wire peers) gets one now, from the same
-			// Section 4.3 math admission used.
-			r.adm.installSpec(o, o.spec)
-		}
 	}
 	r.catchingUp = 0
 	r.pumpActive, r.pumpOrder, r.pumpNext = false, nil, 0
 	r.drainActive = false
 	r.deadlineMisses = 0
 
-	if r.cfg.SchedTest == SchedTestDCS && !r.cfg.DisableAdmissionControl {
-		// Re-specialize the inherited periods into a harmonic set; the
-		// specialized periods never exceed the nominals, so every
-		// temporal constraint keeps holding even if this fails.
-		_ = r.adm.applyDCS()
-	}
+	// Re-specialize the inherited periods into a harmonic set (under
+	// DCS); the specialized periods never exceed the nominals, so every
+	// temporal constraint keeps holding even if this fails.
+	_ = r.adm.specialize()
 	if r.cfg.Governor.Enable && r.gov == nil {
 		r.gov = newGovernor(r)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rtpb/internal/cpu"
-	"rtpb/internal/temporal"
 	"rtpb/internal/wire"
 	"rtpb/internal/xkernel"
 )
@@ -101,14 +100,7 @@ func (p *Replica) sendJoinAccept(pr *replicaPeer) {
 	}
 	acc := &wire.JoinAccept{Epoch: p.epoch}
 	for _, o := range p.adm.ordered() {
-		acc.Specs = append(acc.Specs, wire.SpecEntry{
-			ObjectID: o.id,
-			Name:     o.spec.Name,
-			Size:     uint32(o.spec.Size),
-			Period:   o.spec.UpdatePeriod,
-			DeltaP:   o.spec.Constraint.DeltaP,
-			DeltaB:   o.spec.Constraint.DeltaB,
-		})
+		acc.Specs = append(acc.Specs, wire.SpecEntry{ObjectID: o.id, Spec: wireSpec(o.spec)})
 		// Spec delivery rides the accept (and every chunk); the digest
 		// acknowledges it, so the per-object registration handshake is
 		// not replayed.
@@ -307,11 +299,7 @@ func (p *Replica) stateEntryFor(o *object) wire.StateEntry {
 		ObjectID: o.id,
 		Seq:      o.seq,
 		Version:  o.version.UnixNano(),
-		Name:     o.spec.Name,
-		Size:     uint32(o.spec.Size),
-		Period:   o.spec.UpdatePeriod,
-		DeltaP:   o.spec.Constraint.DeltaP,
-		DeltaB:   o.spec.Constraint.DeltaB,
+		Spec:     wireSpec(o.spec),
 		Payload:  append([]byte(nil), o.value...),
 	}
 }
@@ -450,22 +438,7 @@ func (b *Replica) handleJoinAccept(t *wire.JoinAccept) {
 		b.xferApplied = 0
 	}
 	for _, s := range t.Specs {
-		o := b.adm.placeholder(s.ObjectID)
-		if o.spec.Name == "" && s.Name != "" {
-			b.adm.installSpec(o, ObjectSpec{
-				Name:         s.Name,
-				Size:         int(s.Size),
-				UpdatePeriod: s.Period,
-				Constraint: temporal.ExternalConstraint{
-					DeltaP: s.DeltaP,
-					DeltaB: s.DeltaB,
-				},
-			})
-			b.logSpec(o)
-			if b.OnRegister != nil {
-				b.OnRegister(o.spec)
-			}
-		}
+		o := b.adoptSpec(s.ObjectID, objectSpec(s.Spec))
 		if !o.catchingUp {
 			o.catchingUp = true
 			b.catchingUp++
@@ -571,22 +544,7 @@ func (b *Replica) handleStateChunk(t *wire.StateChunk) {
 // state), then the value under the usual supersedes ordering. It reports
 // 1 if the value was applied, 0 if local state was already newer.
 func (b *Replica) applyStateEntry(epoch uint32, e wire.StateEntry) int {
-	o := b.adm.placeholder(e.ObjectID)
-	if o.spec.Name == "" && e.Name != "" {
-		b.adm.installSpec(o, ObjectSpec{
-			Name:         e.Name,
-			Size:         int(e.Size),
-			UpdatePeriod: e.Period,
-			Constraint: temporal.ExternalConstraint{
-				DeltaP: e.DeltaP,
-				DeltaB: e.DeltaB,
-			},
-		})
-		b.logSpec(o)
-		if b.OnRegister != nil {
-			b.OnRegister(o.spec)
-		}
-	}
+	o := b.adoptSpec(e.ObjectID, objectSpec(e.Spec))
 	if !o.supersedes(epoch, e.Seq) && !b.cfg.DisableEpochFencing {
 		return 0
 	}

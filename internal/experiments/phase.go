@@ -46,14 +46,7 @@ func MeasurePhaseVariance(p Params) (*PhaseVarianceResult, error) {
 		return nil, fmt.Errorf("experiments: nothing admitted")
 	}
 
-	out := &PhaseVarianceResult{Objects: res.Admitted}
-	// All objects share one spec, so one admitted period.
-	window := p.Window
-	slack := p.SlackFactor
-	if slack == 0 {
-		slack = 0.5
-	}
-	out.UpdatePeriod = time.Duration(slack * float64(window-p.Ell))
+	out := &PhaseVarianceResult{Objects: res.Admitted, UpdatePeriod: res.UpdatePeriod}
 	costs := core.DefaultCosts()
 	sendCost := costs.UpdateSend + time.Duration(p.ObjectSize)*costs.PerByte
 	out.UniversalBound = out.UpdatePeriod - sendCost

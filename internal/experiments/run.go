@@ -82,6 +82,9 @@ type Result struct {
 	// Utilization is the primary's planned CPU utilization after
 	// admission.
 	Utilization float64
+	// UpdatePeriod is the backup-update period r admission assigned the
+	// last admitted object; every object shares one spec, so one period.
+	UpdatePeriod time.Duration
 	// Net is the fabric's delivery statistics.
 	Net netsim.Stats
 }
@@ -151,6 +154,7 @@ func runHooked(p Params, onSend sendHook) (*Result, error) {
 	for _, s := range specs {
 		if d := primary.Register(s); d.Accepted {
 			admitted = append(admitted, s)
+			res.UpdatePeriod = d.UpdatePeriod
 		}
 	}
 	res.Admitted = len(admitted)

@@ -153,9 +153,9 @@ func BenchmarkDecodeFrame(b *testing.B) {
 func TestListDecodeAllocs(t *testing.T) {
 	chunk, accept, digest := &StateChunk{Epoch: 3}, &JoinAccept{Epoch: 3}, &StateDigest{Epoch: 3}
 	for i := uint32(0); i < 8; i++ {
-		chunk.Entries = append(chunk.Entries, StateEntry{ObjectID: i, Seq: 4, Name: "pressure",
-			Size: 64, Period: time.Millisecond, Payload: []byte("0123456789abcdef")})
-		accept.Specs = append(accept.Specs, SpecEntry{ObjectID: i, Name: "pressure", Size: 64})
+		chunk.Entries = append(chunk.Entries, StateEntry{ObjectID: i, Seq: 4, Spec: Spec{Name: "pressure",
+			Size: 64, Period: time.Millisecond}, Payload: []byte("0123456789abcdef")})
+		accept.Specs = append(accept.Specs, SpecEntry{ObjectID: i, Spec: Spec{Name: "pressure", Size: 64}})
 		digest.Entries = append(digest.Entries, DigestEntry{ObjectID: i, Epoch: 1, Seq: 2})
 	}
 	for _, tc := range []struct {
