@@ -33,6 +33,7 @@ func TestRoundTripRegister(t *testing.T) {
 		Period:   40 * time.Millisecond,
 		DeltaP:   50 * time.Millisecond,
 		DeltaB:   120 * time.Millisecond,
+		Critical: true,
 	}
 	out := roundTrip(t, in).(*Register)
 	if !reflect.DeepEqual(in, out) {
@@ -57,10 +58,7 @@ func TestStringFieldLimit(t *testing.T) {
 }
 
 func TestRoundTripRegisterReply(t *testing.T) {
-	cases := []*RegisterReply{
-		{ObjectID: 1, Accepted: true},
-		{ObjectID: 2, Accepted: false, Reason: "p_i exceeds δ_i^P", SuggestedDeltaB: 200 * time.Millisecond},
-	}
+	cases := []*RegisterReply{{ObjectID: 1}, {ObjectID: 1<<32 - 1}}
 	for _, in := range cases {
 		out := roundTrip(t, in).(*RegisterReply)
 		if !reflect.DeepEqual(in, out) {
