@@ -50,10 +50,11 @@ type object struct {
 	// Replicated state. seq is the primary's send sequence while serving,
 	// and the last applied sequence while backing up — the roles never
 	// overlap in time, and promotion resets it with the epoch bump.
-	value   []byte
-	version time.Time
-	hasData bool
-	seq     uint64
+	value    []byte
+	version  time.Time
+	hasData  bool
+	seq      uint64
+	installs uint64 // install calls, for the pump's re-send check
 	// spare is the image the last client write's install replaced, which
 	// the next client write copies into (primary role; DESIGN.md §12).
 	spare []byte
@@ -102,6 +103,18 @@ type object struct {
 	// lands within δ_i^B, and until then the object must not be reported
 	// temporally consistent.
 	catchingUp bool
+}
+
+// install makes value, which o now owns, its image at version, and counts it.
+func (o *object) install(value []byte, version time.Time) {
+	o.value, o.version, o.hasData = value, version, true
+	o.installs++
+}
+
+// markSent numbers o's next update and records it as the last one sent.
+func (o *object) markSent(now time.Time) {
+	o.seq++
+	o.lastSentSeq, o.lastSentVersion, o.lastSentAt = o.seq, o.version, now
 }
 
 // supersedes reports whether an inbound (epoch, seq) pair is newer than

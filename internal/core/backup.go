@@ -202,9 +202,7 @@ func (b *Replica) handleModeChange(t *wire.ModeChange) {
 func (b *Replica) apply(o *object, epoch uint32, seq uint64, version time.Time, payload []byte) {
 	o.recvEpoch = epoch
 	o.seq = seq
-	o.version = version
-	o.value = append(o.value[:0], payload...)
-	o.hasData = true
+	o.install(append(o.value[:0], payload...), version)
 	now := b.rxAt
 	if o.catchingUp {
 		// Catch-up semantics: the object is declared consistent again
@@ -255,8 +253,6 @@ func (p *Replica) SeedObject(name string, value []byte, version time.Time) error
 	if err != nil {
 		return err
 	}
-	o.value = append([]byte(nil), value...)
-	o.version = version
-	o.hasData = true
+	o.install(append([]byte(nil), value...), version)
 	return nil
 }

@@ -133,9 +133,7 @@ func (r *Replica) RestoreDurable(st *durable.State) int {
 		if d.HasData && !o.hasData {
 			o.recvEpoch = d.Epoch
 			o.seq = d.Seq
-			o.version = time.Unix(0, d.Version)
-			o.value = append(o.value[:0], d.Value...)
-			o.hasData = true
+			o.install(append(o.value[:0], d.Value...), time.Unix(0, d.Version))
 			restored++
 		}
 	}

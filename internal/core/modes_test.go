@@ -166,7 +166,7 @@ func updatesIn(t *testing.T, dg []byte) (ids []uint32, framed bool) {
 
 // newPumpPrimary starts a compressed-mode primary over tr toward peers on
 // the modelled processor, with objects objects of size B written once.
-func newPumpPrimary(t *testing.T, tr xkernel.Transport, objects, size int, peers ...xkernel.Addr) (*Replica, *clock.SimClock) {
+func newPumpPrimary(t testing.TB, tr xkernel.Transport, objects, size int, peers ...xkernel.Addr) (*Replica, *clock.SimClock) {
 	t.Helper()
 	clk := clock.NewSim()
 	port, err := xkernel.NewStack(tr, clk, 0)
@@ -285,7 +285,7 @@ func TestLivePumpStepKeepsFrameBudget(t *testing.T) {
 		}
 	}
 	for i, id := range sent {
-		if want := p.pumpOrder[(start+i)%objects]; id != want {
+		if want := p.pumpOrder[(start+i)%objects].id; id != want {
 			t.Fatalf("update %d is of object %d, want %d: the round did not resume", i, id, want)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"rtpb/internal/clock"
@@ -190,7 +191,7 @@ func (p *Replica) RegisterInterObject(c temporal.InterObjectConstraint) (Decisio
 func (p *Replica) startUpdateTask(o *object) {
 	switch p.cfg.Scheduling {
 	case ScheduleCompressed:
-		p.pumpOrder = append(p.pumpOrder, o.id)
+		p.pumpOrder = append(p.pumpOrder, o)
 		return
 	case ScheduleWriteThrough:
 		return // transmissions ride on client writes
@@ -281,9 +282,8 @@ func (p *Replica) ClientWrite(name string, data []byte, done func(latency time.D
 	// time (the Figure 7 effect). The high-priority class is reserved for
 	// loss recovery.
 	p.proc.Submit(cpu.Low, p.cfg.Costs.clientCost(len(data)), func() {
-		o.value, o.spare = value, o.value
-		o.version = arrival
-		o.hasData = true
+		o.spare = o.value
+		o.install(value, arrival)
 		// The write-ahead append is enqueue-only: the client response
 		// never waits on disk (durability is off the paper-critical
 		// path; the temporal bounds are about staleness, not loss).
@@ -384,10 +384,13 @@ func (p *Replica) startDrain() {
 }
 
 // batchEntry is one object's coalesced transmission within a slot: the
-// object and the peers whose queues held it.
+// object and the peers whose queues held it; once sent, the live ones it
+// went to, the install it carried and its offset in the last one's builder.
 type batchEntry struct {
-	o       *object
-	targets []*replicaPeer
+	o        *object
+	targets  []*replicaPeer
+	installs uint64
+	at       int
 }
 
 // slot is a transmission slot being collected: its entries, the slab their
@@ -486,18 +489,18 @@ func (p *Replica) collectBatch() (s slot) {
 // encoding, so single-update slots stay byte-identical to the pre-framing
 // wire format. The slot goes out at one instant, so one clock read stamps
 // every update in it. Must run after the batch's CPU cost has been paid.
-func (p *Replica) flushBatch(entries []batchEntry) {
+func (p *Replica) flushBatch(entries []batchEntry) (fired []batchEntry) {
 	if !p.running || p.role != RolePrimary {
 		// A queued slot whose replica stopped serving while it waited must not
 		// fire: bumping seq here would corrupt the backup-role fence.
-		return
+		return nil
 	}
+	p.pumpLast.entries = p.pumpLast.entries[:0]
 	for _, pr := range p.peers {
 		pr.frame.Reset()
 	}
-	p.encBuf = p.encBuf[:0]
 	now := p.clk.Now()
-	fired := entries[:0]
+	fired = entries[:0]
 	for _, e := range entries {
 		o := e.o
 		if !o.hasData {
@@ -512,21 +515,35 @@ func (p *Replica) flushBatch(entries []batchEntry) {
 		if len(live) == 0 {
 			continue
 		}
-		enc := p.stampUpdate(o, now)
-		for _, pr := range live {
-			// AppendEncoded copies immediately, so a later growth of
-			// encBuf cannot invalidate what the builders hold.
-			pr.frame.AppendEncoded(enc)
+		o.markSent(now)
+		p.updMsg = wire.Update{
+			Epoch:    p.epoch,
+			ObjectID: o.id,
+			Seq:      o.seq,
+			Version:  o.version.UnixNano(),
+			Payload:  o.value,
 		}
+		p.encBuf = wire.AppendEncode(p.encBuf[:0], &p.updMsg)
+		for _, pr := range live {
+			// AppendEncoded copies, so encBuf is free for the next entry.
+			e.at = pr.frame.AppendEncoded(p.encBuf)
+		}
+		e.targets, e.installs = live, o.installs
 		fired = append(fired, e)
 	}
+	p.pushFrames(fired)
+	return fired
+}
+
+// pushFrames sends each peer its builder's datagram, then OnSend entries.
+func (p *Replica) pushFrames(entries []batchEntry) {
 	for _, pr := range p.peers {
 		if dg := pr.frame.Datagram(); dg != nil {
 			p.push(pr.sess, dg)
 		}
 	}
 	if p.OnSend != nil {
-		for _, e := range fired {
+		for _, e := range entries {
 			p.OnSend(e.o.id, e.o.spec.Name, e.o.lastSentSeq, e.o.lastSentVersion)
 		}
 	}
@@ -538,25 +555,6 @@ func (p *Replica) sendNow(o *object) {
 	var s slot
 	s.addLive(o, p.peers)
 	p.flushBatch(s.entries)
-}
-
-// stampUpdate numbers the object's next update, records it as the last
-// one sent at now and appends its encoding to encBuf, which it returns.
-func (p *Replica) stampUpdate(o *object, now time.Time) []byte {
-	o.seq++
-	o.lastSentSeq = o.seq
-	o.lastSentVersion = o.version
-	o.lastSentAt = now
-	p.updMsg = wire.Update{
-		Epoch:    p.epoch,
-		ObjectID: o.id,
-		Seq:      o.seq,
-		Version:  o.version.UnixNano(),
-		Payload:  o.value,
-	}
-	start := len(p.encBuf)
-	p.encBuf = wire.AppendEncode(p.encBuf, &p.updMsg)
-	return p.encBuf[start:]
 }
 
 // maybeStartPump starts the compressed-scheduling pump if it should run:
@@ -600,17 +598,43 @@ func (p *Replica) collectPump(width int) *slot {
 	s := &p.pump
 	s.entries, s.peers, s.bytes = s.entries[:0], s.peers[:0], 0
 	for tries := 0; tries < len(p.pumpOrder) && len(s.entries) < width; tries++ {
-		id := p.pumpOrder[p.pumpNext%len(p.pumpOrder)]
-		o, ok := p.adm.objects[id]
-		if ok && len(s.entries) > 0 && s.bytes+len(o.value)+(len(s.entries)+1)*frameEntryBytes > frameBytes {
+		o := p.pumpOrder[p.pumpNext%len(p.pumpOrder)]
+		if len(s.entries) > 0 && s.bytes+len(o.value)+(len(s.entries)+1)*frameEntryBytes > frameBytes {
 			break // over the frame byte budget: the next step starts here
 		}
 		p.pumpNext++
-		if ok && o.hasData && (p.gov == nil || !p.gov.shed(id)) {
+		if o.hasData && (p.gov == nil || !p.gov.shed(o.id)) {
 			s.addLive(o, p.peers)
 		}
 	}
 	return s
+}
+
+// sendPump sends the collected pump round. One that repeats pumpLast (the
+// same objects in order and installs, epoch and live peers) goes out as its
+// datagram, each Seq advanced in place: what flushBatch would build again.
+func (p *Replica) sendPump() {
+	last, entries := p.pumpLast.entries, p.pump.entries
+	repeat := p.running && p.role == RolePrimary && p.pumpEpoch == p.epoch && len(last) > 0 && len(entries) == len(last)
+	for i := 0; repeat && i < len(last); i++ {
+		e, l := &entries[i], &last[i]
+		repeat = e.o == l.o && l.o.installs == l.installs && slices.Equal(e.targets, l.targets) &&
+			!slices.ContainsFunc(l.targets, func(pr *replicaPeer) bool { return !pr.alive })
+	}
+	if !repeat {
+		p.pump.entries, p.pumpEpoch = p.flushBatch(entries), p.epoch
+		p.pump, p.pumpLast = p.pumpLast, p.pump
+		return
+	}
+	now := p.clk.Now()
+	for i := range last {
+		l := &last[i]
+		l.o.markSent(now)
+		for _, pr := range l.targets {
+			pr.frame.SetUpdateSeq(l.at, l.o.seq)
+		}
+	}
+	p.pushFrames(entries)
 }
 
 // SetPeerAlive informs the primary of one backup's liveness (driven by a

@@ -69,8 +69,8 @@ func (p *Replica) RemoveObject(name string) error {
 	for _, pa := range o.pendingAcks {
 		p.completeCritical(o, pa, fmt.Errorf("%w: %q", ErrUnknownName, name))
 	}
-	for i, id := range p.pumpOrder {
-		if id == o.id {
+	for i, po := range p.pumpOrder {
+		if po == o {
 			p.pumpOrder = append(p.pumpOrder[:i], p.pumpOrder[i+1:]...)
 			break
 		}

@@ -125,10 +125,12 @@ type Replica struct {
 	peers []*replicaPeer
 
 	pumpActive bool
-	pumpOrder  []uint32
+	pumpOrder  []*object
 	pumpNext   int
 	pump       slot   // reused: one pump step is outstanding at a time
-	pumpSent   func() // the step's completion, built once: flush, then chain
+	pumpSent   func() // the step's completion, built once: send, then chain
+	pumpLast   slot   // the last pump slot flushBatch sent, until it flushes again
+	pumpEpoch  uint32 // and the epoch it went out under
 
 	// gov is the overload governor (nil when disabled or not serving).
 	gov *governor
@@ -265,7 +267,7 @@ func NewReplica(cfg Config, role Role) (*Replica, error) {
 		running: true,
 	}
 	r.adm = newAdmission(&r.cfg)
-	r.pumpSent = func() { r.flushBatch(r.pump.entries); r.pumpStep() }
+	r.pumpSent = func() { r.sendPump(); r.pumpStep() }
 	if cfg.ClockSync {
 		r.csync = clocksync.New(clocksync.Config{
 			MaxDriftPPM: cfg.ClockSyncMaxDriftPPM,

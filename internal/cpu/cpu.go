@@ -80,9 +80,9 @@ const maxLead = 100 * time.Millisecond
 
 // idleFactor is how many times its measured run time an Idle item is
 // charged: the pump holds the loop for at most an eighth of the time. A
-// live pump step, one frame of a whole round, measures 5–10 µs for 32
-// updates of 64 B against the 400 µs declared: at 8 the pump sends
-// ~400 000 updates/s on a 2-CPU host.
+// live pump step re-sending a whole round of 32 updates of 64 B measures
+// 7.5–9 µs, half of it the sendto, against the 400 µs declared: at 8 the
+// pump sends ~450 000–500 000 updates/s on a 2-CPU host.
 const idleFactor = 8
 
 type work struct {

@@ -232,24 +232,43 @@ func idleChain(t *testing.T, clk *clock.RealClock, r *Resource, cost, w time.Dur
 }
 
 // An Idle item also starts no later than the clock's release lets it:
-// with items that spin 20 µs, each due ~160 µs after the one before, the
-// median item starts within 250 µs of its due time, the first item's start
-// plus the charges of the items before it as the resource booked them. A
-// timer rounded up to the poller's millisecond sleeps past that and the
-// chain catches up in bursts.
+// with items that spin 20 µs and declare 100 µs, which caps their charge,
+// item k is due k·100 µs after the first started, and the median item
+// starts within 250 µs of that. A timer rounded up to the poller's
+// millisecond sleeps past that and the chain catches up in bursts; a turn
+// that dropped the lateness it reclaims drifts later by each one. The
+// allowance grows by the median lateness of a chain of plain clock events
+// paced and spinning alike, interleaved with it on the same loop: a host
+// that preempts the loop makes both catch up, and fails neither.
 func TestLiveIdleStartsOnTime(t *testing.T) {
 	clk := clock.NewReal()
 	defer clk.Stop()
 	r := New(clk)
-	const cost, w, n = time.Second, 20 * time.Microsecond, 200
-	late := make([]time.Duration, 0, n)
+	const cost, w, n = 100 * time.Microsecond, 20 * time.Microsecond, 200
+	var first time.Time
+	var late, host []time.Duration
+	finished := false // read and written on the loop only
 	done := make(chan struct{})
+	var ref func(due time.Time)
+	ref = func(due time.Time) {
+		clk.ScheduleAt(due, func() {
+			if !finished {
+				host = append(host, time.Since(due))
+				spin(w)
+				ref(due.Add(cost))
+			}
+		})
+	}
 	var step func()
 	step = func() {
-		if due := r.modelFree; r.chained { // the chain's first item has no charges before it
-			late = append(late, time.Since(due))
+		if first.IsZero() {
+			first = time.Now()
+			ref(first.Add(cost / 2))
+		} else {
+			late = append(late, time.Since(first.Add(time.Duration(len(late)+1)*cost)))
 		}
 		if spin(w); len(late) == n {
+			finished = true
 			close(done)
 			return
 		}
@@ -259,41 +278,17 @@ func TestLiveIdleStartsOnTime(t *testing.T) {
 	await(t, done, "the idle chain")
 	onLoop(t, clk, func() {})
 	slices.Sort(late)
-	t.Logf("lateness p50 %v, p99 %v", late[n/2], late[n*99/100])
-	if p50 := late[n/2]; p50 >= 250*time.Microsecond {
-		// Was the host late, or the pacing? A plain timer chain on the
-		// same clock, right after, answers for the host.
-		host := scheduleLateness(t, clk, n, idleFactor*w)
-		t.Fatalf("idle items started %v (median) after their due time, want < 250µs; "+
-			"a Schedule chain right after fired %v (median), %v (p99) late",
-			p50, host[n/2], host[n*99/100])
+	slices.Sort(host)
+	if len(host) == 0 {
+		t.Fatal("the reference chain never fired while the idle chain ran")
 	}
-}
-
-// scheduleLateness runs a chain of n Schedule(d) events on clk, each
-// armed when the one before fires, and returns how late each fired,
-// sorted.
-func scheduleLateness(t *testing.T, clk *clock.RealClock, n int, d time.Duration) []time.Duration {
-	t.Helper()
-	late := make([]time.Duration, 0, n)
-	done := make(chan struct{})
-	var due time.Time
-	var step func()
-	arm := func() {
-		due = time.Now().Add(d)
-		clk.Schedule(d, step)
+	ref50, ref99 := host[len(host)/2], host[len(host)*99/100]
+	t.Logf("lateness p50 %v, p99 %v; the reference chain beside it p50 %v, p99 %v",
+		late[n/2], late[n*99/100], ref50, ref99)
+	if p50 := late[n/2]; p50 >= 250*time.Microsecond+ref50 {
+		t.Fatalf("idle items started %v (median) after their due time, want < 250µs + %v, "+
+			"the median lateness of the reference chain beside them (p99 %v)", p50, ref50, ref99)
 	}
-	step = func() {
-		if late = append(late, time.Since(due)); len(late) == n {
-			close(done)
-			return
-		}
-		arm()
-	}
-	clk.Post(arm)
-	await(t, done, "the schedule chain")
-	slices.Sort(late)
-	return late
 }
 
 // A turn that comes late does not cost the chain its budget: after the

@@ -28,8 +28,9 @@ import (
 // its freshest-wins slow path.
 var ErrPushBacklog = errors.New("ctl: push backlog full")
 
-// pushBacklog is the per-connection bound on queued EVENT lines.
-const pushBacklog = 64
+// pushBacklog is the per-connection bound on queued EVENT lines, and
+// replyTimeout how long a command may take to answer.
+const pushBacklog, replyTimeout = 64, 10 * time.Second
 
 // verb is one entry of a server's verb table.
 type verb struct {
@@ -206,29 +207,28 @@ func (s *Server) serve(c *lineConn) {
 	}()
 	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 64*1024), 2*1024*1024)
+	timeout := time.NewTimer(replyTimeout) // dispatch resets it for each command
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		reply := s.dispatch(c, line)
+		reply := s.dispatch(c, line, timeout)
 		if c.writeLine(reply) != nil {
 			return
 		}
 	}
 }
 
-// dispatch runs one command on the clock executor and waits for its
-// reply.
-func (s *Server) dispatch(c *lineConn, line string) string {
+// dispatch runs one command on the clock executor and waits for its reply.
+func (s *Server) dispatch(c *lineConn, line string, timeout *time.Timer) string {
 	replyCh := make(chan string, 1)
-	s.clk.Post(func() {
-		s.handle(c, line, func(reply string) { replyCh <- reply })
-	})
+	s.clk.Post(func() { s.handle(c, line, func(reply string) { replyCh <- reply }) })
+	timeout.Reset(replyTimeout)
 	select {
 	case r := <-replyCh:
 		return r
-	case <-time.After(10 * time.Second):
+	case <-timeout.C:
 		return "ERR control command timed out"
 	}
 }

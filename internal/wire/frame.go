@@ -195,11 +195,18 @@ func (b *FrameBuilder) Reset() {
 
 // AppendEncoded appends one already-encoded message (a complete RTPB
 // encoding including its header). The broadcast path uses it to encode an
-// update once and frame it for several peers without re-encoding.
-func (b *FrameBuilder) AppendEncoded(enc []byte) {
+// update once and frame it for several peers without re-encoding. It
+// returns where its copy of enc starts, for SetUpdateSeq.
+func (b *FrameBuilder) AppendEncoded(enc []byte) int {
 	b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(enc)))
 	b.buf = append(b.buf, enc...)
 	b.count++
+	return len(b.buf) - len(enc)
+}
+
+// SetUpdateSeq rewrites in place the Seq of the Update AppendEncoded put at.
+func (b *FrameBuilder) SetUpdateSeq(at int, seq uint64) {
+	binary.BigEndian.PutUint64(b.buf[at+headerLen+8:], seq) // past Epoch and ObjectID
 }
 
 // Datagram finalizes and returns the datagram bytes: nil when nothing was

@@ -157,6 +157,31 @@ func TestFrameBuilderAppendEncoded(t *testing.T) {
 	}
 }
 
+// A Seq rewritten in place yields the datagram a fresh encode builds, bare
+// (one message) or framed, whatever the payload and the other fields.
+func TestFrameBuilderSetUpdateSeq(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 4; n++ {
+		us := make([]*Update, n)
+		for i := range us {
+			us[i] = randomUpdate(rng)
+		}
+		b, fresh := NewFrameBuilder(), NewFrameBuilder()
+		at := make([]int, n)
+		for i, u := range us {
+			at[i] = b.AppendEncoded(Encode(u))
+		}
+		for i, u := range us {
+			u.Seq = rng.Uint64()
+			b.SetUpdateSeq(at[i], u.Seq)
+			fresh.AppendEncoded(Encode(u))
+		}
+		if got, want := b.Datagram(), fresh.Datagram(); !bytes.Equal(got, want) {
+			t.Fatalf("%d updates: rewritten %x, fresh %x", n, got, want)
+		}
+	}
+}
+
 // randomUpdate draws an arbitrary update message.
 func randomUpdate(rng *rand.Rand) *Update {
 	payload := make([]byte, rng.Intn(64))
